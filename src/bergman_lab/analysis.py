@@ -32,10 +32,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericRangeError, QuadratureError, TruncationError
 from .kernel import KernelCoeffs, build_coeffs, rk_circle_mean
-from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_radial
+from .quadrature import QuadSpec, DEFAULT_SPEC, angular_mean, integrate_radial
 from .utils import (SLOPE_TOLERANCE, dyadic_radii, geometric_ints,
                     last_quartile_log_slope)
 from .weights import (DiagnosticsReport, MomentTable, RadialWeight,
@@ -304,25 +305,6 @@ def moment_doubling_chain(t: MomentTable, N_list):
 # Hardy-Littlewood coefficient inequalities (disk, polynomials)
 # ----------------------------------------------------------------------
 
-def _circle_power_mean(coeffs, p: float, q: QuadSpec) -> float:
-    """mean over the unit circle of |f|^p for the polynomial with the given
-    coefficients, by the doubling trapezoid rule (exact for p = 2 once the
-    node count passes twice the degree)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n_nodes = max(256, 4 * coeffs.size)
-    prev = None
-    while n_nodes <= (1 << 20):
-        theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-        vals = np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)
-        cur = float(np.mean(np.abs(vals) ** p))
-        if prev is not None and abs(cur - prev) <= max(q.tolerance,
-                                                       q.rel_tolerance * abs(cur)):
-            return cur
-        prev = cur
-        n_nodes *= 2
-    raise QuadratureError("circle mean did not stabilize", partial_value=prev)
-
-
 def hardy_littlewood_check(coeffs, p: float, q: QuadSpec | None = None):
     """Coefficient inequality sum (j+1)^{p-2} |a_j|^p <~ ||f||_p^p, 0 < p <= 2.
 
@@ -338,7 +320,9 @@ def hardy_littlewood_check(coeffs, p: float, q: QuadSpec | None = None):
         raise ValueError("p must be in (0, 2]")
     j = np.arange(coeffs.size, dtype=float)
     lhs = float(np.sum((j + 1.0) ** (p - 2.0) * np.abs(coeffs) ** p))
-    return lhs, _circle_power_mean(coeffs, p, q)
+    norm_p_p = angular_mean(lambda z: np.abs(polyval(z, coeffs)) ** p, 1.0, q,
+                            start_nodes=max(256, 4 * coeffs.size))
+    return lhs, float(norm_p_p)
 
 
 def hardy_littlewood_converse(coeffs, q_exp: float, q: QuadSpec | None = None):
@@ -354,7 +338,9 @@ def hardy_littlewood_converse(coeffs, q_exp: float, q: QuadSpec | None = None):
         raise ValueError("q must be >= 2")
     j = np.arange(coeffs.size, dtype=float)
     rhs = float(np.sum((j + 1.0) ** (q_exp - 2.0) * np.abs(coeffs) ** q_exp))
-    return _circle_power_mean(coeffs, q_exp, q), rhs
+    norm_q_q = angular_mean(lambda z: np.abs(polyval(z, coeffs)) ** q_exp, 1.0, q,
+                            start_nodes=max(256, 4 * coeffs.size))
+    return float(norm_q_q), rhs
 
 
 # ----------------------------------------------------------------------
@@ -404,20 +390,25 @@ class TheoremReport:
 
 
 def _sweep(fn, params, notes, label, threads=1):
-    """Evaluate fn over params, flagging failed points instead of aborting."""
+    """Evaluate fn over params, flagging failed points instead of aborting.
+
+    Skip notes are appended in parameter order, whichever worker finishes
+    first, so reports do not depend on thread scheduling.
+    """
     def one(p):
         try:
-            return fn(p)
+            return fn(p), None
         except (TruncationError, NumericRangeError, QuadratureError) as exc:
-            notes.append(f"{label} at {p:.10g} skipped: {type(exc).__name__}: {exc}")
-            return None
+            return None, f"{label} at {p:.10g} skipped: {type(exc).__name__}: {exc}"
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, params))
+            results = list(pool.map(one, params))
     else:
-        vals = [one(p) for p in params]
-    return [(float(p), float(v)) for p, v in zip(params, vals) if v is not None]
+        results = [one(p) for p in params]
+    notes.extend(note for _, note in results if note is not None)
+    return [(float(p), float(v)) for p, (v, _) in zip(params, results)
+            if v is not None]
 
 
 def theorem_check(w: RadialWeight, n: int, config: AnalysisConfig | None = None,

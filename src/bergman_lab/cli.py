@@ -13,6 +13,7 @@ status 0 on success, 2 when any verdict is INCONCLUSIVE, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,10 @@ class RunConfig:
             raise ValueError("n must be >= 1")
         if not (1 <= self.grid_k_max <= 24):
             raise ValueError("kmax must be in 1..24")
+        if self.d_max < 1:
+            raise ValueError("dmax must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -92,8 +97,14 @@ def _cmd_diagnose(config: RunConfig, w: RadialWeight):
     ]
     # the power-envelope exponent needs the full deep grid to separate betas
     beta = dhat_beta_estimate(w, spec=spec) if reports[0].in_class else None
-    xs = 2.0 ** np.arange(1, 15)
-    ratios = [moment_tail_ratio(table, float(x), spec) for x in xs]
+    xs, ratios, notes = [], [], []
+    for x in 2.0 ** np.arange(1, 15):
+        ratio = moment_tail_ratio(table, float(x), spec)
+        if math.isfinite(ratio):
+            xs.append(x)
+            ratios.append(ratio)
+        else:
+            notes.append(f"x={x:g}: tail underflowed, point excluded")
     lq = last_quartile_slice(len(ratios))
     window = (min(ratios[lq]), max(ratios[lq]))
     results = {
@@ -101,10 +112,11 @@ def _cmd_diagnose(config: RunConfig, w: RadialWeight):
         "beta_estimate": (None if beta is None
                           else {"beta0": beta[0], "constant": beta[1]}),
         "moment_tail": {
-            "x": list(xs),
+            "x": xs,
             "ratio": ratios,
             "last_quartile_window": list(window),
             "window_spread": window[1] / window[0],
+            "notes": notes,
         },
     }
     tables = {"evidence": (["criterion", "parameter", "ratio"],
@@ -141,6 +153,10 @@ def _cmd_project(config: RunConfig, w: RadialWeight):
     if not config.symbol_path:
         raise DescriptorError("project needs --symbol <descriptor path>")
     phi = load_symbol_file(config.symbol_path)
+    if phi.multi_index is not None and len(phi.multi_index) != config.n:
+        raise DescriptorError(
+            f"symbol descriptor: multi_index has {len(phi.multi_index)} entries "
+            f"but --n is {config.n}", field="multi_index")
     table = MomentTable(w)
     coeffs = build_coeffs(table, config.n, d_max=config.d_max)
     spec = QuadSpec(tolerance=min(config.tolerance * 1e-2, 1e-10))

@@ -15,15 +15,19 @@ ties the two together: R K(z,w) = <z,w> g(<z,w>) / (2 Gamma(n+1)), and the
 n-th z-derivative of the corresponding disk kernel is g(z conj(w)) conj(w)^n / 2.
 
 Everything is computed in log space from log-Gamma and log-moments, so
-coefficient tables stay finite for weights whose moments underflow, and
-series sums are rescaled so only a genuinely out-of-range result overflows.
+coefficient tables stay finite for weights whose moments underflow.
 
-Truncation control: a partial sum is accepted once its tail is certified
-below tolerance by whichever of two geometric envelopes is sharper: the
-moment lower bound rho_s >= C_eps (1-eps)^s with eps = (1-|t|)/2 (valid for
-every radial weight), or the observed decay ratio of the computed terms
-(valid once term ratios decrease, which holds past the peak for all weight
-families here; the doubling-stability property test guards it).
+Every evaluator of sum_d d^m c_d t^d (m = 0 for K, 1 for R K) draws on one
+term table, `_terms`, built for the largest argument modulus amax: the
+degree D at which the tail is certified below tolerance, and the terms
+d^m c_d amax^d, d <= D, divided by e^scale so the largest is 1.  The tail
+is certified by the sharper of two geometric envelopes: the moment lower
+bound rho_s >= C_eps (1-eps)^s with eps = (1-|t|)/2 (valid for every radial
+weight), or the observed decay ratio of the computed terms (valid once term
+ratios decrease, which holds past the peak for all weight families here;
+the doubling-stability property test guards it).  One point is summed with
+cosines, arrays by the power recursion, circle means by an FFT wrap; each
+result is multiplied back by e^scale, so only one beyond double range fails.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ __all__ = [
 
 _LOG_MAX = 709.0
 _RATIO_WINDOW = 16
+#: head moments log rho_{2n-1+2d}, d < _EPS_HEAD, fix the moment envelope
+_EPS_HEAD = 65
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class KernelCoeffs:
         self.d_max = d_max
         self._lock = threading.RLock()
         self._log_coeffs = np.empty(0)
-        self._log_moms = np.empty(0)
+        self._head_log_moms = np.empty(0)
         self.ensure(min(initial, d_max) + 1)
 
     @property
@@ -95,11 +101,6 @@ class KernelCoeffs:
     @property
     def log_coeffs(self) -> np.ndarray:
         return self._log_coeffs
-
-    @property
-    def log_moments(self) -> np.ndarray:
-        """log rho_{2n-1+2d} for the built degrees."""
-        return self._log_moms
 
     def ensure(self, count: int):
         """Grow the table to at least `count` coefficients (capped at d_max+1)."""
@@ -115,7 +116,9 @@ class KernelCoeffs:
             d = np.arange(lo, count, dtype=float)
             new_coeffs = (gammaln(d + n) - gammaln(d + 1) - gammaln(n + 1)
                           - math.log(2.0) - new_moms)
-            self._log_moms = np.concatenate([self._log_moms, new_moms])
+            head = self._head_log_moms
+            self._head_log_moms = np.concatenate(
+                [head, new_moms[:_EPS_HEAD - head.size]])
             self._log_coeffs = np.concatenate([self._log_coeffs, new_coeffs])
 
     def log_c(self, d: int) -> float:
@@ -139,8 +142,9 @@ def _log_terms(k: KernelCoeffs, abs_t: float, degree_weight: int) -> np.ndarray:
     degree_weight m = 0 for the kernel itself, 1 for the radial-derivative
     series sum d c_d t^d.  Degree 0 of the m = 1 series is -inf.
     """
-    d = np.arange(k.built, dtype=float)
-    out = k.log_coeffs + d * math.log(abs_t)
+    log_c = k.log_coeffs  # read once: another thread may publish a longer table
+    d = np.arange(log_c.size, dtype=float)
+    out = log_c + d * math.log(abs_t)
     if degree_weight:
         with np.errstate(divide="ignore"):
             out = out + degree_weight * np.log(d)
@@ -155,10 +159,9 @@ def _epsilon_tail_log(k: KernelCoeffs, abs_t: float, D: int, degree_weight: int)
     q = abs_t * math.exp(-2.0 * log_one_minus_eps)
     if q >= 1.0:
         return math.inf
-    upto = min(65, k.built)
-    d = np.arange(upto, dtype=float)
-    log_c_eps = float(np.min(k.log_moments[:upto]
-                             - (2 * n - 1 + 2 * d) * log_one_minus_eps))
+    head = k._head_log_moms
+    d = np.arange(head.size, dtype=float)
+    log_c_eps = float(np.min(head - (2 * n - 1 + 2 * d) * log_one_minus_eps))
     log_a = -math.log(2 * n) - (2 * n - 1) * log_one_minus_eps - log_c_eps
     m = degree_weight
     kappa = q * (D + 1 + n) / (D + 2) * ((D + 2) / (D + 1)) ** m
@@ -210,7 +213,7 @@ def _certify(k: KernelCoeffs, abs_t: float, tol_rel: float, degree_weight: int):
         eps_log = _epsilon_tail_log(k, abs_t, D, degree_weight)
         if eps_log <= log_tol + cum[D]:
             return D, lt, math.exp(eps_log - cum[D])
-        if k.built >= k.d_max + 1:
+        if n_terms >= k.d_max + 1:
             scale = float(lt.max())
             with np.errstate(under="ignore", over="ignore"):
                 partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
@@ -219,21 +222,29 @@ def _certify(k: KernelCoeffs, abs_t: float, tol_rel: float, degree_weight: int):
                 f"at |t|={abs_t:.6g}",
                 partial_sum=partial, degree_used=D,
                 tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
-        k.ensure(min(2 * max(k.built, 1), k.d_max + 1))
+        k.ensure(min(2 * n_terms, k.d_max + 1))
 
 
-def _scaled_complex_sum(log_mags: np.ndarray, angles: np.ndarray):
-    """sum exp(log_mags) * e^{i angles} with overflow-safe rescaling."""
-    scale = float(np.max(log_mags))
-    if not math.isfinite(scale):
-        return 0.0 + 0.0j
+def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
+    """Certified term table of sum_d d^m c_d t^d for every |t| <= amax.
+
+    Returns (D, scale, gamma, tail_rel): the truncation degree, the rescaled
+    terms gamma_d = d^m c_d amax^d / e^scale for d <= D (the largest is 1),
+    and the certified relative tail bound at |t| = amax.
+    """
+    D, lt, tail_rel = _certify(k, amax, tol, m)
+    scale = float(np.max(lt[:D + 1]))
     with np.errstate(under="ignore"):
-        mags = np.exp(log_mags - scale)
-    val = complex(np.sum(mags * np.cos(angles)), np.sum(mags * np.sin(angles)))
-    mag = abs(val)
+        gamma = np.exp(lt[:D + 1] - scale)
+    return D, scale, gamma, tail_rel
+
+
+def _unscale(value, scale: float, what: str):
+    """value * e^scale; NumericRangeError if that leaves double range."""
+    mag = float(np.max(np.abs(value)))
     if mag > 0.0 and scale + math.log(mag) > _LOG_MAX:
-        raise NumericRangeError("series value exceeds double range")
-    return val * math.exp(scale)
+        raise NumericRangeError(f"{what} exceeds double range")
+    return value * math.exp(scale)
 
 
 def _series_at(k: KernelCoeffs, t: complex, tol: float, degree_weight: int):
@@ -246,10 +257,10 @@ def _series_at(k: KernelCoeffs, t: complex, tol: float, degree_weight: int):
             return 0.0 + 0.0j, KernelEvalInfo(0, 0.0, 0.0)
         c0 = math.exp(k.log_c(0))
         return complex(c0), KernelEvalInfo(0, 0.0, 0.0)
-    D, lt, tail_rel = _certify(k, abs_t, tol, degree_weight)
-    theta = math.atan2(t.imag, t.real)
-    d = np.arange(D + 1)
-    value = _scaled_complex_sum(lt[:D + 1], theta * d)
+    D, scale, gamma, tail_rel = _terms(k, abs_t, tol, degree_weight)
+    angles = math.atan2(t.imag, t.real) * np.arange(D + 1)
+    value = _unscale(complex(np.sum(gamma * np.cos(angles)),
+                             np.sum(gamma * np.sin(angles))), scale, "series value")
     return value, KernelEvalInfo(D, tail_rel, tail_rel * abs(value))
 
 
@@ -266,23 +277,13 @@ def eval_kernel(k: KernelCoeffs, z: BallPoint, w: BallPoint, tol: float = 1.0e-1
 
 def eval_rk(k: KernelCoeffs, z: BallPoint, w: BallPoint, tol: float = 1.0e-10,
             return_info: bool = False):
-    """Radial derivative R K(z, w) = <z,w> g(<z,w>) / (2 Gamma(n+1)).
+    """Radial derivative R K(z, w) = sum_d d c_d <z,w>^d.
 
-    Numerically identical to the term-by-term derivative sum d c_d <z,w>^d;
-    the test suite checks the two routes against each other.
+    This equals <z,w> g(<z,w>) / (2 Gamma(n+1)); the test suite checks the
+    two routes against each other.
     """
-    t = inner(z, w)
-    if t == 0:
-        return (0.0j, KernelEvalInfo(0, 0.0, 0.0)) if return_info else 0.0j
-    g, info = _eval_g_scalar(k, t, tol)
-    value = t * g / (2.0 * math.gamma(k.n + 1))
+    value, info = _series_at(k, inner(z, w), tol, 1)
     return (value, info) if return_info else value
-
-
-def _eval_g_scalar(k: KernelCoeffs, lam: complex, tol: float):
-    # g(lam) = 2 Gamma(n+1) * sum_{d>=1} d c_d lam^{d-1}
-    rk_sum, info = _series_at(k, lam, tol, 1)
-    return 2.0 * math.gamma(k.n + 1) * rk_sum / lam, info
 
 
 def eval_g(k: KernelCoeffs, lam: complex, tol: float = 1.0e-10,
@@ -295,7 +296,9 @@ def eval_g(k: KernelCoeffs, lam: complex, tol: float = 1.0e-10,
         value = 2.0 * math.gamma(k.n + 1) * math.exp(k.log_c(1))
         info = KernelEvalInfo(1, 0.0, 0.0)
     else:
-        value, info = _eval_g_scalar(k, lam, tol)
+        # g(lam) = 2 Gamma(n+1) * sum_{d>=1} d c_d lam^{d-1}
+        rk_sum, info = _series_at(k, lam, tol, 1)
+        value = 2.0 * math.gamma(k.n + 1) * rk_sum / lam
     return (value, info) if return_info else value
 
 
@@ -339,33 +342,21 @@ def _values_many(k: KernelCoeffs, ts: np.ndarray, tol: float, degree_weight: int
         fill = math.exp(k.log_c(0)) if degree_weight == 0 else 0.0
         return np.full(ts.shape, fill, dtype=complex)
     amax = float(np.max(np.abs(flat)))
-    D, _, _ = _certify(k, amax, tol, degree_weight)
-    d = np.arange(D + 1, dtype=float)
-    log_c = k.log_coeffs[:D + 1].copy()
-    if degree_weight:
-        with np.errstate(divide="ignore"):
-            log_c += degree_weight * np.log(d)
-    if float(np.max(log_c)) > _LOG_MAX - 10.0:
-        raise NumericRangeError(
-            "coefficients exceed double range; use the scalar evaluators")
-    with np.errstate(under="ignore"):
-        c = np.exp(log_c)
-    # iterative powers: D cheap vector multiplies instead of complex exps
-    vals = np.full(flat.shape, c[0], dtype=complex)
+    _, scale, gamma, _ = _terms(k, amax, tol, degree_weight)
+    # iterative powers of t / amax: D cheap vector multiplies instead of complex
+    # exps.  Divide componentwise: complex division multiplies by a rounded
+    # 1/amax, and that one-ulp error compounds over D powers.
+    x = flat.real / amax + 1j * (flat.imag / amax)
+    vals = np.full(flat.shape, gamma[0], dtype=complex)
     p = np.ones(flat.shape, dtype=complex)
-    for dd in range(1, D + 1):
-        p = p * flat
-        if c[dd] != 0.0:
-            vals += c[dd] * p
-    return vals.reshape(ts.shape)
+    for g in gamma[1:]:
+        p = p * x
+        vals += g * p
+    return _unscale(vals, scale, "series value").reshape(ts.shape)
 
 
 def kernel_values_many(k: KernelCoeffs, ts, tol: float = 1.0e-10) -> np.ndarray:
-    """K as a scalar series evaluated at an array of arguments t = <z,w>.
-
-    Plain (unscaled) arithmetic: intended for |t| away from 1 where the
-    values fit comfortably in double range.
-    """
+    """K as a scalar series evaluated at an array of arguments t = <z,w>."""
     return _values_many(k, ts, tol, 0)
 
 
@@ -398,10 +389,7 @@ def rk_circle_mean(k: KernelCoeffs, xi: float, tol: float = 1.0e-8,
         raise ValueError("xi must be in [0, 1)")
     if xi == 0.0:
         return 0.0
-    D, lt, _ = _certify(k, xi, tol, 1)
-    scale = float(np.max(lt[:D + 1]))
-    with np.errstate(under="ignore"):
-        gamma = np.exp(lt[:D + 1] - scale)
+    _, scale, gamma, _ = _terms(k, xi, tol, 1)
     n_nodes = start_nodes
     prev = None
     while n_nodes <= max_nodes:
@@ -410,9 +398,7 @@ def rk_circle_mean(k: KernelCoeffs, xi: float, tol: float = 1.0e-8,
         vals = np.fft.ifft(wrapped) * n_nodes
         cur = float(np.mean(np.abs(vals)))
         if prev is not None and abs(cur - prev) <= tol * abs(cur):
-            if cur > 0.0 and scale + math.log(cur) > _LOG_MAX:
-                raise NumericRangeError("circle mean exceeds double range")
-            return cur * math.exp(scale)
+            return _unscale(cur, scale, "circle mean")
         prev = cur
         n_nodes *= 2
     raise QuadratureError("circle mean did not stabilize", partial_value=prev)

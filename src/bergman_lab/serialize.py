@@ -198,37 +198,42 @@ def load_weight_file(path) -> RadialWeight:
 
 def parse_symbol(doc: dict) -> BoundedSymbol:
     kind = _require(doc, "kind", str, "symbol descriptor")
-    if kind == "monomial":
-        return BoundedSymbol.monomial(_require(doc, "multi_index", list,
-                                                "monomial symbol"))
-    if kind == "conj_monomial":
-        return BoundedSymbol.conj_monomial(_require(doc, "multi_index", list,
-                                                     "conjugate monomial symbol"))
-    if kind == "radial_indicator":
-        return BoundedSymbol.radial_indicator(
-            _require(doc, "r_lo", float, "radial indicator"),
-            _require(doc, "r_hi", float, "radial indicator"))
-    if kind == "unimodular_phase":
-        return BoundedSymbol.unimodular_phase(
-            _require(doc, "multi_index", list, "unimodular phase"),
-            _require(doc, "multi_index_2", list, "unimodular phase"))
-    if kind == "custom":
-        grid = doc.get("polar_grid")
-        if not isinstance(grid, dict):
-            raise SymbolFormError(
-                "custom symbols must carry a 'polar_grid' object with "
-                "r_nodes, mod_nodes, arg_nodes and values_real/values_imag; "
-                "other samplings are not in slice form")
-        vr = np.asarray(_require(grid, "values_real", list, "custom symbol"),
-                        dtype=float)
-        vi = np.asarray(grid.get("values_imag", np.zeros_like(vr).tolist()),
-                        dtype=float)
-        return BoundedSymbol.custom_from_polar_grid(
-            _require(grid, "r_nodes", list, "custom symbol"),
-            _require(grid, "mod_nodes", list, "custom symbol"),
-            _require(grid, "arg_nodes", list, "custom symbol"),
-            vr + 1j * vi,
-            _require(doc, "sup_norm_bound", float, "custom symbol"))
+    try:
+        if kind == "monomial":
+            return BoundedSymbol.monomial(_require(doc, "multi_index", list,
+                                                    "monomial symbol"))
+        if kind == "conj_monomial":
+            return BoundedSymbol.conj_monomial(_require(doc, "multi_index", list,
+                                                         "conjugate monomial symbol"))
+        if kind == "radial_indicator":
+            return BoundedSymbol.radial_indicator(
+                _require(doc, "r_lo", float, "radial indicator"),
+                _require(doc, "r_hi", float, "radial indicator"))
+        if kind == "unimodular_phase":
+            return BoundedSymbol.unimodular_phase(
+                _require(doc, "multi_index", list, "unimodular phase"),
+                _require(doc, "multi_index_2", list, "unimodular phase"))
+        if kind == "custom":
+            grid = doc.get("polar_grid")
+            if not isinstance(grid, dict):
+                raise SymbolFormError(
+                    "custom symbols must carry a 'polar_grid' object with "
+                    "r_nodes, mod_nodes, arg_nodes and values_real/values_imag; "
+                    "other samplings are not in slice form")
+            vr = np.asarray(_require(grid, "values_real", list, "custom symbol"),
+                            dtype=float)
+            vi = np.asarray(grid.get("values_imag", np.zeros_like(vr).tolist()),
+                            dtype=float)
+            return BoundedSymbol.custom_from_polar_grid(
+                _require(grid, "r_nodes", list, "custom symbol"),
+                _require(grid, "mod_nodes", list, "custom symbol"),
+                _require(grid, "arg_nodes", list, "custom symbol"),
+                vr + 1j * vi,
+                _require(doc, "sup_norm_bound", float, "custom symbol"))
+    except (DescriptorError, SymbolFormError):
+        raise
+    except ValueError as exc:
+        raise DescriptorError(f"symbol descriptor: {exc}") from exc
     raise DescriptorError(f"symbol descriptor: unknown kind {kind!r}", field="kind")
 
 

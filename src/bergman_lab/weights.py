@@ -205,15 +205,18 @@ def tail(w: RadialWeight, r: float, spec: QuadSpec | None = None) -> float:
 
 _SEG_NODES_FULL = np.polynomial.legendre.leggauss(24)
 _SEG_NODES_HALF = np.polynomial.legendre.leggauss(12)
+#: tail octaves reach u = 1-t = 2^-_GRID_DEPTH, head octaves t = 2^-_HEAD_DEPTH
+_GRID_DEPTH = 80
+_HEAD_DEPTH = 32
 
 
 class MomentTable:
     """Memoized moments rho_x with a shared graded quadrature grid.
 
     The grid is a dyadic composite Gauss rule in u = 1-t, 24 points per
-    octave down to u = 2^-depth.  Because each octave resolves e^{-x u}-type
+    octave down to u = 2^-80.  Because each octave resolves e^{-x u}-type
     boundary layers at its own scale, one grid serves every exponent from
-    x = 1 up to roughly 2^(depth - 40), far past what the kernel series
+    x = 1 up to roughly 2^40, far past what the kernel series
     needs at desk scale.  All sums are done in log space, so moments of
     rapidly decaying weights come out with full relative accuracy even when
     their linear value underflows.
@@ -223,12 +226,8 @@ class MomentTable:
     bound on the mass beyond the deepest octave.
     """
 
-    def __init__(self, weight: RadialWeight, tolerance: float = 1.0e-12,
-                 depth: int = 80, head_depth: int = 32):
+    def __init__(self, weight: RadialWeight):
         self.weight = weight
-        self.tolerance = tolerance
-        self.depth = depth
-        self.head_depth = head_depth
         self.entries: dict[float, tuple[float, float]] = {}
         self._lock = threading.RLock()
         self._grid = None
@@ -243,7 +242,7 @@ class MomentTable:
         head_logmass = None
         # head octaves t in [2^-j-1, 2^-j]: the t^x factor has a branch point
         # at t = 0, so the mesh must grade toward both endpoints
-        for j in range(self.head_depth, 0, -1):
+        for j in range(_HEAD_DEPTH, 0, -1):
             hi = 2.0 ** (-j)
             half = 0.25 * hi
             mid = 0.75 * hi
@@ -252,11 +251,11 @@ class MomentTable:
                 lt.append(np.log(t))
                 lw.append(np.log(half * wq)
                           + self.weight.log_eval_at_one_minus(1.0 - t))
-            if j == self.head_depth:
+            if j == _HEAD_DEPTH:
                 head_logmass = logsumexp(lw_f[-1])
         # tail octaves u = 1-t in [2^-k-1, 2^-k], stored through u so the
         # boundary offset keeps full floating resolution
-        for k in range(1, self.depth):
+        for k in range(1, _GRID_DEPTH):
             hi = 2.0 ** (-k)
             half = 0.25 * hi
             mid = 0.75 * hi
@@ -267,14 +266,14 @@ class MomentTable:
             tail_logmass.append(logsumexp(lw_f[-1]))
         # unresolved slivers enter the error estimate only: past the deepest
         # tail octave (t^x <= 1 there), and below the deepest head octave
-        # (t^x <= t <= 2^-head_depth there)
+        # (t^x <= t <= 2^-_HEAD_DEPTH there)
         m1, m2 = tail_logmass[-1], tail_logmass[-2]
         ldiff = min(m1 - m2, -0.05)
         if math.isfinite(m1) and math.isfinite(ldiff):
             sliver_log = m1 + ldiff - math.log1p(-math.exp(ldiff))
         else:
             sliver_log = -math.inf  # mass beyond the grid underflows entirely
-        head_sliver_log = head_logmass + (1 - self.head_depth) * math.log(2.0)
+        head_sliver_log = head_logmass + (1 - _HEAD_DEPTH) * math.log(2.0)
         with np.errstate(under="ignore", over="ignore"):
             self._grid = {
                 "logt_f": np.concatenate(lt_f), "logw_f": np.concatenate(lw_f),
@@ -363,14 +362,6 @@ class MomentTable:
 
     def log_moment(self, x: float) -> float:
         return float(self.log_moments(np.array([float(x)]))[0])
-
-    def moments(self, xs) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return np.exp(self.log_moments(xs))
-
-
-def moment(table: MomentTable, x: float) -> float:
-    return table.moment(x)
 
 
 # ----------------------------------------------------------------------
@@ -525,10 +516,14 @@ def dhat_beta_estimate(w: RadialWeight, radii=None, beta_grid=None,
 
 def moment_tail_ratio(t: MomentTable, x: float,
                       spec: QuadSpec | None = None) -> float:
-    """rho_x / rhohat(1 - 1/x); comparable above and below for class weights."""
+    """rho_x / rhohat(1 - 1/x); comparable above and below for class weights.
+
+    Returns math.inf where the tail underflows to 0.0.
+    """
     if x < 1.0:
         raise WeightDomainError("x must be >= 1")
-    return t.moment(x) / tail(t.weight, 1.0 - 1.0 / x, spec)
+    den = tail(t.weight, 1.0 - 1.0 / x, spec)
+    return t.moment(x) / den if den > 0.0 else math.inf
 
 
 def is_regular(w: RadialWeight, radii=None,

@@ -359,3 +359,14 @@ class TestTheoremCheck:
         assert d["conclusion"] == "CONSISTENT_BOUNDED"
         assert len(d["functional_profile"]) == 12
         assert len(d["cesaro_profile"]) == 9
+
+    def test_threads_complete_with_ordered_notes(self, weights):
+        """Two threads share one growing coefficient table: the run must not
+        race, and its skip notes come in parameter order as with one."""
+        def notes(threads):
+            cfg = AnalysisConfig(k_max=8, d_max=4096, threads=threads)
+            return theorem_check(weights["exp11"], 2, cfg).notes
+
+        single = notes(1)
+        assert sum("skipped" in note for note in single) >= 2
+        assert notes(2) == single

@@ -11,7 +11,7 @@ from bergman_lab import (BallPoint, MomentTable, RadialWeight, TruncationError,
                          build_coeffs, eval_disk_kernel_deriv, eval_g,
                          eval_kernel, eval_rk, inner, integrate_ball_radial,
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
-from bergman_lab.kernel import kernel_values_many
+from bergman_lab.kernel import _series_at, _values_many, kernel_values_many
 
 
 def _pair(t, n=2):
@@ -271,3 +271,25 @@ class TestCircleMean:
         direct = np.mean(np.abs(vals))
         assert_allclose(rk_circle_mean(coeffs_std0_n2, xi, tol=1e-12), direct,
                         rtol=1e-8)
+
+
+class TestValuesManyRange:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_array_path_matches_scalar_past_double_range_coefficients(self, tables, m):
+        """exp11, n = 2: at |t| = 0.995 the coefficients exceed e^699, yet the
+        rescaled array path agrees with the scalar path.  The table is built
+        deep enough that neither call grows it, so both truncate at the same
+        certified degree at |t| = 0.995; tol = 1e-13 keeps the scalar path's
+        own truncation at the half-modulus point below the comparison."""
+        tol = 1e-13
+        k = build_coeffs(tables["exp11"], 2, d_max=1 << 19, initial=1 << 17)
+        ts = np.array([0.995, 0.995j, 0.4975])
+        vals = _values_many(k, ts, tol, m)
+        refs = [_series_at(k, complex(t), tol, m)[0] for t in ts]
+        assert math.log(abs(refs[0])) > 400.0
+        for i in (0, 2):
+            assert abs(vals[i] - refs[i]) <= 1e-12 * abs(refs[i]), ts[i]
+        # K(0.995i) is ~1e-12 of the sum of its term magnitudes, K(0.995):
+        # its digits past that cancel, so compare on that scale
+        assert abs(refs[1]) < 1e-11 * abs(refs[0])
+        assert abs(vals[1] - refs[1]) <= 1e-12 * abs(refs[0])

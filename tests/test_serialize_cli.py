@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bergman_lab
 from bergman_lab.cli import main
 from bergman_lab.errors import DescriptorError, SymbolFormError
 from bergman_lab.serialize import (dumps_report, fmt_float, load_weight_file,
@@ -212,3 +217,48 @@ class TestCli:
         status = main(["project", "--weight", str(weight_file), "--n", "2"])
         assert status == 1
         assert "symbol" in capsys.readouterr().err
+
+
+def _run_cli(args, cwd):
+    src = Path(bergman_lab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "bergman_lab.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestCliBadInput:
+    @pytest.mark.parametrize("extra, symbol", [
+        (["project", "--n", "2"], {"kind": "monomial", "multi_index": [1, 0, 0]}),
+        (["project", "--n", "2"], {"kind": "monomial", "multi_index": [1, -1]}),
+        (["kernel", "--dmax", "0"], None),
+        (["kernel", "--threads", "0"], None),
+    ], ids=["multi-index-length", "negative-multi-index", "dmax-zero", "threads-zero"])
+    def test_error_line_and_exit_one(self, weight_file, tmp_path, extra, symbol):
+        args = [*extra, "--weight", str(weight_file), "--kmax", "2"]
+        if symbol is not None:
+            sym = tmp_path / "sym.json"
+            sym.write_text(json.dumps(symbol))
+            args += ["--symbol", str(sym)]
+        proc = _run_cli(args, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_diagnose_exponential_excludes_underflowed_tails(tmp_path):
+    """exp(-1/(1-r)) tails underflow at r = 1 - 1/x for x >= 1024: those x
+    are left out of the moment/tail ratios and named in a note."""
+    p = tmp_path / "exp11.json"
+    p.write_text(json.dumps({"kind": "exponential", "c": 1.0, "beta": 1.0,
+                             "label": "exp11"}))
+    out = tmp_path / "rep.json"
+    status = main(["diagnose", "--weight", str(p), "--out", str(out)])
+    assert status in (0, 2)
+    mt = json.loads(out.read_text())["results"]["moment_tail"]
+    assert len(mt["x"]) == len(mt["ratio"]) >= 3
+    assert all(math.isfinite(v) for v in mt["ratio"] + mt["last_quartile_window"])
+    excluded = [x for x in 2.0 ** np.arange(1, 15) if x not in mt["x"]]
+    assert excluded and len(mt["notes"]) == len(excluded)
+    assert all("underflowed" in note for note in mt["notes"])
