@@ -106,7 +106,9 @@ def _cmd_diagnose(config: RunConfig, w: RadialWeight):
         else:
             notes.append(f"x={x:g}: tail underflowed, point excluded")
     lq = last_quartile_slice(len(ratios))
-    window = (min(ratios[lq]), max(ratios[lq]))
+    window = (min(ratios[lq]), max(ratios[lq])) if ratios else (None, None)
+    if not ratios:
+        notes.append("no finite ratio: window and spread reported as null")
     results = {
         "diagnostics": [rep.to_dict() for rep in reports],
         "beta_estimate": (None if beta is None
@@ -115,7 +117,7 @@ def _cmd_diagnose(config: RunConfig, w: RadialWeight):
             "x": xs,
             "ratio": ratios,
             "last_quartile_window": list(window),
-            "window_spread": window[1] / window[0],
+            "window_spread": window[1] / window[0] if ratios else None,
             "notes": notes,
         },
     }

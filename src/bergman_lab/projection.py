@@ -8,10 +8,11 @@ The projection of a bounded symbol phi is
 For the structured symbol kinds (monomials, conjugate monomials, radial
 indicators, unimodular phase patterns) the angular integrations collapse by
 orthogonality: only one kernel degree survives, the sphere factor is a Gamma
-ratio, and what remains is a single fresh radial quadrature.  Only custom
-slice-form symbols pay for the full radial x slice quadrature; symbols that
-cannot be written as a function of (|w|, <z/|z|, w>) are rejected up front,
-since an honest full-dimensional quadrature is out of reach at desk scale.
+ratio, and what remains is a single fresh radial quadrature.  Custom
+slice-form symbols meet kernel degree d only in their angular Fourier mode
+-d, so they cost one radial quadrature of sums over modes.  Symbols that
+cannot be written in slice form are rejected up front, since an honest
+full-dimensional quadrature is out of reach at desk scale.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import QuadratureError, SymbolFormError
-from .kernel import KernelCoeffs, _values_many
-from .quadrature import BallPoint, QuadSpec, DEFAULT_SPEC, integrate_radial
+from .kernel import KernelCoeffs, _terms, _unscale
+from .quadrature import (BallPoint, QuadSpec, DEFAULT_SPEC, _slice_rule,
+                         integrate_radial)
 from .weights import RadialWeight
 
 __all__ = [
@@ -102,11 +104,9 @@ class BoundedSymbol:
         """Custom symbol interpolated from samples on a polar product grid.
 
         values[i, j, k] = phi at radius r_nodes[i], slice modulus
-        mod_nodes[j], slice angle arg_nodes[k] (radians).  Interpolation is
-        trilinear with the angle treated periodically.
+        mod_nodes[j], slice angle arg_nodes[k] (radians, increasing, spanning
+        less than 2 pi).  Interpolation is trilinear, periodic in the angle.
         """
-        from scipy.interpolate import RegularGridInterpolator
-
         values = np.asarray(values, dtype=complex)
         r_nodes = np.asarray(r_nodes, dtype=float)
         mod_nodes = np.asarray(mod_nodes, dtype=float)
@@ -115,22 +115,48 @@ class BoundedSymbol:
             raise SymbolFormError(
                 "custom grid values must have shape (radii, moduli, angles); "
                 "got a sampling that is not a polar product grid")
-        arg_ext = np.concatenate([arg_nodes, [arg_nodes[0] + 2.0 * np.pi]])
-        vals_ext = np.concatenate([values, values[:, :, :1]], axis=2)
-        interp = RegularGridInterpolator(
-            (r_nodes, mod_nodes, arg_ext), vals_ext,
+        if arg_nodes.size == 0 or arg_nodes[-1] - arg_nodes[0] >= 2.0 * np.pi:
+            raise SymbolFormError(
+                "custom grid needs angles spanning less than 2 pi; the angle "
+                "is periodic, so the first node closes the grid")
+        return cls("custom", float(sup_norm_bound),
+                   slice_fn=_PolarGridSlice(r_nodes, mod_nodes, arg_nodes, values))
+
+
+class _PolarGridSlice:
+    """Trilinear interpolant of a polar-grid symbol in (r, |lam|, angle), the
+    angle taken as (arg lam - arg_nodes[0]) mod 2 pi."""
+
+    def __init__(self, r_nodes, mod_nodes, arg_nodes, values):
+        from scipy.interpolate import RegularGridInterpolator
+
+        self.arg_nodes = arg_nodes
+        self.offsets = np.append(arg_nodes - arg_nodes[0], 2.0 * np.pi)
+        self.interp = RegularGridInterpolator(
+            (r_nodes, mod_nodes, self.offsets),
+            np.concatenate([values, values[:, :, :1]], axis=2),
             bounds_error=False, fill_value=None)
 
-        def fn(r, lam):
-            lam = np.asarray(lam, dtype=complex)
-            pts = np.stack([
-                np.broadcast_to(r, lam.shape).ravel(),
-                np.abs(lam).ravel(),
-                np.mod(np.angle(lam), 2.0 * np.pi).ravel(),
-            ], axis=-1)
-            return interp(pts).reshape(lam.shape)
+    def __call__(self, r, lam):
+        lam = np.asarray(lam, dtype=complex)
+        pts = np.stack(np.broadcast_arrays(
+            r, np.abs(lam), np.mod(np.angle(lam) - self.arg_nodes[0], 2.0 * np.pi)), axis=-1)
+        return self.interp(pts.reshape(-1, 3)).reshape(lam.shape)
 
-        return cls("custom", float(sup_norm_bound), slice_fn=fn)
+    def modes(self, r, mods, D: int):
+        """Exact angular modes f_{-d}, d = 0..D, shape (mods.size, D + 1).
+
+        f is piecewise linear in the angle with slope jumps k_j at theta_j,
+        so f_{-d} = -sum_j k_j e^{i d theta_j} / (2 pi d^2) for d != 0 (on a
+        uniform grid: the DFT times sinc^2(pi d / angles))."""
+        g = self(r, mods[:, None] * np.exp(1j * self.arg_nodes))
+        h = np.diff(self.offsets)
+        slope = (np.roll(g, -1, axis=-1) - g) / h
+        kinks = np.roll(slope, 1, axis=-1) - slope
+        d = np.arange(1, D + 1)
+        return np.column_stack([g @ (h + np.roll(h, 1)) / (4.0 * np.pi),
+                                kinks @ np.exp(1j * np.outer(self.arg_nodes, d))
+                                / (2.0 * np.pi * d ** 2)])
 
 
 def _fresh_radial_moment(w: RadialWeight, power: int, spec: QuadSpec) -> float:
@@ -216,80 +242,56 @@ def _project_structured(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
     raise ValueError(f"unhandled symbol kind {phi.kind!r}")
 
 
-_DISK_RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _disk_rule(levels: int = 10):
-    """Composite Gauss nodes/weights in the disk-radius variable, graded
-    dyadically toward the rim (where the kernel factor peaks)."""
-    if levels not in _DISK_RULE_CACHE:
-        x, wq = np.polynomial.legendre.leggauss(15)
-        nodes, wts = [], []
-        breaks = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, levels)] + [1.0]
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-            nodes.append(mid + half * x)
-            wts.append(half * wq)
-        _DISK_RULE_CACHE[levels] = (np.concatenate(nodes), np.concatenate(wts))
-    return _DISK_RULE_CACHE[levels]
-
-
 def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
                     z: BallPoint, spec: QuadSpec, degree_weight: int = 0) -> complex:
-    """Full radial x slice quadrature for slice-form symbols.
+    """Radial quadrature of the sphere means, at radius s,
 
-    The slice integral is evaluated on a tensor (disk-radius x angle) grid
-    so the kernel series is applied to whole arrays; the angle count is
-    doubled until the complete projection stabilizes.
+        sum_i w_i sum_{d <= D} d^m c_d (|z| s u_i)^d f_{-d}(s, s u_i),
+
+    with one certified term table at |z|, which bounds every modulus met.
+    Polar-grid symbols give exact modes f_{-d}.  For a callable they come
+    from an FFT of samples on 2N angles, N doubled from the least power of
+    two >= max(128, 2(D+1)) until the N- and 2N-angle means agree.
+    degree_weight m = 1 swaps K for its radial derivative.
     """
     n = k.n
     a = z.norm
     tol = max(spec.rel_tolerance * 10, 1.0e-11)
+    if a == 0.0 and degree_weight:
+        return 0.0j  # at z = 0 only degree 0 survives, and R K has none
+    D, scale, gamma, _ = (_terms(k, a, tol, degree_weight) if a > 0.0
+                          else (0, k.log_c(0), np.ones(1), 0.0))
+    u, u_weights = _slice_rule(n)
+    degrees = np.arange(D + 1)
 
-    def series(ts):
-        return _values_many(k, ts, tol, 1 if degree_weight else 0)
+    def sphere_mean(s: float) -> complex:
+        mods = s * u
+        terms = u_weights[:, None] * mods[:, None] ** degrees * gamma
 
-    u, uw = _disk_rule()
+        def pair(modes):
+            return _unscale(np.sum(terms * modes), scale, "series value")
 
-    def value_at(n_theta: int) -> complex:
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        circ = np.exp(1j * theta)
+        if isinstance(phi.slice_fn, _PolarGridSlice):
+            return pair(phi.slice_fn.modes(s, mods, D))
+        n_theta = 2 << max(7, (2 * D + 1).bit_length())
+        cur = None
+        while n_theta <= spec.max_angular_nodes:
+            circle = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+            dft = np.fft.fft(phi.slice_fn(s, mods[:, None] * circle), axis=-1) / n_theta
+            cur = pair(dft[:, -degrees % n_theta])
+            # the DFT of the even angles (one level down) folds mode k + N/2 onto k
+            coarse = pair(dft[:, -degrees % n_theta]
+                          + dft[:, (n_theta // 2 - degrees) % n_theta])
+            if abs(cur - coarse) <= max(spec.tolerance, 10 * spec.rel_tolerance * abs(cur)):
+                return cur
+            n_theta *= 2
+        raise QuadratureError("custom-symbol projection did not stabilize in angle",
+                              partial_value=cur)
 
-        if n == 1:
-            def slice_vals(s_nodes):
-                out = np.empty(s_nodes.size, dtype=complex)
-                for i, s in enumerate(s_nodes):
-                    lam = s * circ
-                    out[i] = np.mean(series(a * lam) * phi.slice_fn(s, lam))
-                return out
-        else:
-            lam_grid = u[:, None] * circ[None, :]
-            disk_w = 2.0 * uw * u * (1.0 - u * u) ** (n - 2)
+    def f(r):
+        return 2.0 * n * r ** (2 * n - 1) * w(r) * np.array([sphere_mean(s) for s in r])
 
-            def slice_vals(s_nodes):
-                out = np.empty(s_nodes.size, dtype=complex)
-                for i, s in enumerate(s_nodes):
-                    vals = series(a * s * lam_grid) * phi.slice_fn(s, s * lam_grid)
-                    out[i] = (n - 1) * np.dot(disk_w, vals.mean(axis=1))
-                return out
-
-        def f(r):
-            r = np.atleast_1d(r)
-            return 2.0 * n * r ** (2 * n - 1) * w(r) * slice_vals(r)
-
-        return complex(integrate_radial(f, spec)[0])
-
-    n_theta = 128
-    prev = None
-    while n_theta <= spec.max_angular_nodes:
-        cur = value_at(n_theta)
-        if prev is not None and abs(cur - prev) <= max(spec.tolerance,
-                                                       10 * spec.rel_tolerance * abs(cur)):
-            return cur
-        prev = cur
-        n_theta *= 2
-    raise QuadratureError("custom-symbol projection did not stabilize in angle",
-                          partial_value=prev)
+    return complex(integrate_radial(f, spec)[0])
 
 
 def project(k: KernelCoeffs, w_weight: RadialWeight, phi: BoundedSymbol,
@@ -345,17 +347,14 @@ def project_bloch_image(k: KernelCoeffs, w_weight: RadialWeight,
     kernel instead of the kernel.
     """
     q = q or DEFAULT_SPEC
-    n = k.n
+    if phi.kind != "custom":
+        d, gamma, factor = _project_structured(k, w_weight, phi, q, degree_weight=1)
     out = []
-    if phi.kind == "custom":
-        for r in radii_grid:
-            z = BallPoint.radial(float(r), n)
-            rf = _project_custom(k, w_weight, phi, z, q, degree_weight=1)
-            out.append((float(r), (1.0 - r * r) * abs(rf)))
-        return out
-    d, gamma, factor = _project_structured(k, w_weight, phi, q, degree_weight=1)
     for r in radii_grid:
-        z = BallPoint.radial(float(r), n)
-        rf = factor * _zpow(z, gamma) if factor != 0.0 else 0.0
+        z = BallPoint.radial(float(r), k.n)
+        if phi.kind == "custom":
+            rf = _project_custom(k, w_weight, phi, z, q, degree_weight=1)
+        else:
+            rf = factor * _zpow(z, gamma) if factor != 0.0 else 0.0
         out.append((float(r), (1.0 - r * r) * abs(rf)))
     return out

@@ -303,6 +303,20 @@ def sphere_slice_average(h, z: BallPoint, spec: QuadSpec | None = None):
     return (z.n - 1) * integrate_disk(lambda lam: h(a * lam), z.n - 2, spec)
 
 
+def _slice_rule(n: int):
+    """Fixed rule for the slice identity of sphere_slice_average: nodes u in
+    the slice-disk radius and their weights.  u = 1 for n = 1; for n >= 2
+    composite Gauss against (n-1) 2u (1-u^2)^{n-2} du, graded dyadically
+    toward the rim (where kernel factors peak)."""
+    if n == 1:
+        return np.ones(1), np.ones(1)
+    x, wq = _GAUSS_HI
+    breaks = np.array([0.0] + [1.0 - 2.0 ** (-j) for j in range(1, 10)] + [1.0])
+    half = 0.5 * np.diff(breaks)[:, None]
+    u = (0.5 * (breaks[:-1] + breaks[1:])[:, None] + half * x).ravel()
+    return u, (n - 1) * 2.0 * u * (1.0 - u * u) ** (n - 2) * (half * wq).ravel()
+
+
 def integrate_ball_radial(slice_fn, weight, n: int, spec: QuadSpec | None = None):
     """Polar integral over the unit ball against the radial weight.
 

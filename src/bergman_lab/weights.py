@@ -475,13 +475,17 @@ def is_dhat_moments(t: MomentTable, n_max: int = 4096,
         n *= 2
     ns = np.asarray(ns, dtype=float)
     log_m = t.log_moments(np.concatenate([ns, 2.0 * ns]))
-    ratios = np.exp(log_m[:ns.size] - log_m[ns.size:])
-    notes: list[str] = []
-    c0 = tail(t.weight, 0.0, spec) / tail(t.weight, 0.5, spec)
-    aux = {"c0_head_ratio": c0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(log_m[:ns.size] - log_m[ns.size:])
+    finite = np.isfinite(ratios)
+    notes = [f"n={n:g}: moment ratio not finite, point excluded" for n in ns[~finite]]
+    head, half = tail(t.weight, 0.0, spec), tail(t.weight, 0.5, spec)
+    c0 = head / half if half > 0.0 else None
+    if c0 is None:
+        notes.append("head ratio: tail at 1/2 underflowed, reported as null")
     _extrapolation_note(t.weight, notes)
-    return _ratio_verdict(ns, ratios, np.log(ns), threshold,
-                          "dhat-moment-doubling", notes, aux)
+    return _ratio_verdict(ns[finite], ratios[finite], np.log(ns[finite]), threshold,
+                          "dhat-moment-doubling", notes, {"c0_head_ratio": c0})
 
 
 def dhat_beta_estimate(w: RadialWeight, radii=None, beta_grid=None,

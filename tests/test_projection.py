@@ -32,6 +32,39 @@ class TestSymbolConstruction:
                 [0.1, 0.5], [0.2, 0.8], [0.0, 3.1],
                 np.zeros((2, 2, 3)), 1.0)
 
+    def test_polar_grid_periodic_before_first_node(self):
+        """Angles below arg_nodes[0] lie on the segment that wraps from the
+        last node back to the first, so the interpolant is 2 pi-periodic."""
+        a_nodes = 0.3 + 2 * np.pi * np.arange(8) / 8
+        vals = np.broadcast_to(np.cos(a_nodes), (2, 2, 8))
+        phi = BoundedSymbol.custom_from_polar_grid([0.0, 1.0], [0.0, 1.0],
+                                                   a_nodes, vals, 1.0)
+        frac = (2 * np.pi - a_nodes[-1]) / (2 * np.pi / 8)
+        wrap = np.cos(a_nodes[-1]) + frac * (np.cos(0.3) - np.cos(a_nodes[-1]))
+        lam = 0.5 * np.exp(1j * np.array([0.0, 2 * np.pi - 1e-12]))
+        assert_allclose(phi.slice_fn(0.5, lam).real, [wrap, wrap], atol=1e-10)
+
+    @pytest.mark.parametrize("a_nodes", [np.linspace(0.0, 2 * np.pi, 9), []],
+                             ids=["full-turn", "no-angles"])
+    def test_polar_grid_angle_span_rejected(self, a_nodes):
+        with pytest.raises(SymbolFormError):
+            BoundedSymbol.custom_from_polar_grid(
+                [0.0, 1.0], [0.0, 1.0], a_nodes, np.ones((2, 2, len(a_nodes))), 1.0)
+
+    def test_polar_grid_modes_match_interpolant(self, rng):
+        """The exact angular modes of a grid symbol with uneven angles, not
+        starting at 0, equal a fine DFT of its own slice function."""
+        a_nodes = np.sort(rng.uniform(-1.0, 2 * np.pi - 1.5, 11))
+        vals = (rng.standard_normal((3, 4, 11))
+                + 1j * rng.standard_normal((3, 4, 11)))
+        fn = BoundedSymbol.custom_from_polar_grid(
+            [0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 4), a_nodes, vals, 5.0).slice_fn
+        mods, n_theta, D = np.array([0.1, 0.45, 0.8]), 1 << 16, 40
+        circle = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+        dft = np.fft.fft(fn(0.6, mods[:, None] * circle), axis=-1) / n_theta
+        assert_allclose(fn.modes(0.6, mods, D), dft[:, -np.arange(D + 1) % n_theta],
+                        atol=1e-8)
+
 
 class TestProjectStructured:
     def test_constant_symbol(self, coeffs_std0_n2, weights):
@@ -124,6 +157,32 @@ class TestProjectCustom:
             fast = project(coeffs_std0_n2, weights["std0"], phi_fast, z, spec)
             slow = project(coeffs_std0_n2, weights["std0"], phi_slice, z, spec)
             assert_allclose(complex(slow), complex(fast), atol=1e-7)
+
+    @pytest.mark.parametrize("n, expected", [(1, 0.3 * 4 / 3), (3, 0.3 * 64 / 35)])
+    def test_unimodular_phase_other_dimensions(self, tables, weights, n, expected):
+        """conj(lam)/|lam| against w1/|w1| on the circle (n = 1) and in
+        C^3, at z = 0.3 e_1."""
+        k = build_coeffs(tables["std0"], n, d_max=1 << 19)
+        z = BallPoint.radial(0.3, n)
+        e1 = (1,) + (0,) * (n - 1)
+        fast = project(k, weights["std0"], BoundedSymbol.unimodular_phase(
+            tuple(2 * e for e in e1), e1), z, TIGHT)
+        slow = project(k, weights["std0"], BoundedSymbol.custom(
+            lambda r, lam: np.conj(lam) / np.abs(lam), 1.0), z, TIGHT)
+        assert_allclose(complex(fast), expected, rtol=1e-12)
+        assert_allclose(complex(slow), complex(fast), atol=1e-12)
+
+    def test_origin(self, coeffs_std0_n2, weights):
+        """At z = 0 only the mean of the symbol survives, and the radial
+        derivative vanishes."""
+        z0 = BallPoint(np.zeros(2, dtype=complex))
+        phase = BoundedSymbol.custom(lambda r, lam: np.conj(lam) / np.abs(lam), 1.0)
+        one = BoundedSymbol.custom(lambda r, lam: np.ones_like(lam), 1.0)
+        assert abs(project(coeffs_std0_n2, weights["std0"], phase, z0, TIGHT)) < 1e-12
+        assert_allclose(complex(project(coeffs_std0_n2, weights["std0"], one, z0,
+                                        TIGHT)), 1.0, atol=1e-12)
+        assert project_bloch_image(coeffs_std0_n2, weights["std0"], phase,
+                                   [0.0], TIGHT) == [(0.0, 0.0)]
 
     def test_polar_grid_interpolation(self, coeffs_std0_n2, weights):
         """Grid-sampled custom symbol reproduces its callable original."""

@@ -190,6 +190,30 @@ class TestCli:
             assert re == pytest.approx(r, abs=1e-8)
             assert dens == pytest.approx((1 - r * r) * r, abs=1e-8)
 
+    def test_project_polar_grid(self, weight_file, tmp_path):
+        """A 9 x 9 x 16 polar-grid descriptor of 1 + Re(lam)/2 projects to
+        1 + r/4 up to the angular interpolation error (1.6e-3 and 2.3e-3)."""
+        r_nodes = np.linspace(0.0, 1.0, 9)
+        m_nodes = np.linspace(0.0, 1.0, 9)
+        a_nodes = 2 * np.pi * np.arange(16) / 16
+        lam = m_nodes[:, None] * np.exp(1j * a_nodes)
+        vals = np.broadcast_to(1.0 + 0.5 * lam.real, (9, 9, 16))
+        sym = tmp_path / "grid.json"
+        sym.write_text(json.dumps({
+            "kind": "custom", "sup_norm_bound": 1.5,
+            "polar_grid": {"r_nodes": r_nodes.tolist(), "mod_nodes": m_nodes.tolist(),
+                           "arg_nodes": a_nodes.tolist(), "values_real": vals.tolist(),
+                           "values_imag": np.zeros_like(vals).tolist()}}))
+        out = tmp_path / "p.json"
+        status = main(["project", "--weight", str(weight_file), "--n", "2",
+                       "--kmax", "2", "--symbol", str(sym), "--out", str(out)])
+        assert status == 0
+        rows = json.loads(out.read_text())["results"]["rows"]
+        assert [row[0] for row in rows] == [0.0, 0.5, 0.75]
+        assert rows[0][1] == pytest.approx(1.0, abs=1e-9)
+        for r, re, im, dens in rows[1:]:
+            assert abs(re - (1.0 + r / 4)) <= 5e-3
+
     def test_hl_check_deterministic_and_passing(self, weight_file, tmp_path):
         out1, out2 = tmp_path / "h1.json", tmp_path / "h2.json"
         for out in (out1, out2):
@@ -262,3 +286,24 @@ def test_diagnose_exponential_excludes_underflowed_tails(tmp_path):
     excluded = [x for x in 2.0 ** np.arange(1, 15) if x not in mt["x"]]
     assert excluded and len(mt["notes"]) == len(excluded)
     assert all("underflowed" in note for note in mt["notes"])
+
+
+def test_diagnose_steep_exponential_reports_nulls(tmp_path):
+    """exp(-1000/(1-r)): every tail and the moment-doubling head underflow
+    and the deep moment ratios overflow; each is excluded or null, with a
+    note, and the command still writes its report."""
+    p = tmp_path / "exp1000.json"
+    p.write_text(json.dumps({"kind": "exponential", "c": 1000.0, "beta": 1.0}))
+    out = tmp_path / "rep.json"
+    proc = _run_cli(["diagnose", "--weight", str(p), "--out", str(out)], tmp_path)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    results = json.loads(out.read_text())["results"]
+    assert all(d["verdict"] != "IN_CLASS" for d in results["diagnostics"])
+    moments = next(d for d in results["diagnostics"]
+                   if d["criterion_id"] == "dhat-moment-doubling")
+    assert moments["aux"]["c0_head_ratio"] is None
+    assert all(math.isfinite(v) for _, v in moments["evidence"])
+    mt = results["moment_tail"]
+    assert mt["ratio"] == [] and mt["last_quartile_window"] == [None, None]
+    assert mt["window_spread"] is None and mt["notes"]
