@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,10 @@ PROFILE_SPEC = QuadSpec(tolerance=1.0e-8, rel_tolerance=1.0e-6)
 #: contradicted rather than merely unsaturated (divergent weights land near
 #: 25, unsaturated class weights below ~1.3 even at shallow depths).
 FUNCTIONAL_CONTRADICTION_SLOPE = 2.0
+
+#: v -> W(v) shared by the radii of one functional sweep (same weight, n and
+#: rule); unset, each boundedness_functional call fills a dict of its own
+_SLICE_PROFILES: ContextVar[dict | None] = ContextVar("slice_profiles", default=None)
 
 
 def bloch_seminorm(rf, grid) -> float:
@@ -152,7 +157,9 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
         val, _ = integrate_radial(f, q)
         return (1.0 - r * r) * val
 
-    w_cache: dict[float, float] = {}
+    w_cache = _SLICE_PROFILES.get()
+    if w_cache is None:
+        w_cache = {}
 
     def f(v):
         v = np.atleast_1d(v)
@@ -166,6 +173,23 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
 
     val, _ = integrate_radial(f, q)
     return 4.0 * n * (n - 1) * (1.0 - r * r) * val
+
+
+def _functional_sharing_profiles(profiles: dict, k: KernelCoeffs, w: RadialWeight,
+                                 r: float, q: QuadSpec | None) -> float:
+    """boundedness_functional(k, w, r, q), reading and filling W(v) in profiles.
+
+    The dict travels in a context variable rather than a parameter, so the
+    sweep still goes through the public function and anything wrapped
+    around that name (such as tracing spans) sees every radius.  Filling the
+    dict is idempotent (W(v) is a pure function of v for a fixed weight, n
+    and rule), so worker threads may share it.
+    """
+    token = _SLICE_PROFILES.set(profiles)
+    try:
+        return boundedness_functional(k, w, r, q)
+    finally:
+        _SLICE_PROFILES.reset(token)
 
 
 def majorant(w: RadialWeight, r: float, q: QuadSpec | None = None) -> float:
@@ -430,8 +454,10 @@ def theorem_check(w: RadialWeight, n: int, config: AnalysisConfig | None = None,
 
     coeffs = build_coeffs(table, n, d_max=config.d_max)
     radii = dyadic_radii(config.k_max, 1)
-    functional = _sweep(lambda r: boundedness_functional(coeffs, w, r, config.quad),
-                        radii, notes, "functional", config.threads)
+    profiles: dict[float, float] = {}
+    functional = _sweep(
+        lambda r: _functional_sharing_profiles(profiles, coeffs, w, r, config.quad),
+        radii, notes, "functional", config.threads)
     maj = _sweep(lambda r: majorant(w, r, config.quad),
                  radii, notes, "majorant", config.threads)
     ns = geometric_ints(*config.cesaro_exponents)

@@ -25,7 +25,10 @@ is certified by the sharper of two geometric envelopes: the moment lower
 bound rho_s >= C_eps (1-eps)^s with eps = (1-|t|)/2 (valid for every radial
 weight), or the observed decay ratio of the computed terms (valid once term
 ratios decrease, which holds past the peak for all weight families here;
-the doubling-stability property test guards it).  One point is summed with
+the doubling-stability property test guards it).  The ratio test scans
+prefixes of the coefficient table that double from 512 degrees, so
+certification reads only the degrees it needs, and D does not depend on
+how far an earlier call grew the table.  One point is summed with
 cosines, arrays by the power recursion, circle means by an FFT wrap; each
 result is multiplied back by e^scale, so only one beyond double range fails.
 """
@@ -59,6 +62,8 @@ __all__ = [
 
 _LOG_MAX = 709.0
 _RATIO_WINDOW = 16
+#: degrees in the first prefix the ratio test scans; later prefixes double
+_CERTIFY_PREFIX = 512
 #: head moments log rho_{2n-1+2d}, d < _EPS_HEAD, fix the moment envelope
 _EPS_HEAD = 65
 
@@ -136,19 +141,29 @@ def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
 # Truncation machinery
 # ----------------------------------------------------------------------
 
-def _log_terms(k: KernelCoeffs, abs_t: float, degree_weight: int) -> np.ndarray:
-    """log |term_d| over built degrees: log c_d + m log d + d log|t|.
+def _log_terms(log_c: np.ndarray, abs_t: float, degree_weight: int) -> np.ndarray:
+    """log |term_d| = log c_d + m log d + d log|t| for the degrees of log_c.
 
-    degree_weight m = 0 for the kernel itself, 1 for the radial-derivative
-    series sum d c_d t^d.  Degree 0 of the m = 1 series is -inf.
+    log_c is a prefix of a table's coefficients, so certification reads only
+    the degrees it scans.  degree_weight m = 0 for the kernel itself, 1 for
+    the radial-derivative series sum d c_d t^d.  Degree 0 of the m = 1
+    series is -inf.
     """
-    log_c = k.log_coeffs  # read once: another thread may publish a longer table
     d = np.arange(log_c.size, dtype=float)
     out = log_c + d * math.log(abs_t)
     if degree_weight:
         with np.errstate(divide="ignore"):
             out = out + degree_weight * np.log(d)
     return out
+
+
+def _window_max(x: np.ndarray) -> np.ndarray:
+    """out[j] = max(x[j:j + _RATIO_WINDOW]), by doubling shifts; NaN propagates."""
+    width = 1
+    while width < _RATIO_WINDOW:
+        x = np.maximum(x[:-width], x[width:])
+        width *= 2
+    return x
 
 
 def _epsilon_tail_log(k: KernelCoeffs, abs_t: float, D: int, degree_weight: int):
@@ -175,45 +190,54 @@ def _epsilon_tail_log(k: KernelCoeffs, abs_t: float, D: int, degree_weight: int)
 def _certify(k: KernelCoeffs, abs_t: float, tol_rel: float, degree_weight: int):
     """Pick the truncation degree D and its certified relative tail bound.
 
-    Returns (D, log_terms, tail_rel).  Extends the coefficient table as
-    needed; raises TruncationError if no degree within d_max certifies.
+    Returns (D, log_terms, tail_rel), where log_terms covers at least
+    degrees 0..D.  The ratio test scans prefixes of the built table that
+    double from _CERTIFY_PREFIX degrees, so its cost follows D rather than
+    the table's size.  Its verdict at D reads only degrees <= D (the ratio
+    window ends at D and the partial sums run in order), so the first hit in
+    a prefix is the first hit in the whole table.  Extends the coefficient
+    table as needed; raises TruncationError if no degree within d_max
+    certifies.
     """
     if tol_rel <= 0:
         raise ValueError("tolerance must be positive")
     log_tol = math.log(tol_rel)
+    start = 1 if degree_weight else 0
     while True:
-        lt = _log_terms(k, abs_t, degree_weight)
-        start = 1 if degree_weight else 0
-        finite = lt[start:]
-        cum = np.logaddexp.accumulate(lt) if start == 0 else \
-            np.concatenate([[-np.inf], np.logaddexp.accumulate(finite)])
-        n_terms = lt.size
-        if n_terms - start > _RATIO_WINDOW + 2:
-            diffs = finite[1:] - finite[:-1]
-            windows = np.lib.stride_tricks.sliding_window_view(diffs, _RATIO_WINDOW)
-            rhat = windows.max(axis=1)  # rhat[j]: max ratio over degrees ending at j+window
-            # candidate D = start + window + j for j = 0.., tail starts at D+1
-            ds = np.arange(rhat.size) + start + _RATIO_WINDOW
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ok_ratio = rhat < -1.0e-12
-                tail_log = np.where(
-                    ok_ratio,
-                    lt[np.minimum(ds, n_terms - 1)] + rhat - np.log1p(-np.exp(rhat)),
-                    np.inf)
-                ok = ok_ratio & (tail_log <= log_tol + cum[np.minimum(ds, n_terms - 1)])
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                D = int(ds[hit[0]])
-                bound_log = min(float(tail_log[hit[0]]),
-                                _epsilon_tail_log(k, abs_t, D, degree_weight))
-                return D, lt, math.exp(bound_log - cum[D])
+        log_c = k.log_coeffs  # read once: another thread may publish a longer table
+        n_built = log_c.size
+        size = min(_CERTIFY_PREFIX, n_built)
+        while True:
+            lt = _log_terms(log_c[:size], abs_t, degree_weight)
+            finite = lt[start:]
+            cum = np.logaddexp.accumulate(lt) if start == 0 else \
+                np.concatenate([[-np.inf], np.logaddexp.accumulate(finite)])
+            if size - start > _RATIO_WINDOW + 2:
+                # rhat[j]: max log ratio over the window of degrees ending at
+                # D = start + window + j; the tail starts at D+1
+                rhat = _window_max(finite[1:] - finite[:-1])
+                ds = np.arange(rhat.size) + start + _RATIO_WINDOW
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ok_ratio = rhat < -1.0e-12
+                    tail_log = np.where(ok_ratio, lt[ds] + rhat - np.log1p(-np.exp(rhat)),
+                                        np.inf)
+                    ok = ok_ratio & (tail_log <= log_tol + cum[ds])
+                hit = np.flatnonzero(ok)
+                if hit.size:
+                    D = int(ds[hit[0]])
+                    bound_log = min(float(tail_log[hit[0]]),
+                                    _epsilon_tail_log(k, abs_t, D, degree_weight))
+                    return D, lt, math.exp(bound_log - cum[D])
+            if size == n_built:
+                break
+            size = min(2 * size, n_built)
         # epsilon envelope may certify the full built prefix even when the
         # ratio test cannot (e.g. short tables)
-        D = n_terms - 1
+        D = n_built - 1
         eps_log = _epsilon_tail_log(k, abs_t, D, degree_weight)
         if eps_log <= log_tol + cum[D]:
             return D, lt, math.exp(eps_log - cum[D])
-        if n_terms >= k.d_max + 1:
+        if n_built >= k.d_max + 1:
             scale = float(lt.max())
             with np.errstate(under="ignore", over="ignore"):
                 partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
@@ -222,7 +246,7 @@ def _certify(k: KernelCoeffs, abs_t: float, tol_rel: float, degree_weight: int):
                 f"at |t|={abs_t:.6g}",
                 partial_sum=partial, degree_used=D,
                 tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
-        k.ensure(min(2 * n_terms, k.d_max + 1))
+        k.ensure(min(2 * n_built, k.d_max + 1))
 
 
 def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
@@ -393,8 +417,10 @@ def rk_circle_mean(k: KernelCoeffs, xi: float, tol: float = 1.0e-8,
     n_nodes = start_nodes
     prev = None
     while n_nodes <= max_nodes:
-        pad = (-gamma.size) % n_nodes
-        wrapped = np.pad(gamma, (0, pad)).reshape(-1, n_nodes).sum(axis=0)
+        rows = -(-gamma.size // n_nodes)
+        wrapped = np.zeros(rows * n_nodes)
+        wrapped[:gamma.size] = gamma
+        wrapped = wrapped.reshape(rows, n_nodes).sum(axis=0)
         vals = np.fft.ifft(wrapped) * n_nodes
         cur = float(np.mean(np.abs(vals)))
         if prev is not None and abs(cur - prev) <= tol * abs(cur):

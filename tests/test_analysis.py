@@ -360,6 +360,16 @@ class TestTheoremCheck:
         assert len(d["functional_profile"]) == 12
         assert len(d["cesaro_profile"]) == 9
 
+    def test_shared_slice_profiles_change_no_value(self, weights, tables):
+        """The sweep shares W(v) across radii; each radius still equals a
+        standalone call on a table of its own, bit for bit."""
+        cfg = AnalysisConfig(k_max=6, d_max=1 << 15)
+        profile = dict(theorem_check(weights["std0"], 2, cfg, tables["std0"])
+                       .functional_profile)
+        for r in (0.5, 0.875, 1.0 - 2.0 ** -6):
+            k = build_coeffs(tables["std0"], 2, d_max=1 << 15)
+            assert profile[r] == boundedness_functional(k, weights["std0"], r)
+
     def test_threads_complete_with_ordered_notes(self, weights):
         """Two threads share one growing coefficient table: the run must not
         race, and its skip notes come in parameter order as with one."""

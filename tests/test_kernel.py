@@ -11,7 +11,8 @@ from bergman_lab import (BallPoint, MomentTable, RadialWeight, TruncationError,
                          build_coeffs, eval_disk_kernel_deriv, eval_g,
                          eval_kernel, eval_rk, inner, integrate_ball_radial,
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
-from bergman_lab.kernel import _series_at, _values_many, kernel_values_many
+from bergman_lab.kernel import (_RATIO_WINDOW, _series_at, _terms, _values_many,
+                                 _window_max, kernel_values_many)
 
 
 def _pair(t, n=2):
@@ -293,3 +294,34 @@ class TestValuesManyRange:
         # its digits past that cancel, so compare on that scale
         assert abs(refs[1]) < 1e-11 * abs(refs[0])
         assert abs(vals[1] - refs[1]) <= 1e-12 * abs(refs[0])
+
+
+class TestCertifyPrefix:
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_history_independent(self, tables, key, m):
+        """A fresh table and one an earlier call grew past 2^17 degrees give
+        the same certified term table, bit for bit: certification scans
+        doubling prefixes, so the table's size never enters the result.  The
+        grown table doubles as certification grows it, so both hold the same
+        coefficients."""
+        grown = build_coeffs(tables[key], 2, d_max=1 << 19)
+        while grown.built < 1 << 17:
+            grown.ensure(2 * grown.built)
+        for t in (0.05, 0.3, 0.6, 0.9, 0.97, 0.99):
+            fresh = build_coeffs(tables[key], 2, d_max=1 << 19)
+            D, scale, gamma, tail = _terms(fresh, t, 1e-10, m)
+            D2, scale2, gamma2, tail2 = _terms(grown, t, 1e-10, m)
+            assert (D, scale, tail) == (D2, scale2, tail2), t
+            assert gamma.tobytes() == gamma2.tobytes(), t
+
+    def test_window_max_matches_sliding_window(self, rng):
+        x = rng.normal(size=300)
+        x[rng.choice(300, 20, replace=False)] = -np.inf
+        x[rng.choice(300, 5, replace=False)] = np.nan
+        x[150:170] = -np.inf
+        expected = np.lib.stride_tricks.sliding_window_view(
+            x, _RATIO_WINDOW).max(axis=1)
+        got = _window_max(x)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)

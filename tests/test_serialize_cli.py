@@ -237,6 +237,20 @@ class TestCli:
         assert lines[0] == "parameter,value"
         assert len(lines) == 6
 
+    def test_theorem_threads_byte_identical(self, weight_file, tmp_path):
+        """With criterion 9's settings, two threads write the same bytes as
+        one: the worker threads share and grow one coefficient table and one
+        W(v) profile dict."""
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            status = main(["theorem", "--weight", str(weight_file), "--n", "2",
+                           "--kmax", "6", "--dmax", str(1 << 15),
+                           "--threads", threads, "--out", str(out)])
+            assert status in (0, 2)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_symbol_for_project(self, weight_file, capsys):
         status = main(["project", "--weight", str(weight_file), "--n", "2"])
         assert status == 1
