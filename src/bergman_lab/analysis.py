@@ -205,14 +205,9 @@ def majorant(w: RadialWeight, r: float, q: QuadSpec | None = None) -> float:
 
     def f(t):
         t = np.atleast_1d(t)
-        out = np.empty(t.size)
-        for i, ti in enumerate(t):
-            den = tail(w, float(ti), q)
-            if den <= 0.0:
-                out[i] = 0.0
-                continue
-            num = tail(w, float(ti / r), q)
-            out[i] = num / den
+        den = tail(w, t, q)
+        num = tail(w, t / r, q)
+        out = np.divide(num, den, out=np.zeros(t.size), where=den > 0.0)
         return out / (1.0 - t) ** 2
 
     val, _ = integrate_radial(f, q, a=0.0, b=r, graded_end=r)
@@ -253,11 +248,9 @@ def pr_estimate_check(k: KernelCoeffs, w: RadialWeight, s: float,
 
     def f_rhs(t):
         t = np.atleast_1d(t)
-        out = np.empty(t.size)
-        for i, ti in enumerate(t):
-            th = tail(w, float(ti), q)
-            out[i] = 1.0 / (th * (1.0 - ti) ** 2) if th > 0 else math.inf
-        return out
+        th = tail(w, t, q)
+        return np.divide(1.0, th * (1.0 - t) ** 2, out=np.full(t.size, math.inf),
+                         where=th > 0)
 
     rhs, _ = integrate_radial(f_rhs, q, a=0.0, b=s, graded_end=s)
     return lhs, rhs, lhs / rhs

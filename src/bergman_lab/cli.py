@@ -56,8 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be a finite positive number")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not (1 <= self.grid_k_max <= 24):

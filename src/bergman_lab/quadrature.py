@@ -10,6 +10,7 @@ test suite and then trusted.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "QuadSpec",
     "BallPoint",
     "integrate_radial",
+    "integrate_to_end",
     "integrate_disk",
     "sphere_slice_average",
     "integrate_ball_radial",
@@ -45,8 +47,8 @@ class QuadSpec:
     max_angular_nodes: int = 1 << 20
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be a finite positive number")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be at least 8")
         if self.grading < 1.0:
@@ -107,31 +109,104 @@ _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 _GAUSS_HI = np.polynomial.legendre.leggauss(15)
 
 
-def _segment_estimates(fs, s_lo: float, s_hi: float):
-    half = 0.5 * (s_hi - s_lo)
-    mid = 0.5 * (s_lo + s_hi)
+def _initial_mesh(length, spec: QuadSpec):
+    """Breakpoints of the initial mesh on (0, length) in the distance
+    coordinate s: geometric toward s = 0, or 8 equal segments when grading
+    is 1.  An array of lengths adds a leading axis, one mesh per length."""
+    if spec.grading == 1.0:
+        unit = np.linspace(0.0, 1.0, 9)
+    else:
+        unit = np.array([0.0]
+                        + [spec.grading ** (-j) for j in range(spec.initial_levels, 0, -1)]
+                        + [1.0])
+    return np.multiply.outer(length, unit)
+
+
+def _segment_estimates(fs, s_lo, s_hi):
+    """High-rule value and raw error estimate of the segments (s_lo, s_hi).
+
+    The bounds may be arrays; fs then receives the nodes of every segment at
+    once, along a new trailing axis.
+    """
+    half = 0.5 * (np.asarray(s_hi) - s_lo)
+    mid = 0.5 * (np.asarray(s_lo) + s_hi)
     x_hi, w_hi = _GAUSS_HI
     x_lo, w_lo = _GAUSS_LO
-    f_hi = np.asarray(fs(mid + half * x_hi))
-    f_lo = np.asarray(fs(mid + half * x_lo))
-    i_hi = half * np.sum(w_hi * f_hi)
-    i_lo = half * np.sum(w_lo * f_lo)
+    f_hi = np.asarray(fs(mid[..., None] + half[..., None] * x_hi))
+    f_lo = np.asarray(fs(mid[..., None] + half[..., None] * x_lo))
+    i_hi = half * np.sum(w_hi * f_hi, axis=-1)
+    i_lo = half * np.sum(w_lo * f_lo, axis=-1)
     # roundoff floor keeps the estimate honest when both rules are exact
     return i_hi, abs(i_hi - i_lo) + 1e-15 * abs(i_hi)
 
 
-def _end_segment_error(raw: float, reference: float) -> float:
+def _end_segment_error(raw, reference):
     """Honest error for the segment touching the singular end.
 
     Refining toward an endpoint power singularity shrinks the raw estimate
     geometrically per dyadic layer; summing the remaining layers inflates
     the current one by 1/(1 - ratio).  The ratio is estimated against the
     parent (or neighbor) segment's raw estimate and clamped away from 1.
+    Elementwise on arrays.
     """
-    if reference <= 0.0 or raw <= 0.0:
-        return raw
-    ratio = min(raw / reference, 0.95)
-    return raw / (1.0 - ratio)
+    raw, reference = np.asarray(raw), np.asarray(reference)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(raw / reference, 0.95)
+        inflated = raw / (1.0 - ratio)
+    return np.where((reference <= 0.0) | (raw <= 0.0), raw, inflated)[()]
+
+
+def _initial_sums(vals, raws):
+    """Errors and in-order sums over the initial mesh's segments (last
+    axis); segment 0 touches the singular end.  Returns (errs, total,
+    err_total)."""
+    errs = np.array(raws, dtype=float)
+    if errs.shape[-1] > 1:
+        errs[..., 0] = _end_segment_error(raws[..., 0], raws[..., 1])
+    total = err_total = 0.0
+    for j in range(errs.shape[-1]):
+        total = total + vals[..., j]
+        err_total = err_total + errs[..., j]
+    return errs, total, err_total
+
+
+def _bisect(fs, segs, vals, raws, spec: QuadSpec, s_floor: float):
+    """From the initial mesh segs, with its segment values and raw error
+    estimates, bisect segments worst first until the summed error estimate
+    drops below max(tolerance, rel_tolerance * |value|); returns
+    (value, error)."""
+    errs, total, err_total = _initial_sums(vals, raws)
+    heap = []
+    for (lo, hi), val, raw, err in zip(segs, vals, raws, errs):
+        heapq.heappush(heap, (-err, lo, hi, val, raw))
+    frozen_err = 0.0
+    n_seg = len(heap)
+    while err_total > max(spec.tolerance, spec.rel_tolerance * abs(total)):
+        if not heap or frozen_err > max(spec.tolerance, spec.rel_tolerance * abs(total)):
+            raise QuadratureError(
+                "cannot refine further near the singular endpoint "
+                f"(error estimate {err_total:.3e})",
+                partial_value=total, error_estimate=err_total)
+        if n_seg >= spec.max_subdivisions:
+            raise QuadratureError(
+                f"no convergence within {spec.max_subdivisions} subdivisions "
+                f"(error estimate {err_total:.3e})",
+                partial_value=total, error_estimate=err_total)
+        neg_err, lo, hi, val, raw_parent = heapq.heappop(heap)
+        if 0.5 * (lo + hi) < s_floor:
+            frozen_err += -neg_err  # representability floor: keep error, stop splitting
+            continue
+        total -= val
+        err_total += neg_err  # neg_err = -err
+        mid = 0.5 * (lo + hi)
+        for seg_lo, seg_hi in ((lo, mid), (mid, hi)):
+            v, raw = _segment_estimates(fs, seg_lo, seg_hi)
+            err = _end_segment_error(raw, raw_parent) if seg_lo == 0.0 else raw
+            total += v
+            err_total += err
+            heapq.heappush(heap, (-err, seg_lo, seg_hi, v, raw))
+        n_seg += 1
+    return total, err_total
 
 
 def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
@@ -165,7 +240,6 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
         raise ValueError("graded_end must be one of the interval endpoints")
     if f is None and f_dist is None:
         raise ValueError("need f or f_dist")
-    length = b - a
     sign = -1.0 if graded_end == b else 1.0
 
     if f_dist is not None:
@@ -174,62 +248,48 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
         def fs(s):
             return f(graded_end + sign * s)
 
-    # breakpoints in s-space, geometric toward s = 0
-    if spec.grading == 1.0:
-        pts = list(np.linspace(0.0, length, 9))
-    else:
-        pts = ([0.0]
-               + [length * spec.grading ** (-j)
-                  for j in range(spec.initial_levels, 0, -1)]
-               + [length])
-        pts = sorted(set(pts))
+    pts = sorted(set(_initial_mesh(b - a, spec).tolist()))
     # below this scale, b - s is no longer distinguishable from b
     s_floor = 0.0 if f_dist is not None else 8.0 * np.finfo(float).eps * max(abs(graded_end), 1.0)
-
-    heap = []
-    total = 0.0
-    err_total = 0.0
-    frozen_err = 0.0
-    raws = []
     segs = list(zip(pts[:-1], pts[1:]))
-    for lo, hi in segs:
-        val, raw = _segment_estimates(fs, lo, hi)
-        raws.append((val, raw))
-    for (lo, hi), (val, raw) in zip(segs, raws):
-        err = raw
-        if lo == 0.0 and len(raws) > 1:
-            err = _end_segment_error(raw, raws[1][1])
-        total += val
-        err_total += err
-        heapq.heappush(heap, (-err, lo, hi, val, raw))
+    vals, raws = map(np.array, zip(*(_segment_estimates(fs, lo, hi) for lo, hi in segs)))
+    return _bisect(fs, segs, vals, raws, spec, s_floor)
 
-    n_seg = len(heap)
-    while err_total > max(spec.tolerance, spec.rel_tolerance * abs(total)):
-        if not heap or frozen_err > max(spec.tolerance, spec.rel_tolerance * abs(total)):
-            raise QuadratureError(
-                "cannot refine further near the singular endpoint "
-                f"(error estimate {err_total:.3e})",
-                partial_value=total, error_estimate=err_total)
-        if n_seg >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"no convergence within {spec.max_subdivisions} subdivisions "
-                f"(error estimate {err_total:.3e})",
-                partial_value=total, error_estimate=err_total)
-        neg_err, lo, hi, val, raw_parent = heapq.heappop(heap)
-        if 0.5 * (lo + hi) < s_floor:
-            frozen_err += -neg_err  # representability floor: keep error, stop splitting
-            continue
-        total -= val
-        err_total += neg_err  # neg_err = -err
-        mid = 0.5 * (lo + hi)
-        for seg_lo, seg_hi in ((lo, mid), (mid, hi)):
-            v, raw = _segment_estimates(fs, seg_lo, seg_hi)
-            err = _end_segment_error(raw, raw_parent) if seg_lo == 0.0 else raw
-            total += v
-            err_total += err
-            heapq.heappush(heap, (-err, seg_lo, seg_hi, v, raw))
-        n_seg += 1
-    return total, err_total
+
+def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None):
+    """int_0^L f_dist(s) ds for every L in an array of lengths, graded toward
+    s = 0.  Each L gives, bit for bit, what integrate_radial(f_dist=f_dist,
+    spec=spec, a=a, b=b) gives for b - a == L, but the initial meshes of
+    all lengths are evaluated in one pass.
+
+    f_dist must be elementwise: it receives every initial-mesh node at once,
+    in an array of shape (lengths, segments, nodes).  Only lengths whose
+    initial estimate misses max(tolerance, rel_tolerance * |value|) go on
+    to integrate_radial's bisection, one at a time.  Returns arrays
+    (value, error_estimate) shaped like lengths.
+    """
+    spec = spec or DEFAULT_SPEC
+    lengths = np.asarray(lengths, dtype=float)
+    if not np.all(lengths > 0.0):
+        raise ValueError("empty integration range")
+    value, error = np.empty(lengths.shape), np.empty(lengths.shape)
+    pts = _initial_mesh(lengths, spec)
+    # a mesh whose breakpoints coincide would lose segments to
+    # integrate_radial's deduplication: those lengths go there whole
+    distinct = np.all(np.diff(pts, axis=-1) > 0.0, axis=-1)
+    for i in map(tuple, np.argwhere(~distinct)):
+        value[i], error[i] = integrate_radial(spec=spec, b=lengths[i], f_dist=f_dist)
+    pts = pts[distinct]
+    vals, raws = _segment_estimates(f_dist, pts[:, :-1], pts[:, 1:])
+    _, total, err_total = _initial_sums(vals, raws)
+    # a superset of the misses (NaN counts as one): _bisect applies the
+    # exact stop rule
+    budget = np.maximum(spec.tolerance, spec.rel_tolerance * np.abs(total))
+    for j in np.flatnonzero(~(err_total <= budget)):
+        segs = list(zip(pts[j, :-1], pts[j, 1:]))
+        total[j], err_total[j] = _bisect(f_dist, segs, vals[j], raws[j], spec, 0.0)
+    value[distinct], error[distinct] = total, err_total
+    return value, error
 
 
 def as_vectorized(f):

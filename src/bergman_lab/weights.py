@@ -30,7 +30,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import logsumexp
 
 from .errors import WeightDomainError
-from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_radial
+from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_radial, integrate_to_end
 from .utils import (DIVERGENCE_THRESHOLD, SLOPE_TOLERANCE, dyadic_radii,
                     last_quartile_log_slope)
 
@@ -184,19 +184,28 @@ def eval_weight(w: RadialWeight, r: float) -> float:
     return float(w(float(r)))
 
 
-def tail(w: RadialWeight, r: float, spec: QuadSpec | None = None) -> float:
+def tail(w: RadialWeight, r, spec: QuadSpec | None = None):
     """Tail integral rhohat(r) = int_r^1 rho, by adaptive graded quadrature.
+
+    r is a radius or an array of radii.  A float gives a float; an array
+    gives an array of the same shape, whose initial meshes are evaluated in
+    one pass (quadrature.integrate_to_end), bit for bit the values of one
+    call per radius.
 
     Nonincreasing in r.  May underflow to exactly 0.0 for weights that decay
     faster than any power near the boundary; callers treat that as a flagged
     evidence point, not an error.
     """
     spec = spec or DEFAULT_SPEC
-    if not (0.0 <= r < 1.0):
+    radii = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= radii) & (radii < 1.0)):
         raise WeightDomainError("radius outside [0, 1)")
-    value, _ = integrate_radial(spec=spec, a=r, b=1.0, graded_end=1.0,
-                                f_dist=w.eval_at_one_minus)
-    return max(float(value), 0.0)
+    if radii.ndim == 0:
+        value, _ = integrate_radial(spec=spec, a=r, b=1.0, graded_end=1.0,
+                                    f_dist=w.eval_at_one_minus)
+        return max(float(value), 0.0)
+    values, _ = integrate_to_end(w.eval_at_one_minus, 1.0 - radii, spec)
+    return np.maximum(values, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -443,19 +452,16 @@ def is_dhat_tail(w: RadialWeight, radii=None, threshold: float = DIVERGENCE_THRE
     canonical diagnostic; the others cross-check it.
     """
     radii = dyadic_radii() if radii is None else np.asarray(radii, dtype=float)
-    notes: list[str] = []
-    params, ratios = [], []
-    for r in radii:
-        num = tail(w, float(r), spec)
-        den = tail(w, float(0.5 * (1.0 + r)), spec)
-        if den <= 0.0 or not math.isfinite(num / den if den else math.inf):
-            notes.append(f"r={r:.10g}: halved tail underflowed, point excluded")
-            continue
-        params.append(r)
-        ratios.append(num / den)
+    num = tail(w, radii, spec)
+    den = tail(w, 0.5 * (1.0 + radii), spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = num / den
+    ok = (den > 0.0) & np.isfinite(ratios)
+    notes = [f"r={r:.10g}: halved tail underflowed, point excluded" for r in radii[~ok]]
     _extrapolation_note(w, notes)
-    scale = np.log(1.0 / (1.0 - np.asarray(params)))
-    return _ratio_verdict(params, ratios, scale, threshold, "dhat-tail-halving", notes)
+    scale = np.log(1.0 / (1.0 - radii[ok]))
+    return _ratio_verdict(radii[ok], ratios[ok], scale, threshold, "dhat-tail-halving",
+                          notes)
 
 
 def is_dhat_moments(t: MomentTable, n_max: int = 4096,
@@ -479,8 +485,8 @@ def is_dhat_moments(t: MomentTable, n_max: int = 4096,
         ratios = np.exp(log_m[:ns.size] - log_m[ns.size:])
     finite = np.isfinite(ratios)
     notes = [f"n={n:g}: moment ratio not finite, point excluded" for n in ns[~finite]]
-    head, half = tail(t.weight, 0.0, spec), tail(t.weight, 0.5, spec)
-    c0 = head / half if half > 0.0 else None
+    head, half = tail(t.weight, np.array([0.0, 0.5]), spec)
+    c0 = float(head / half) if half > 0.0 else None
     if c0 is None:
         notes.append("head ratio: tail at 1/2 underflowed, reported as null")
     _extrapolation_note(t.weight, notes)
@@ -500,14 +506,10 @@ def dhat_beta_estimate(w: RadialWeight, radii=None, beta_grid=None,
     radii = dyadic_radii() if radii is None else np.asarray(radii, dtype=float)
     beta_grid = (np.arange(1, 17) * 0.5 if beta_grid is None
                  else np.asarray(beta_grid, dtype=float))
-    log_tails, log_one_minus = [], []
-    for r in radii:
-        v = tail(w, float(r), spec)
-        if v > 0.0:
-            log_tails.append(math.log(v))
-            log_one_minus.append(math.log1p(-r))
-    log_tails = np.asarray(log_tails)
-    log_one_minus = np.asarray(log_one_minus)
+    v = tail(w, radii, spec)
+    keep = v > 0.0
+    log_tails = np.array([math.log(x) for x in v[keep]])
+    log_one_minus = np.array([math.log1p(-r) for r in radii[keep]])
     log_threshold = math.log(threshold)
     for beta in beta_grid:
         h = log_tails - beta * log_one_minus
@@ -535,17 +537,13 @@ def is_regular(w: RadialWeight, radii=None,
                spec: QuadSpec | None = None) -> DiagnosticsReport:
     """Regularity test: rhohat(r) / ((1-r) rho(r)) bounded above AND below."""
     radii = dyadic_radii() if radii is None else np.asarray(radii, dtype=float)
-    notes: list[str] = []
-    params, ratios = [], []
-    for r in radii:
-        den = (1.0 - r) * float(w(float(r)))
-        num = tail(w, float(r), spec)
-        if den <= 0.0 or num <= 0.0:
-            notes.append(f"r={r:.10g}: underflow, point excluded")
-            continue
-        params.append(float(r))
-        ratios.append(num / den)
+    den = (1.0 - radii) * np.array([float(w(float(r))) for r in radii])
+    num = tail(w, radii, spec)
+    ok = (den > 0.0) & (num > 0.0)
+    notes = [f"r={r:.10g}: underflow, point excluded" for r in radii[~ok]]
     _extrapolation_note(w, notes)
+    params = radii[ok].tolist()
+    ratios = (num[ok] / den[ok]).tolist()
     evidence = list(zip(params, ratios))
     if len(ratios) < 3:
         notes.append("fewer than 3 valid evidence points")

@@ -8,12 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bergman_lab import (AnalysisConfig, BallPoint, MomentTable, QuadSpec,
-                         bloch_seminorm, boundedness_functional, build_coeffs,
-                         cesaro_lower, hardy_littlewood_check,
+                         RadialWeight, bloch_seminorm, boundedness_functional,
+                         build_coeffs, cesaro_lower, hardy_littlewood_check,
                          hardy_littlewood_converse, integrate_ball_radial,
-                         lower_bound_series, majorant, moment_doubling_chain,
-                         pr_estimate_check, sphere_slice_average,
-                         theorem_check)
+                         integrate_radial, lower_bound_series, majorant,
+                         moment_doubling_chain, pr_estimate_check,
+                         sphere_slice_average, tail, theorem_check)
+from bergman_lab.analysis import PROFILE_SPEC
 from bergman_lab.kernel import _values_many
 from bergman_lab.utils import dyadic_radii, last_quartile_log_slope
 from scipy.special import gammaln
@@ -139,6 +140,27 @@ class TestMajorant:
         # underflowing tail ratios are treated as zero, the integral stays finite
         val = majorant(weights["exp11"], 1 - 2.0 ** -8)
         assert np.isfinite(val) and val > 1.0
+
+    @pytest.mark.parametrize("r", [1 - 2.0 ** -3, 1 - 2.0 ** -10], ids=["k3", "k10"])
+    @pytest.mark.parametrize("key", ["std0", "exp11", "std-0.5"])
+    def test_matches_per_point_tails(self, weights, key, r):
+        """The majorant's integrand takes its tails as arrays; the value is
+        the one a tail quadrature per node gives, bit for bit."""
+        w = RadialWeight.standard(-0.5) if key == "std-0.5" else weights[key]
+
+        def f(t):
+            t = np.atleast_1d(t)
+            out = np.empty(t.size)
+            for i, ti in enumerate(t):
+                den = tail(w, float(ti), PROFILE_SPEC)
+                if den <= 0.0:
+                    out[i] = 0.0
+                    continue
+                out[i] = tail(w, float(ti / r), PROFILE_SPEC) / den
+            return out / (1.0 - t) ** 2
+
+        val, _ = integrate_radial(f, PROFILE_SPEC, a=0.0, b=r, graded_end=r)
+        assert majorant(w, r) == 1.0 + val
 
 
 class TestPrEstimate:

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from bergman_lab import (BallPoint, QuadSpec, QuadratureError, RadialWeight,
                          integrate_ball_radial, integrate_disk,
                          integrate_radial, sphere_slice_average)
+from bergman_lab.quadrature import integrate_to_end
 
 
 class TestTypes:
@@ -32,6 +33,35 @@ class TestTypes:
             QuadSpec(max_subdivisions=4)
         with pytest.raises(ValueError):
             QuadSpec(grading=0.5)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_quadspec_rejects_nonfinite_tolerance(tolerance):
+    with pytest.raises(ValueError, match="finite positive"):
+        QuadSpec(tolerance=tolerance)
+
+
+class TestIntegrateToEnd:
+    def test_matches_integrate_radial_per_length(self):
+        """Each length gives integrate_radial's (value, error) bit for bit,
+        in the shape of the lengths, whether or not bisection runs."""
+        spec = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
+        # the two short lengths meet the budget on the initial mesh, the
+        # other four are bisected
+        f_dist = lambda s: 1.0 + np.cos(40.0 * s)
+        lengths = np.array([[1.0, 0.5, 2.0 ** -30], [3.0, 1e-3, 0.9]])
+        value, err = integrate_to_end(f_dist, lengths, spec)
+        assert value.shape == err.shape == lengths.shape
+        for i in np.ndindex(lengths.shape):
+            v, e = integrate_radial(f_dist=f_dist, spec=spec, b=float(lengths[i]))
+            assert (value[i], err[i]) == (v, e)
+        v, e = integrate_radial(f_dist=f_dist, spec=spec, b=0.5)
+        assert integrate_to_end(f_dist, 0.5, spec) == (v, e)
+
+    def test_empty_range(self):
+        with pytest.raises(ValueError):
+            integrate_to_end(lambda s: s, np.array([1.0, 0.0]))
 
 
 class TestIntegrateRadial:

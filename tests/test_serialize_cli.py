@@ -272,7 +272,10 @@ class TestCliBadInput:
         (["project", "--n", "2"], {"kind": "monomial", "multi_index": [1, -1]}),
         (["kernel", "--dmax", "0"], None),
         (["kernel", "--threads", "0"], None),
-    ], ids=["multi-index-length", "negative-multi-index", "dmax-zero", "threads-zero"])
+        (["kernel", "--tol", "nan"], None),
+        (["diagnose", "--tol", "inf"], None),
+    ], ids=["multi-index-length", "negative-multi-index", "dmax-zero", "threads-zero",
+            "tol-nan", "tol-inf"])
     def test_error_line_and_exit_one(self, weight_file, tmp_path, extra, symbol):
         args = [*extra, "--weight", str(weight_file), "--kmax", "2"]
         if symbol is not None:

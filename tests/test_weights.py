@@ -8,10 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import betaln, expn
 
-from bergman_lab import (MomentTable, RadialWeight, WeightDomainError,
-                         dhat_beta_estimate, eval_weight, integrate_radial,
-                         is_dhat_moments, is_dhat_tail, is_regular,
-                         moment_tail_ratio, tail)
+from bergman_lab import (MomentTable, QuadSpec, QuadratureError, RadialWeight,
+                         WeightDomainError, dhat_beta_estimate, eval_weight,
+                         integrate_radial, is_dhat_moments, is_dhat_tail,
+                         is_regular, moment_tail_ratio, tail)
+from bergman_lab.analysis import PROFILE_SPEC
+from bergman_lab.quadrature import DEFAULT_SPEC
 from bergman_lab.utils import dyadic_radii, last_quartile_slice
 
 
@@ -83,6 +85,107 @@ class TestTail:
                     continue
                 mid, _ = integrate_radial(lambda t, w=w: w(t), a=r, b=s)
                 assert_allclose(tail(w, r), tail(w, s) + mid, atol=1e-9)
+
+
+ARRAY_RADII = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 2.0 ** -10,
+                        1 - 2.0 ** -20, 1 - 2.0 ** -40])
+
+ARRAY_WEIGHTS = {
+    "std0": lambda: RadialWeight.standard(0.0),
+    "std-0.9": lambda: RadialWeight.standard(-0.9),
+    "log0": lambda: RadialWeight.logarithmic(0.0),
+    "exp11": lambda: RadialWeight.exponential(1.0, 1.0),
+    "tabulated": lambda: RadialWeight.tabulated(
+        [[r, 1 - r * r] for r in [*np.linspace(0.0, 0.98, 12), 0.99, 0.995, 0.999]]),
+}
+
+
+def _integrand_calls(w, r, spec):
+    """Integrand calls of the per-point tail quadrature at r: 26 means the
+    initial mesh met the error budget, more means bisection ran."""
+    calls = [0]
+
+    def f_dist(s):
+        calls[0] += 1
+        return w.eval_at_one_minus(s)
+
+    integrate_radial(spec=spec, a=r, b=1.0, graded_end=1.0, f_dist=f_dist)
+    return calls[0]
+
+
+class TestTailArray:
+    """tail on an array of radii evaluates every initial mesh in one pass and
+    bisects only the misses; it must give the per-point values bit for bit."""
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, PROFILE_SPEC],
+                             ids=["default", "profile"])
+    @pytest.mark.parametrize("key", list(ARRAY_WEIGHTS))
+    def test_bitwise_equal_per_point(self, key, spec):
+        w = ARRAY_WEIGHTS[key]()
+        batched = tail(w, ARRAY_RADII, spec)
+        per_point = np.array([tail(w, float(r), spec) for r in ARRAY_RADII])
+        assert isinstance(batched, np.ndarray) and batched.shape == ARRAY_RADII.shape
+        assert batched.tobytes() == per_point.tobytes()
+        assert tail(w, ARRAY_RADII.reshape(3, 3), spec).tobytes() == per_point.tobytes()
+
+    def test_cases_cover_refinement_and_underflow(self):
+        """The weights above reach every branch of the batched pass."""
+        def calls(key, spec):
+            w = ARRAY_WEIGHTS[key]()
+            return [_integrand_calls(w, float(r), spec) for r in ARRAY_RADII]
+
+        assert min(calls("std-0.9", DEFAULT_SPEC)) > 26
+        assert min(calls("std-0.9", PROFILE_SPEC)) > 26
+        log0 = calls("log0", DEFAULT_SPEC)
+        assert min(log0) == 26 < max(log0)
+        exp11 = tail(ARRAY_WEIGHTS["exp11"](), ARRAY_RADII)
+        assert np.any(exp11 == 0.0) and np.any(exp11 > 0.0)
+
+    def test_coinciding_breakpoints_fall_back(self):
+        """A grading of 2^100 sends the finest breakpoint below the double
+        range, where it coincides with 0; integrate_radial drops it, so those
+        radii take the per-point route whole (a zero-length segment would
+        evaluate the singular weight at s = 0 and give NaN)."""
+        w = RadialWeight.standard(-0.5)
+        spec = QuadSpec(grading=2.0 ** 100, initial_levels=11)
+        radii = np.array([0.0, 0.5, 0.9])
+        per_point = np.array([tail(w, float(r), spec) for r in radii])
+        assert tail(w, radii, spec).tobytes() == per_point.tobytes()
+
+    @pytest.mark.parametrize("radii", [[0.5, 1.0], [-0.1, 0.5], [0.5, np.nan]],
+                             ids=["one", "negative", "nan"])
+    def test_radius_outside_domain(self, radii):
+        with pytest.raises(WeightDomainError):
+            tail(RadialWeight.standard(0.0), np.array(radii))
+
+    @pytest.mark.parametrize("key", ["log0", "exp11"])
+    def test_diagnostics_evidence_per_point(self, key):
+        """Tail halving and regularity keep the evidence and exclusions that
+        one tail per radius gives (exp11 excludes its underflowed radii)."""
+        w = ARRAY_WEIGHTS[key]()
+        radii = dyadic_radii(16)
+        halving, regular = [], []
+        for r in radii:
+            num, den = tail(w, float(r)), tail(w, float(0.5 * (1.0 + r)))
+            if den > 0.0 and math.isfinite(num / den):
+                halving.append((float(r), num / den))
+            den = (1.0 - r) * float(w(float(r)))
+            if den > 0.0 and num > 0.0:
+                regular.append((float(r), num / den))
+        assert is_dhat_tail(w, radii).evidence == halving
+        assert is_regular(w, radii).evidence == regular
+        if key == "exp11":
+            assert len(halving) < radii.size and len(regular) < radii.size
+
+    def test_nonconvergence_raises_like_per_point(self):
+        w = RadialWeight.standard(-0.99)
+        spec = QuadSpec(tolerance=1e-14, rel_tolerance=1e-15, max_subdivisions=16)
+        with pytest.raises(QuadratureError) as per_point:
+            tail(w, 0.5, spec)
+        with pytest.raises(QuadratureError) as batched:
+            tail(w, np.array([0.5]), spec)
+        assert str(batched.value) == str(per_point.value)
+        assert batched.value.partial_value == per_point.value.partial_value
 
 
 class TestMoments:
