@@ -37,7 +37,8 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericRangeError, QuadratureError, TruncationError
 from .kernel import KernelCoeffs, build_coeffs, rk_circle_mean
-from .quadrature import QuadSpec, DEFAULT_SPEC, angular_mean, integrate_radial
+from .quadrature import (QuadSpec, DEFAULT_SPEC, angular_mean, integrate_radial,
+                         integrate_to_end)
 from .utils import (SLOPE_TOLERANCE, dyadic_radii, geometric_ints,
                     last_quartile_log_slope)
 from .weights import (DiagnosticsReport, MomentTable, RadialWeight,
@@ -148,31 +149,36 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     n = k.n
     a_tol = 1.0e-7
 
+    # integrands in the distance u = 1 - s (or 1 - v) from the rim, so each
+    # call takes every node of the initial mesh in one rk_circle_mean call
     if n == 1:
-        def f(s):
-            s = np.atleast_1d(s)
-            means = np.array([rk_circle_mean(k, float(r * si), a_tol) for si in s])
-            return 2.0 * s * w(s) * means
+        def f_dist(u):
+            s = 1.0 - u
+            return 2.0 * s * w(s) * rk_circle_mean(k, r * s, a_tol)
 
-        val, _ = integrate_radial(f, q)
-        return (1.0 - r * r) * val
+        val, _ = integrate_to_end(f_dist, 1.0, q)
+        return (1.0 - r * r) * val[()]
 
     w_cache = _SLICE_PROFILES.get()
     if w_cache is None:
         w_cache = {}
 
-    def f(v):
-        v = np.atleast_1d(v)
-        out = np.empty(v.size)
-        for i, vi in enumerate(v):
-            vi = float(vi)
+    def f_dist(u):
+        v = 1.0 - u
+        profile = np.empty(v.shape)
+        for i, vi in enumerate(v.ravel().tolist()):
             if vi not in w_cache:
-                w_cache[vi] = _slice_weight_profile(w, n, vi, q)
-            out[i] = rk_circle_mean(k, r * vi, a_tol) * w_cache[vi]
-        return out
+                try:
+                    w_cache[vi] = _slice_weight_profile(w, n, vi, q)
+                except Exception:
+                    # node by node, the circle means before node i come first
+                    rk_circle_mean(k, r * v.ravel()[:i], a_tol)
+                    raise
+            profile.flat[i] = w_cache[vi]
+        return rk_circle_mean(k, r * v, a_tol) * profile
 
-    val, _ = integrate_radial(f, q)
-    return 4.0 * n * (n - 1) * (1.0 - r * r) * val
+    val, _ = integrate_to_end(f_dist, 1.0, q)
+    return 4.0 * n * (n - 1) * (1.0 - r * r) * val[()]
 
 
 def _functional_sharing_profiles(profiles: dict, k: KernelCoeffs, w: RadialWeight,
@@ -234,17 +240,17 @@ def pr_estimate_check(k: KernelCoeffs, w: RadialWeight, s: float,
         raise ValueError("s must be in [1/2, 1)")
     gfac = 2.0 * math.gamma(n + 1)
 
-    def f_lhs(u):
-        # u (1-u^2)^{n-2} * mean|g|(s u), with mean|g|(xi) = 2 Gamma(n+1) A(xi)/xi
-        u = np.atleast_1d(u)
-        out = np.empty(u.size)
-        for i, ui in enumerate(u):
-            xi = float(s * ui)
-            out[i] = gfac * rk_circle_mean(k, xi, 1.0e-7) / xi if xi > 0 else 0.0
-        return u * (1.0 - u * u) ** (n - 2) * out
+    def f_lhs(dist):
+        # u (1-u^2)^{n-2} * mean|g|(s u), with mean|g|(xi) = 2 Gamma(n+1) A(xi)/xi,
+        # at u = 1 - dist
+        u = 1.0 - dist
+        xi = s * u
+        mean_g = np.divide(gfac * rk_circle_mean(k, xi, 1.0e-7), xi,
+                           out=np.zeros(xi.shape), where=xi > 0)
+        return u * (1.0 - u * u) ** (n - 2) * mean_g
 
-    lhs_int, _ = integrate_radial(f_lhs, q)
-    lhs = s ** n * lhs_int
+    lhs_int, _ = integrate_to_end(f_lhs, 1.0, q)
+    lhs = s ** n * lhs_int[()]
 
     def f_rhs(t):
         t = np.atleast_1d(t)

@@ -29,8 +29,11 @@ the doubling-stability property test guards it).  The ratio test scans
 prefixes of the coefficient table that double from 512 degrees, so
 certification reads only the degrees it needs, and D does not depend on
 how far an earlier call grew the table.  One point is summed with
-cosines, arrays by the power recursion, circle means by an FFT wrap; each
-result is multiplied back by e^scale, so only one beyond double range fails.
+cosines, arrays by the power recursion; each result is multiplied back by
+e^scale, so only one beyond double range fails.  Circle means take an
+array of radii at once: the radii are certified together, in order, and
+those whose FFT wrap has not settled at an angle level share one inverse
+FFT, in blocks of at most _BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ _RATIO_WINDOW = 16
 _CERTIFY_PREFIX = 512
 #: head moments log rho_{2n-1+2d}, d < _EPS_HEAD, fix the moment envelope
 _EPS_HEAD = 65
+#: elements in one (rows x degrees) or (rows x angles) block when many |t|
+#: are certified or circle means taken at once; a single row may exceed it
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -141,27 +147,29 @@ def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
 # Truncation machinery
 # ----------------------------------------------------------------------
 
-def _log_terms(log_c: np.ndarray, abs_t: float, degree_weight: int) -> np.ndarray:
-    """log |term_d| = log c_d + m log d + d log|t| for the degrees of log_c.
+def _log_terms(log_c: np.ndarray, log_t, degree_weight: int, lo: int = 0) -> np.ndarray:
+    """log |term_d| = log c_d + m log d + d log|t| for d = lo, lo+1, ...,
+    where log_c holds log c_d from degree lo on.
 
-    log_c is a prefix of a table's coefficients, so certification reads only
-    the degrees it scans.  degree_weight m = 0 for the kernel itself, 1 for
-    the radial-derivative series sum d c_d t^d.  Degree 0 of the m = 1
-    series is -inf.
+    Certification reads only the degrees it scans.  log_t is log|t| from
+    math.log, or a column of them for a block with one row per |t|.
+    degree_weight m = 0 for the kernel itself, 1 for the radial-derivative
+    series sum d c_d t^d.  Degree 0 of the m = 1 series is -inf (callers
+    ignore divide warnings).
     """
-    d = np.arange(log_c.size, dtype=float)
-    out = log_c + d * math.log(abs_t)
+    d = np.arange(lo, lo + log_c.size, dtype=float)
+    out = log_c + d * log_t
     if degree_weight:
-        with np.errstate(divide="ignore"):
-            out = out + degree_weight * np.log(d)
+        out = out + degree_weight * np.log(d)
     return out
 
 
 def _window_max(x: np.ndarray) -> np.ndarray:
-    """out[j] = max(x[j:j + _RATIO_WINDOW]), by doubling shifts; NaN propagates."""
+    """out[..., j] = max(x[..., j:j + _RATIO_WINDOW]), by doubling shifts along
+    the last axis; NaN propagates."""
     width = 1
     while width < _RATIO_WINDOW:
-        x = np.maximum(x[:-width], x[width:])
+        x = np.maximum(x[..., :-width], x[..., width:])
         width *= 2
     return x
 
@@ -187,66 +195,141 @@ def _epsilon_tail_log(k: KernelCoeffs, abs_t: float, D: int, degree_weight: int)
             + (D + 1) * math.log(q) - math.log1p(-kappa))
 
 
-def _certify(k: KernelCoeffs, abs_t: float, tol_rel: float, degree_weight: int):
-    """Pick the truncation degree D and its certified relative tail bound.
+def _ratio_scan(log_c: np.ndarray, log_ts: list, log_tol: float, degree_weight: int):
+    """The ratio test for one row of terms per log|t| in log_ts, over
+    prefixes of log_c that double from _CERTIFY_PREFIX degrees.
 
-    Returns (D, log_terms, tail_rel), where log_terms covers at least
-    degrees 0..D.  The ratio test scans prefixes of the built table that
-    double from _CERTIFY_PREFIX degrees, so its cost follows D rather than
-    the table's size.  Its verdict at D reads only degrees <= D (the ratio
-    window ends at D and the partial sums run in order), so the first hit in
-    a prefix is the first hit in the whole table.  Extends the coefficient
-    table as needed; raises TruncationError if no degree within d_max
-    certifies.
+    Returns one (D, tail_log, cum) per row: the first degree at which the
+    test certifies (None where no prefix does), its log tail bound, and the
+    log partial sum through D (through the last degree of log_c where D is
+    None).  The verdict at D reads only degrees <= D (the ratio window ends
+    at D and the partial sums run in order), so the first hit in a prefix
+    is the first hit in the whole table.  Each doubling therefore tests
+    only its new degrees: their terms, the window's reach back, and the
+    partial sums carried on from the previous prefix.  A row leaves the
+    scan at its hit; the rest go on in blocks of rows under
+    _BLOCK_ELEMENTS.  Callers ignore invalid and divide warnings.
     """
-    if tol_rel <= 0:
-        raise ValueError("tolerance must be positive")
-    log_tol = math.log(tol_rel)
+    n_built = log_c.size
     start = 1 if degree_weight else 0
+    out = [None] * len(log_ts)
+    carry = [None] * len(log_ts)  # log partial sum through degree lo - 1
+    live = list(range(len(log_ts)))
+    lo, hi = start, min(_CERTIFY_PREFIX, n_built)
     while True:
-        log_c = k.log_coeffs  # read once: another thread may publish a longer table
-        n_built = log_c.size
-        size = min(_CERTIFY_PREFIX, n_built)
-        while True:
-            lt = _log_terms(log_c[:size], abs_t, degree_weight)
-            finite = lt[start:]
-            cum = np.logaddexp.accumulate(lt) if start == 0 else \
-                np.concatenate([[-np.inf], np.logaddexp.accumulate(finite)])
-            if size - start > _RATIO_WINDOW + 2:
-                # rhat[j]: max log ratio over the window of degrees ending at
-                # D = start + window + j; the tail starts at D+1
-                rhat = _window_max(finite[1:] - finite[:-1])
-                ds = np.arange(rhat.size) + start + _RATIO_WINDOW
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    ok_ratio = rhat < -1.0e-12
-                    tail_log = np.where(ok_ratio, lt[ds] + rhat - np.log1p(-np.exp(rhat)),
-                                        np.inf)
-                    ok = ok_ratio & (tail_log <= log_tol + cum[ds])
-                hit = np.flatnonzero(ok)
-                if hit.size:
-                    D = int(ds[hit[0]])
-                    bound_log = min(float(tail_log[hit[0]]),
-                                    _epsilon_tail_log(k, abs_t, D, degree_weight))
-                    return D, lt, math.exp(bound_log - cum[D])
-            if size == n_built:
-                break
-            size = min(2 * size, n_built)
-        # epsilon envelope may certify the full built prefix even when the
-        # ratio test cannot (e.g. short tables)
-        D = n_built - 1
-        eps_log = _epsilon_tail_log(k, abs_t, D, degree_weight)
-        if eps_log <= log_tol + cum[D]:
-            return D, lt, math.exp(eps_log - cum[D])
-        if n_built >= k.d_max + 1:
-            scale = float(lt.max())
-            with np.errstate(under="ignore", over="ignore"):
-                partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
-            raise TruncationError(
-                f"tail not certified below {tol_rel:.1e} within d_max={k.d_max} "
-                f"at |t|={abs_t:.6g}",
-                partial_sum=partial, degree_used=D,
-                tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
-        k.ensure(min(2 * n_built, k.d_max + 1))
+        # terms of degrees first..hi-1; the ratio windows ending at D >= lo
+        # reach back _RATIO_WINDOW degrees, except in the first prefix
+        first = max(start, lo - _RATIO_WINDOW)
+        D0 = first + _RATIO_WINDOW  # the first degree tested
+        missed = []
+        step = max(1, _BLOCK_ELEMENTS // (hi - first))
+        for b in range(0, len(live), step):
+            rows = live[b:b + step]
+            lt = _log_terms(log_c[first:hi], np.array([[log_ts[i]] for i in rows]),
+                            degree_weight, first)
+            if lo == start:
+                cum = np.logaddexp.accumulate(lt, axis=1)
+            else:
+                cum = np.logaddexp.accumulate(np.concatenate(
+                    [[[carry[i]] for i in rows], lt[:, lo - first:]], axis=1), axis=1)[:, 1:]
+            # cum[:, j]: log partial sum through degree lo + j
+            hit = [False] * len(rows)
+            if hi - start > _RATIO_WINDOW + 2:
+                # rhat[:, j]: max log ratio over the window of degrees ending
+                # at D = D0 + j; the tail starts at D+1
+                rhat = _window_max(lt[:, 1:] - lt[:, :-1])
+                tl = lt[:, _RATIO_WINDOW:] + rhat - np.log1p(-np.exp(rhat))
+                ok = (rhat < -1.0e-12) & (tl <= log_tol + cum[:, D0 - lo:])
+                hit, at = ok.any(axis=1).tolist(), ok.argmax(axis=1).tolist()
+            for r, i in enumerate(rows):
+                if hit[r]:
+                    j = at[r]
+                    out[i] = (D0 + j, float(tl[r, j]), cum[r, D0 - lo + j])
+                else:
+                    carry[i] = cum[r, -1]
+                    missed.append(i)
+        live = missed
+        if hi == n_built or not live:
+            for i in live:
+                out[i] = (None, None, carry[i])
+            return out
+        lo, hi = hi, min(2 * hi, n_built)
+
+
+def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
+             before_growth=None):
+    """Truncation degree D and log tail bound for each |t| in abs_ts,
+    exactly as certifying them one at a time in this order would pick them.
+    Returns lists (D, bound_log, sum_log): the relative tail bound is
+    exp(min(bound_log, _epsilon_tail_log(..., D, ...)) - sum_log).
+
+    The ratio test (_ratio_scan) certifies rows on the built table at once.
+    Its D for a row does not change when the table grows, so only the rows
+    it misses take their turn, in order: the epsilon envelope at the built
+    size, else the table doubles (before_growth(j, D) is called first, once
+    the rows before j hold their D), else TruncationError at d_max.  After a
+    growth the missed rows still to come are scanned again.  The first row
+    is scanned alone, so a |t| that needs the table grown, or cannot be
+    certified, costs one row's scan rather than one per row.
+    """
+    if not (0.0 < tol_rel < math.inf):
+        raise ValueError("tolerance must be a finite positive number")
+    log_tol = math.log(tol_rel)
+    abs_ts = [float(t) for t in abs_ts]
+    log_ts = [math.log(t) for t in abs_ts]
+    D = [None] * len(abs_ts)
+    bound_log = [None] * len(abs_ts)
+    sum_log = [None] * len(abs_ts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows = list(range(len(abs_ts)))
+        for pending in (rows[:1], rows[1:]):
+            while pending:
+                log_c = k.log_coeffs  # read once: another thread may publish a longer table
+                n_built = log_c.size
+                scanned = _ratio_scan(log_c, [log_ts[j] for j in pending], log_tol,
+                                      degree_weight)
+                missed = []
+                for j, (d, tail_log, cum) in zip(pending, scanned):
+                    if d is None:
+                        missed.append((j, cum))
+                    else:
+                        D[j], bound_log[j], sum_log[j] = d, tail_log, cum
+                pending = []
+                for pos, (j, cum) in enumerate(missed):
+                    if k.built > n_built:  # grown by another thread: scan that table
+                        pending = [j for j, _ in missed[pos:]]
+                        break
+                    # epsilon envelope may certify the full built prefix even
+                    # when the ratio test cannot (e.g. short tables)
+                    eps_log = _epsilon_tail_log(k, abs_ts[j], n_built - 1, degree_weight)
+                    if eps_log <= log_tol + cum:
+                        D[j], bound_log[j], sum_log[j] = n_built - 1, eps_log, cum
+                        continue
+                    if before_growth is not None:
+                        before_growth(j, D)
+                    if n_built >= k.d_max + 1:
+                        lt = _log_terms(log_c, log_ts[j], degree_weight)
+                        scale = float(lt.max())
+                        with np.errstate(under="ignore", over="ignore"):
+                            partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
+                        raise TruncationError(
+                            f"tail not certified below {tol_rel:.1e} within "
+                            f"d_max={k.d_max} at |t|={abs_ts[j]:.6g}",
+                            partial_sum=partial, degree_used=n_built - 1,
+                            tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
+                    k.ensure(min(2 * n_built, k.d_max + 1))
+                    pending = [j for j, _ in missed[pos:]]
+                    break
+    return D, bound_log, sum_log
+
+
+def _scaled_terms(log_c: np.ndarray, abs_t: float, degree_weight: int):
+    """(scale, gamma): the terms d^m c_d |t|^d over the degrees of log_c,
+    divided by e^scale so that the largest is 1."""
+    with np.errstate(divide="ignore", under="ignore"):
+        lt = _log_terms(log_c, math.log(abs_t), degree_weight)
+        scale = float(lt.max())
+        return scale, np.exp(lt - scale)
 
 
 def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
@@ -256,11 +339,10 @@ def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
     terms gamma_d = d^m c_d amax^d / e^scale for d <= D (the largest is 1),
     and the certified relative tail bound at |t| = amax.
     """
-    D, lt, tail_rel = _certify(k, amax, tol, m)
-    scale = float(np.max(lt[:D + 1]))
-    with np.errstate(under="ignore"):
-        gamma = np.exp(lt[:D + 1] - scale)
-    return D, scale, gamma, tail_rel
+    (D,), (bound_log,), (sum_log,) = _certify(k, [amax], tol, m)
+    bound_log = min(bound_log, _epsilon_tail_log(k, amax, D, m))
+    scale, gamma = _scaled_terms(k.log_coeffs[:D + 1], amax, m)
+    return D, scale, gamma, math.exp(bound_log - sum_log)
 
 
 def _unscale(value, scale: float, what: str):
@@ -395,8 +477,73 @@ def g_values_many(k: KernelCoeffs, ts, tol: float = 1.0e-10) -> np.ndarray:
     return out
 
 
-def rk_circle_mean(k: KernelCoeffs, xi: float, tol: float = 1.0e-8,
-                   start_nodes: int = 256, max_nodes: int = 1 << 20) -> float:
+def _fft_levels(gammas, tol: float, start_nodes: int, max_nodes: int):
+    """Trapezoid means of |sum_d gamma_d e^{i d theta}| for each term table in
+    gammas, on angle grids doubled from start_nodes until two levels agree
+    to tol.  The tables still unsettled at a level share one inverse FFT per
+    block of rows under _BLOCK_ELEMENTS.  Returns (means, prev): a row's
+    mean, or None with its last level's value in prev if max_nodes passed.
+    """
+    means = [None] * len(gammas)
+    prev = [None] * len(gammas)
+    live = list(range(len(gammas)))
+    n_nodes = start_nodes
+    while live and n_nodes <= max_nodes:
+        unsettled = []
+        step = max(1, _BLOCK_ELEMENTS // n_nodes)
+        for b in range(0, len(live), step):
+            rows = live[b:b + step]
+            wrapped = np.zeros((len(rows), n_nodes))
+            for out, i in zip(wrapped, rows):
+                gamma = gammas[i]
+                if gamma.size <= n_nodes:
+                    out[:gamma.size] = gamma
+                else:  # fold the terms onto the grid: degrees d and d + n_nodes alias
+                    folds = -(-gamma.size // n_nodes)
+                    padded = np.zeros(folds * n_nodes)
+                    padded[:gamma.size] = gamma
+                    out[:] = padded.reshape(folds, n_nodes).sum(axis=0)
+            vals = np.fft.ifft(wrapped, axis=1)
+            vals *= n_nodes
+            cur = np.mean(np.abs(vals), axis=1)
+            for c, i in zip(cur.tolist(), rows):
+                if prev[i] is not None and abs(c - prev[i]) <= tol * abs(c):
+                    means[i] = c
+                else:
+                    prev[i] = c
+                    unsettled.append(i)
+        live = unsettled
+        n_nodes *= 2
+    return means, prev
+
+
+def _circle_means(k: KernelCoeffs, xs: list, D: list, tol: float,
+                  start_nodes: int, max_nodes: int) -> np.ndarray:
+    """Circle means of |R K| at the radii xs, certified at degrees D.  The
+    term tables are built for blocks of consecutive radii whose degrees sum
+    to at most _BLOCK_ELEMENTS; the first radius in order that fails raises
+    what it raises alone."""
+    log_c = k.log_coeffs
+    out = np.empty(len(xs))
+    lo = 0
+    while lo < len(xs):
+        hi, size = lo + 1, D[lo] + 1
+        while hi < len(xs) and size + D[hi] + 1 <= _BLOCK_ELEMENTS:
+            size += D[hi] + 1
+            hi += 1
+        terms = [_scaled_terms(log_c[:D[i] + 1], xs[i], 1) for i in range(lo, hi)]
+        means, prev = _fft_levels([g for _, g in terms], tol, start_nodes, max_nodes)
+        for i, (scale, _) in enumerate(terms):
+            if means[i] is None:
+                raise QuadratureError("circle mean did not stabilize",
+                                      partial_value=prev[i])
+            out[lo + i] = _unscale(means[i], scale, "circle mean")
+        lo = hi
+    return out
+
+
+def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
+                   start_nodes: int = 256, max_nodes: int = 1 << 20):
     """Angular mean of |R K| on the circle of radius xi:
 
         (1/2 pi) int |sum_d d c_d (xi e^{i theta})^d| d theta.
@@ -406,25 +553,31 @@ def rk_circle_mean(k: KernelCoeffs, xi: float, tol: float = 1.0e-8,
     node count must resolve the angular peak of width ~(1 - xi), so deep
     radii climb to large FFTs; these stay cheap.
 
+    xi is a float or an array of radii.  An array gives, bit for bit, the
+    values of one call per radius in C order, grows the table as those
+    calls would, and raises what the first failing one would raise; its
+    radii are certified together and share their FFT levels.
+
     Computed with an overall exponential scale factor, so the only failure
     mode is a result whose true magnitude exceeds double range.
     """
-    if not (0.0 <= xi < 1.0):
+    xs = np.asarray(xi, dtype=float)
+    if not np.all((xs >= 0.0) & (xs < 1.0)):
         raise ValueError("xi must be in [0, 1)")
-    if xi == 0.0:
-        return 0.0
-    _, scale, gamma, _ = _terms(k, xi, tol, 1)
-    n_nodes = start_nodes
-    prev = None
-    while n_nodes <= max_nodes:
-        rows = -(-gamma.size // n_nodes)
-        wrapped = np.zeros(rows * n_nodes)
-        wrapped[:gamma.size] = gamma
-        wrapped = wrapped.reshape(rows, n_nodes).sum(axis=0)
-        vals = np.fft.ifft(wrapped) * n_nodes
-        cur = float(np.mean(np.abs(vals)))
-        if prev is not None and abs(cur - prev) <= tol * abs(cur):
-            return _unscale(cur, scale, "circle mean")
-        prev = cur
-        n_nodes *= 2
-    raise QuadratureError("circle mean did not stabilize", partial_value=prev)
+    flat = xs.ravel()
+    nz = np.flatnonzero(flat)
+    out = np.zeros(flat.size)
+    done = 0
+
+    def settle(stop, D):
+        # before the table grows for radius stop: the radii before it go
+        # first, as one call per radius would take them
+        nonlocal done
+        rows = nz[done:stop]
+        out[rows] = _circle_means(k, flat[rows].tolist(), D[done:stop], tol,
+                                  start_nodes, max_nodes)
+        done = stop
+
+    D = _certify(k, flat[nz], tol, 1, settle)[0]
+    settle(nz.size, D)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -53,6 +53,10 @@ class QuadSpec:
             raise ValueError("max_subdivisions must be at least 8")
         if self.grading < 1.0:
             raise ValueError("grading must be >= 1")
+        segments = 8 if self.grading == 1.0 else self.initial_levels + 1
+        if segments >= self.max_subdivisions:
+            raise ValueError(f"initial mesh of {segments} segments leaves no room to "
+                             f"bisect within max_subdivisions={self.max_subdivisions}")
 
 
 DEFAULT_SPEC = QuadSpec()

@@ -334,13 +334,12 @@ class MomentTable:
             scale = base.max()
             with np.errstate(under="ignore"):
                 v = np.exp(base - scale)
-            for i in range(min(refresh, count - j)):
-                s = v.sum()
-                out[j + i] = scale + math.log(s)
-                if s < 1.0e-120:
-                    v /= s
-                    scale += math.log(s)
-                with np.errstate(under="ignore"):
+                for i in range(min(refresh, count - j)):
+                    s = np.add.reduce(v)
+                    out[j + i] = scale + math.log(s)
+                    if s < 1.0e-120:
+                        v /= s
+                        scale += math.log(s)
                     v *= step_factor
             j += min(refresh, count - j)
         return out

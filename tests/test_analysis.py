@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bergman_lab import (AnalysisConfig, BallPoint, MomentTable, QuadSpec,
-                         RadialWeight, bloch_seminorm, boundedness_functional,
+from bergman_lab import (AnalysisConfig, BallPoint, MomentTable, QuadratureError,
+                         QuadSpec, RadialWeight, bloch_seminorm, boundedness_functional,
                          build_coeffs, cesaro_lower, hardy_littlewood_check,
                          hardy_littlewood_converse, integrate_ball_radial,
                          integrate_radial, lower_bound_series, majorant,
                          moment_doubling_chain, pr_estimate_check,
-                         sphere_slice_average, tail, theorem_check)
-from bergman_lab.analysis import PROFILE_SPEC
+                         rk_circle_mean, sphere_slice_average, tail,
+                         theorem_check)
+from bergman_lab import analysis
+from bergman_lab.analysis import PROFILE_SPEC, _slice_weight_profile
 from bergman_lab.kernel import _values_many
 from bergman_lab.utils import dyadic_radii, last_quartile_log_slope
 from scipy.special import gammaln
@@ -123,6 +125,86 @@ class TestBoundednessFunctional:
             lambda lam: np.abs(_values_many(coeffs_std0_n2, 0.6 * lam,
                                             1e-10, 1)), z)
         assert_allclose(a, slice_route, rtol=1e-6)
+
+
+def _per_node_functional(k, w, r, profile=_slice_weight_profile):
+    """The functional as one float circle mean per integrand node."""
+    q = PROFILE_SPEC
+    if k.n == 1:
+        def f(s):
+            s = np.atleast_1d(s)
+            means = np.array([rk_circle_mean(k, float(r * si), 1e-7) for si in s])
+            return 2.0 * s * w(s) * means
+
+        return (1.0 - r * r) * integrate_radial(f, q)[0]
+
+    def f(v):
+        v = np.atleast_1d(v)
+        out = []
+        for vi in v:
+            wv = profile(w, k.n, float(vi), q)
+            out.append(rk_circle_mean(k, r * float(vi), 1e-7) * wv)
+        return np.array(out)
+
+    return 4.0 * k.n * (k.n - 1) * (1.0 - r * r) * integrate_radial(f, q)[0]
+
+
+class TestFunctionalPerNode:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    def test_matches_per_node_circle_means(self, weights, tables, key, n):
+        """The integrands take each initial mesh in one array call; the value
+        is the per-node loop's, bit for bit, on a table grown the same way."""
+        for r in (0.5, 0.875, 1.0 - 2.0 ** -6):
+            k_loop = build_coeffs(tables[key], n, d_max=1 << 19)
+            k = build_coeffs(tables[key], n, d_max=1 << 19)
+            expected = _per_node_functional(k_loop, weights[key], r)
+            assert boundedness_functional(k, weights[key], r) == expected, r
+            assert k.built == k_loop.built
+
+    def test_failing_profile_after_earlier_means(self, weights, tables, monkeypatch):
+        """W(v) failing at the sixth node raises its error after the circle
+        means of the five nodes before it, which grow the table, as node by
+        node."""
+        def failing_at(count):
+            calls = []
+
+            def profile(*args):
+                calls.append(args)
+                if len(calls) == count:
+                    raise QuadratureError("W fails here")
+                return _slice_weight_profile(*args)
+            return profile
+
+        r = 1.0 - 2.0 ** -10
+        outcomes = []
+        for run in ("loop", "array"):
+            k = build_coeffs(tables["std0"], 2, d_max=1 << 19)
+            if run == "loop":
+                call = lambda: _per_node_functional(k, weights["std0"], r, failing_at(6))
+            else:
+                monkeypatch.setattr(analysis, "_slice_weight_profile", failing_at(6))
+                call = lambda: boundedness_functional(k, weights["std0"], r)
+            with pytest.raises(QuadratureError, match="W fails here"):
+                call()
+            outcomes.append(k.built)
+        assert outcomes[0] == outcomes[1] > 257
+
+    @pytest.mark.parametrize("s", [0.5, 0.99])
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    def test_pr_lhs_matches_per_node_circle_means(self, weights, tables, key, s):
+        k = build_coeffs(tables[key], 2, d_max=1 << 19)
+        gfac = 2.0 * math.gamma(3)
+
+        def f_lhs(u):
+            u = np.atleast_1d(u)
+            out = np.array([gfac * rk_circle_mean(k, float(s * ui), 1e-7) / float(s * ui)
+                            for ui in u])
+            return u * (1.0 - u * u) ** 0 * out
+
+        expected = s ** 2 * integrate_radial(f_lhs, PROFILE_SPEC)[0]
+        fresh = build_coeffs(tables[key], 2, d_max=1 << 19)
+        assert pr_estimate_check(fresh, weights[key], s)[0] == expected
 
 
 class TestMajorant:

@@ -11,8 +11,8 @@ from bergman_lab import (BallPoint, MomentTable, RadialWeight, TruncationError,
                          build_coeffs, eval_disk_kernel_deriv, eval_g,
                          eval_kernel, eval_rk, inner, integrate_ball_radial,
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
-from bergman_lab.kernel import (_RATIO_WINDOW, _series_at, _terms, _values_many,
-                                 _window_max, kernel_values_many)
+from bergman_lab.kernel import (_BLOCK_ELEMENTS, _RATIO_WINDOW, _series_at, _terms,
+                                 _values_many, _window_max, kernel_values_many)
 
 
 def _pair(t, n=2):
@@ -325,3 +325,94 @@ class TestCertifyPrefix:
         got = _window_max(x)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+def _outcome(call):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the comparison covers the failure too
+        return (type(exc).__name__, str(exc), getattr(exc, "partial_value", None),
+                getattr(exc, "partial_sum", None))
+
+
+class TestCircleMeanArray:
+    """An array of radii gives what one float call per radius gives, in the
+    same order on the same table: values, table growth and first failure."""
+
+    @staticmethod
+    def _radii(key):
+        deepest = 12 if key == "std0" else 7
+        rng = np.random.default_rng(7)
+        deep = 1.0 - 2.0 ** -rng.uniform(1.0, deepest, 20)
+        # a shallow radius first: the deep ones grow the table mid-array
+        return np.concatenate([[0.0, 0.3, 1.0 - 2.0 ** -deepest, 0.0],
+                               deep, rng.uniform(0.0, 0.9, 10), [0.0, 0.05]])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    def test_bitwise_equal_to_float_calls(self, tables, key, n):
+        radii = self._radii(key)
+        loop_k = build_coeffs(tables[key], n, d_max=1 << 19)
+        expected = np.array([rk_circle_mean(loop_k, float(x), 1e-7) for x in radii])
+        for shape in (radii.shape, (4, 9)):
+            k = build_coeffs(tables[key], n, d_max=1 << 19)
+            got = rk_circle_mean(k, radii.reshape(shape), 1e-7)
+            assert got.shape == shape
+            assert got.tobytes() == expected.tobytes()
+            assert k.built == loop_k.built
+        # the radii's term tables do not fit in one block
+        degrees = sum(_terms(loop_k, float(x), 1e-7, 1)[0] + 1 for x in radii if x > 0)
+        assert degrees > _BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    def test_grown_table_gives_same_bytes(self, tables, key):
+        radii = self._radii(key)
+        grown = build_coeffs(tables[key], 2, d_max=1 << 19)
+        while grown.built < 1 << 17:
+            grown.ensure(2 * grown.built)
+        fresh = build_coeffs(tables[key], 2, d_max=1 << 19)
+        assert (rk_circle_mean(grown, radii, 1e-7).tobytes()
+                == rk_circle_mean(fresh, radii, 1e-7).tobytes())
+
+    @pytest.mark.parametrize("nodes, max_nodes, error", [
+        ([0.5, 0.97, 0.99], 1 << 20, "TruncationError"),
+        ([0.5, 0.9, 0.97], 512, "QuadratureError"),
+    ], ids=["truncation-first", "quadrature-first"])
+    def test_first_failure_in_node_order(self, tables, nodes, max_nodes, error):
+        """exp11, n = 2, d_max = 4096: 0.97 cannot be certified, and 0.9
+        needs more than 512 angles.  The array raises what the loop raises
+        first, and leaves the table as the loop does."""
+        def loop(k):
+            return [rk_circle_mean(k, x, 1e-7, max_nodes=max_nodes) for x in nodes]
+
+        def array(k):
+            return rk_circle_mean(k, np.array(nodes), 1e-7, max_nodes=max_nodes)
+
+        outcomes = []
+        for call in (loop, array):
+            k = build_coeffs(tables["exp11"], 2, d_max=4096)
+            outcomes.append((_outcome(lambda: call(k)), k.built))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][0] == error
+        if error == "TruncationError":
+            assert "|t|=0.97" in outcomes[0][0][1]
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, -0.25], ids=["nan", "one", "negative"])
+    def test_radius_outside_domain(self, coeffs_std0_n2, bad):
+        radii = np.array([[0.5, 0.2], [bad, 0.1]])
+        with pytest.raises(ValueError, match="xi must be"):
+            rk_circle_mean(coeffs_std0_n2, radii)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_tolerance_rejected_before_growth(tables, tol):
+    k = build_coeffs(tables["std0"], 2, d_max=4096)
+    built = k.built
+    z, w = _pair(0.25)
+    for call in (lambda: eval_kernel(k, z, w, tol=tol),
+                 lambda: rk_circle_mean(k, 0.5, tol=tol),
+                 lambda: kernel_values_many(k, np.array([0.5, 0.25j]), tol=tol)):
+        with pytest.raises(ValueError, match="finite positive"):
+            call()
+        assert k.built == built

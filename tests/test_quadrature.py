@@ -42,6 +42,23 @@ def test_quadspec_rejects_nonfinite_tolerance(tolerance):
         QuadSpec(tolerance=tolerance)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"initial_levels": 1100},
+    {"initial_levels": 511},
+    {"grading": 1.0, "max_subdivisions": 8},
+], ids=["levels-1100", "levels-511", "uniform-8"])
+def test_quadspec_rejects_mesh_without_room_to_bisect(kwargs):
+    """An initial mesh of max_subdivisions segments or more could not be
+    bisected once."""
+    with pytest.raises(ValueError, match="no room to bisect"):
+        QuadSpec(**kwargs)
+
+
+def test_quadspec_mesh_just_below_subdivision_budget():
+    QuadSpec(initial_levels=510)
+    QuadSpec(grading=1.0, max_subdivisions=9)
+
+
 class TestIntegrateToEnd:
     def test_matches_integrate_radial_per_length(self):
         """Each length gives integrate_radial's (value, error) bit for bit,

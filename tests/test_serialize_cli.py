@@ -237,19 +237,29 @@ class TestCli:
         assert lines[0] == "parameter,value"
         assert len(lines) == 6
 
-    def test_theorem_threads_byte_identical(self, weight_file, tmp_path):
-        """With criterion 9's settings, two threads write the same bytes as
-        one: the worker threads share and grow one coefficient table and one
-        W(v) profile dict."""
+    @pytest.mark.parametrize("descriptor, grid", [
+        ({"kind": "standard", "alpha": 0.0, "label": "std0"},
+         ["--kmax", "6", "--dmax", str(1 << 15)]),
+        ({"kind": "exponential", "c": 1.0, "beta": 1.0, "label": "exp11"},
+         ["--kmax", "8", "--dmax", "4096"]),
+    ], ids=["std0", "exp11"])
+    def test_theorem_threads_byte_identical(self, tmp_path, descriptor, grid):
+        """With criterion 9's settings (std0), and on exp11 with a short
+        d_max, two threads write the same bytes as one: the worker threads
+        share and grow one coefficient table and one W(v) profile dict, and
+        on exp11 they grow it to d_max and the deepest radii fail."""
+        weight_file = tmp_path / "weight.json"
+        weight_file.write_text(json.dumps(descriptor))
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"t{threads}.json"
             status = main(["theorem", "--weight", str(weight_file), "--n", "2",
-                           "--kmax", "6", "--dmax", str(1 << 15),
-                           "--threads", threads, "--out", str(out)])
+                           *grid, "--threads", threads, "--out", str(out)])
             assert status in (0, 2)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        if descriptor["kind"] == "exponential":
+            assert b"TruncationError" in outs[0]
 
     def test_missing_symbol_for_project(self, weight_file, capsys):
         status = main(["project", "--weight", str(weight_file), "--n", "2"])
