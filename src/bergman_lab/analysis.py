@@ -154,7 +154,7 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     if n == 1:
         def f_dist(u):
             s = 1.0 - u
-            return 2.0 * s * w(s) * rk_circle_mean(k, r * s, a_tol)
+            return 2.0 * s * w.eval_at_one_minus(u) * rk_circle_mean(k, r * s, a_tol)
 
         val, _ = integrate_to_end(f_dist, 1.0, q)
         return (1.0 - r * r) * val[()]

@@ -28,12 +28,15 @@ ratios decrease, which holds past the peak for all weight families here;
 the doubling-stability property test guards it).  The ratio test scans
 prefixes of the coefficient table that double from 512 degrees, so
 certification reads only the degrees it needs, and D does not depend on
-how far an earlier call grew the table.  One point is summed with
-cosines, arrays by the power recursion; each result is multiplied back by
-e^scale, so only one beyond double range fails.  Circle means take an
-array of radii at once: the radii are certified together, in order, and
-those whose FFT wrap has not settled at an angle level share one inverse
-FFT, in blocks of at most _BLOCK_ELEMENTS.
+how far an earlier call grew the table.  One point and arrays of points
+alike are summed by the power recursion x^d = x^{d-1} x; each result is
+multiplied back by e^scale, so only one beyond double range fails.  Circle
+means take an array of radii at once: the radii are certified together,
+in order.  Each mean takes one real FFT per angle level on the half circle
+(|p| is even in the angle, the terms being real), first level from D: the
+grid starts at no fewer than (D+1)/2 nodes.  The radii whose mean has not
+settled at a level share that level's FFT, in blocks of at most
+_BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -353,6 +356,37 @@ def _unscale(value, scale: float, what: str):
     return value * math.exp(scale)
 
 
+def _power_sums(k: KernelCoeffs, flat: np.ndarray, tol: float, degree_weight: int):
+    """(values, D, tail_rel): sum_d d^m c_d t^d at each t of the 1-D complex
+    array flat (not all zero), from the term table certified at max |t|.
+
+    The powers of x = t / amax come by repeated multiplication, x^d =
+    x^{d-1} x: D cheap multiplies instead of complex exps or cosines of a
+    rounded angle times d.  Divide componentwise: complex division
+    multiplies by a rounded 1/amax, and that one-ulp error compounds over D
+    powers.  Many points step the degree over the whole array; one point
+    runs the same recurrence along the degrees with np.multiply.accumulate,
+    and the same running sum in degree order with np.add.accumulate.  Where
+    the series cancels, that running sum is far closer to the exact sum
+    than a pairwise one: 8e-9 against 2.5e-7 relative for exp11, n = 2, at
+    t = 0.995i.
+    """
+    amax = float(np.max(np.abs(flat)))
+    D, scale, gamma, tail_rel = _terms(k, amax, tol, degree_weight)
+    x = flat.real / amax + 1j * (flat.imag / amax)
+    if x.size == 1:
+        steps = np.full(gamma.size, x[0])
+        steps[0] = 1.0
+        vals = np.add.accumulate(gamma * np.multiply.accumulate(steps))[-1:]
+    else:
+        vals = np.full(x.shape, gamma[0], dtype=complex)
+        p = np.ones(x.shape, dtype=complex)
+        for g in gamma[1:]:
+            p = p * x
+            vals += g * p
+    return _unscale(vals, scale, "series value"), D, tail_rel
+
+
 def _series_at(k: KernelCoeffs, t: complex, tol: float, degree_weight: int):
     """Truncated sum_{d} d^m c_d t^d with certified tail < tol (relative)."""
     abs_t = abs(t)
@@ -363,10 +397,8 @@ def _series_at(k: KernelCoeffs, t: complex, tol: float, degree_weight: int):
             return 0.0 + 0.0j, KernelEvalInfo(0, 0.0, 0.0)
         c0 = math.exp(k.log_c(0))
         return complex(c0), KernelEvalInfo(0, 0.0, 0.0)
-    D, scale, gamma, tail_rel = _terms(k, abs_t, tol, degree_weight)
-    angles = math.atan2(t.imag, t.real) * np.arange(D + 1)
-    value = _unscale(complex(np.sum(gamma * np.cos(angles)),
-                             np.sum(gamma * np.sin(angles))), scale, "series value")
+    vals, D, tail_rel = _power_sums(k, np.array([t], dtype=complex), tol, degree_weight)
+    value = complex(vals[0])
     return value, KernelEvalInfo(D, tail_rel, tail_rel * abs(value))
 
 
@@ -447,18 +479,7 @@ def _values_many(k: KernelCoeffs, ts: np.ndarray, tol: float, degree_weight: int
     if not np.any(flat != 0):
         fill = math.exp(k.log_c(0)) if degree_weight == 0 else 0.0
         return np.full(ts.shape, fill, dtype=complex)
-    amax = float(np.max(np.abs(flat)))
-    _, scale, gamma, _ = _terms(k, amax, tol, degree_weight)
-    # iterative powers of t / amax: D cheap vector multiplies instead of complex
-    # exps.  Divide componentwise: complex division multiplies by a rounded
-    # 1/amax, and that one-ulp error compounds over D powers.
-    x = flat.real / amax + 1j * (flat.imag / amax)
-    vals = np.full(flat.shape, gamma[0], dtype=complex)
-    p = np.ones(flat.shape, dtype=complex)
-    for g in gamma[1:]:
-        p = p * x
-        vals += g * p
-    return _unscale(vals, scale, "series value").reshape(ts.shape)
+    return _power_sums(k, flat, tol, degree_weight)[0].reshape(ts.shape)
 
 
 def kernel_values_many(k: KernelCoeffs, ts, tol: float = 1.0e-10) -> np.ndarray:
@@ -477,19 +498,36 @@ def g_values_many(k: KernelCoeffs, ts, tol: float = 1.0e-10) -> np.ndarray:
     return out
 
 
-def _fft_levels(gammas, tol: float, start_nodes: int, max_nodes: int):
+def _first_level(D: int, start_nodes: int, max_nodes: int) -> int:
+    """The first angle level for terms of degree <= D: start_nodes, doubled
+    while the grid has fewer than (D+1)/2 nodes and the next level stays
+    within max_nodes.  The levels skipped only alias the terms; from this
+    one on, a settled mean compares two grids that each fold the terms at
+    most once."""
+    n_nodes = start_nodes
+    while 2 * n_nodes < D + 1 and 2 * n_nodes <= max_nodes:
+        n_nodes *= 2
+    return n_nodes
+
+
+def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
     """Trapezoid means of |sum_d gamma_d e^{i d theta}| for each term table in
-    gammas, on angle grids doubled from start_nodes until two levels agree
-    to tol.  The tables still unsettled at a level share one inverse FFT per
-    block of rows under _BLOCK_ELEMENTS.  Returns (means, prev): a row's
-    mean, or None with its last level's value in prev if max_nodes passed.
+    gammas, on angle grids doubled from first[i] nodes until two levels
+    agree to tol (the first levels share one doubling sequence).
+
+    The terms are real, so |p(-theta)| = |p(theta)|, and one real FFT of the
+    folded terms gives the half circle: on N nodes the mean is (|R_0| +
+    |R_{N/2}| + 2 sum_{0<j<N/2} |R_j|) / N.  The tables unsettled at a level
+    share one real FFT per block of rows under _BLOCK_ELEMENTS.  Returns
+    (means, prev): a row's mean, or None with its last level's value in
+    prev if max_nodes passed.
     """
     means = [None] * len(gammas)
     prev = [None] * len(gammas)
-    live = list(range(len(gammas)))
-    n_nodes = start_nodes
-    while live and n_nodes <= max_nodes:
-        unsettled = []
+    pending = list(range(len(gammas)))
+    n_nodes = min(first)
+    while pending and n_nodes <= max_nodes:
+        live = [i for i in pending if first[i] <= n_nodes]
         step = max(1, _BLOCK_ELEMENTS // n_nodes)
         for b in range(0, len(live), step):
             rows = live[b:b + step]
@@ -503,16 +541,18 @@ def _fft_levels(gammas, tol: float, start_nodes: int, max_nodes: int):
                     padded = np.zeros(folds * n_nodes)
                     padded[:gamma.size] = gamma
                     out[:] = padded.reshape(folds, n_nodes).sum(axis=0)
-            vals = np.fft.ifft(wrapped, axis=1)
-            vals *= n_nodes
-            cur = np.mean(np.abs(vals), axis=1)
+            half = np.abs(np.fft.rfft(wrapped, axis=1))
+            # |R_j| for 0 < j < N/2 stands for the nodes j and N - j
+            total = half[:, 0] + 2.0 * np.add.reduce(half[:, 1:(n_nodes + 1) // 2], axis=1)
+            if n_nodes % 2 == 0:
+                total += half[:, n_nodes // 2]
+            cur = total / n_nodes
             for c, i in zip(cur.tolist(), rows):
                 if prev[i] is not None and abs(c - prev[i]) <= tol * abs(c):
                     means[i] = c
                 else:
                     prev[i] = c
-                    unsettled.append(i)
-        live = unsettled
+        pending = [i for i in pending if means[i] is None]
         n_nodes *= 2
     return means, prev
 
@@ -532,7 +572,8 @@ def _circle_means(k: KernelCoeffs, xs: list, D: list, tol: float,
             size += D[hi] + 1
             hi += 1
         terms = [_scaled_terms(log_c[:D[i] + 1], xs[i], 1) for i in range(lo, hi)]
-        means, prev = _fft_levels([g for _, g in terms], tol, start_nodes, max_nodes)
+        first = [_first_level(D[i], start_nodes, max_nodes) for i in range(lo, hi)]
+        means, prev = _fft_levels([g for _, g in terms], first, tol, max_nodes)
         for i, (scale, _) in enumerate(terms):
             if means[i] is None:
                 raise QuadratureError("circle mean did not stabilize",
@@ -548,10 +589,13 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
 
         (1/2 pi) int |sum_d d c_d (xi e^{i theta})^d| d theta.
 
-    The polynomial is evaluated on uniform angle grids by FFT (exactly the
-    trapezoid values), and the grid is doubled until two levels agree.  The
-    node count must resolve the angular peak of width ~(1 - xi), so deep
-    radii climb to large FFTs; these stay cheap.
+    The polynomial is evaluated on uniform angle grids by one real FFT per
+    level (exactly the trapezoid values, on the half circle since the terms
+    are real), and the grid is doubled until two levels agree.  It starts
+    at start_nodes doubled up to at least (D+1)/2 nodes for the certified
+    degree D (never past max_nodes): a coarser grid only aliases the terms.
+    The node count must resolve the angular peak of width ~(1 - xi), so
+    deep radii climb to large FFTs; these stay cheap.
 
     xi is a float or an array of radii.  An array gives, bit for bit, the
     values of one call per radius in C order, grows the table as those

@@ -135,19 +135,18 @@ def _require(doc: dict, field: str, typ, where: str):
 def load_samples_csv(path) -> list[list[float]]:
     """Two-column (r, value) CSV; an optional non-numeric header is skipped."""
     samples = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
+    for lineno, row in enumerate(csv.reader(_read_text(path).splitlines()), start=1):
+        if not row:
+            continue
+        try:
+            r, v = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if lineno == 1:
                 continue
-            try:
-                r, v = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if lineno == 1:
-                    continue
-                raise DescriptorError(
-                    f"{path}: line {lineno}: expected two numeric columns",
-                    field="samples")
-            samples.append([r, v])
+            raise DescriptorError(
+                f"{path}: line {lineno}: expected two numeric columns",
+                field="samples")
+        samples.append([r, v])
     return samples
 
 
@@ -184,13 +183,31 @@ def parse_weight(doc: dict, base_dir: Path | None = None) -> RadialWeight:
     raise DescriptorError(f"weight descriptor: unknown kind {kind!r}", field="kind")
 
 
-def load_weight_file(path) -> RadialWeight:
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """The text of a descriptor or samples file; DescriptorError if it cannot
+    be read as UTF-8."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DescriptorError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_json(path: Path):
+    """The JSON document in the file at path; DescriptorError if the file
+    cannot be read or is not valid JSON."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"{path}: line {exc.lineno}: not valid JSON "
                               f"({exc.msg})") from exc
+
+
+def load_weight_file(path) -> RadialWeight:
+    path = Path(path)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DescriptorError(f"{path}: descriptor must be a JSON object")
     return parse_weight(doc, base_dir=path.parent)
@@ -239,11 +256,7 @@ def parse_symbol(doc: dict) -> BoundedSymbol:
 
 def load_symbol_file(path) -> BoundedSymbol:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DescriptorError(f"{path}: line {exc.lineno}: not valid JSON "
-                              f"({exc.msg})") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DescriptorError(f"{path}: descriptor must be a JSON object")
     return parse_symbol(doc)

@@ -217,6 +217,9 @@ _SEG_NODES_HALF = np.polynomial.legendre.leggauss(12)
 #: tail octaves reach u = 1-t = 2^-_GRID_DEPTH, head octaves t = 2^-_HEAD_DEPTH
 _GRID_DEPTH = 80
 _HEAD_DEPTH = 32
+#: log_moments_arith drops the grid nodes that have underflowed to 0 once per
+#: this many terms
+_COMPACT_EVERY = 256
 
 
 class MomentTable:
@@ -318,23 +321,31 @@ class MomentTable:
         Uses the recurrence t^{x+step} = t^x * t^step on the shared grid,
         refreshed exactly every few thousand terms so rounding never
         accumulates.  This is what makes deep kernel coefficient tables
-        (hundreds of thousands of degrees) affordable.
+        (hundreds of thousands of degrees) affordable.  Every
+        _COMPACT_EVERY terms the grid nodes whose scaled value is exactly 0
+        are dropped: step_factor <= 1 and the rescale divides, so they stay
+        0 until the next refresh, and deep exponents leave few nodes.
         """
         if count <= 0:
             return np.empty(0)
         g = self._g()
         logt, logw = g["logt_f"], g["logw_f"]
         with np.errstate(under="ignore"):
-            step_factor = np.exp(step * logt)
+            full_step_factor = np.exp(step * logt)
         out = np.empty(count)
         refresh = 16384
         j = 0
         while j < count:
             base = (x0 + j * step) * logt + logw
             scale = base.max()
+            step_factor = full_step_factor
             with np.errstate(under="ignore"):
                 v = np.exp(base - scale)
                 for i in range(min(refresh, count - j)):
+                    if i % _COMPACT_EVERY == 0:
+                        live = v != 0.0
+                        if not live.all():
+                            v, step_factor = v[live], step_factor[live]
                     s = np.add.reduce(v)
                     out[j + i] = scale + math.log(s)
                     if s < 1.0e-120:

@@ -19,6 +19,7 @@ from bergman_lab import analysis
 from bergman_lab.analysis import PROFILE_SPEC, _slice_weight_profile
 from bergman_lab.kernel import _values_many
 from bergman_lab.utils import dyadic_radii, last_quartile_log_slope
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 TIGHT = QuadSpec(tolerance=1e-12, rel_tolerance=1e-10)
@@ -73,6 +74,20 @@ class TestBoundednessFunctional:
                                                     QuadSpec(initial_levels=6))
         assert_allclose(fast, nested, atol=1e-3)
         assert_allclose(fast, 0.968564, rtol=1e-4)
+
+    def test_n1_weight_singular_at_rim(self):
+        """standard(-0.9), n = 1, r = 1/2: the integrand reads the weight at
+        the distance from the rim, so bisecting toward s = 1 never evaluates
+        rho(1.0).  Checked against scipy's quad with the algebraic end
+        weight (1-s)^alpha over the same circle means, to the profile rule's
+        relative tolerance."""
+        alpha, r = -0.9, 0.5
+        w = RadialWeight.standard(alpha)
+        k = build_coeffs(MomentTable(w), 1, d_max=1 << 19)
+        value = boundedness_functional(k, w, r)
+        ref, _ = quad(lambda s: 2 * s * (1 + s) ** alpha * rk_circle_mean(k, r * s, 1e-7),
+                      0.0, 1.0, weight="alg", wvar=(0.0, alpha), epsabs=1e-13, epsrel=1e-10)
+        assert_allclose(value, (1 - r * r) * ref, rtol=PROFILE_SPEC.rel_tolerance)
 
     def test_nested_series_route_agrees(self, coeffs_std0_n2, weights):
         """Same cross-check against the literal composition with the kernel
@@ -131,12 +146,13 @@ def _per_node_functional(k, w, r, profile=_slice_weight_profile):
     """The functional as one float circle mean per integrand node."""
     q = PROFILE_SPEC
     if k.n == 1:
-        def f(s):
-            s = np.atleast_1d(s)
+        def f_dist(u):
+            u = np.atleast_1d(u)
+            s = 1.0 - u
             means = np.array([rk_circle_mean(k, float(r * si), 1e-7) for si in s])
-            return 2.0 * s * w(s) * means
+            return 2.0 * s * w.eval_at_one_minus(u) * means
 
-        return (1.0 - r * r) * integrate_radial(f, q)[0]
+        return (1.0 - r * r) * integrate_radial(f_dist=f_dist, spec=q)[0]
 
     def f(v):
         v = np.atleast_1d(v)

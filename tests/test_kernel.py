@@ -273,6 +273,47 @@ class TestCircleMean:
         assert_allclose(rk_circle_mean(coeffs_std0_n2, xi, tol=1e-12), direct,
                         rtol=1e-8)
 
+    @pytest.mark.parametrize("key, xi", [("std0", 1.0 - 2.0 ** -10), ("exp11", 0.97)])
+    def test_deep_radius_against_direct_trapezoid(self, tables, key, xi):
+        """At a deep radius, the half-circle real FFTs started from the
+        certified degree give the plain trapezoid mean over the full circle
+        at the node count where they settle.  The oracle evaluates the
+        polynomial at every node with polyval and applies the same stop
+        rule; each coarser grid is a subsample of the finest."""
+        tol = 1e-8
+        k = build_coeffs(tables[key], 2, d_max=1 << 19)
+        D, scale, gamma, _ = _terms(k, xi, tol, 1)
+        start = 256
+        while 2 * start < D + 1:
+            start *= 2
+        top = 4 * start
+        vals = np.abs(np.polynomial.polynomial.polyval(
+            np.exp(2j * np.pi * np.arange(top) / top), gamma))
+        means = [float(np.mean(vals[::top // n_nodes])) for n_nodes in (start, 2 * start, top)]
+        settled = next(j for j in (1, 2) if abs(means[j] - means[j - 1]) <= tol * means[j])
+        assert_allclose(rk_circle_mean(k, xi, tol), means[settled] * math.exp(scale),
+                        rtol=1e-7)
+
+    @pytest.mark.parametrize("xi, degree", [(0.91529, 300), (0.9947, 5000), (0.99956, 60000)])
+    def test_started_at_degree_matches_start_at_256(self, coeffs_std0_n2, xi, degree):
+        """Starting the doubling at (D+1)/2 nodes skips only levels that alias
+        the terms: the mean agrees within tol with the inverse-FFT doubling
+        from 256 nodes, written out here."""
+        tol = 1e-8
+        D, scale, gamma, _ = _terms(coeffs_std0_n2, xi, tol, 1)
+        assert abs(D - degree) <= 0.01 * degree
+        prev, n_nodes = None, 256
+        while True:
+            folded = np.zeros(-(-gamma.size // n_nodes) * n_nodes)
+            folded[:gamma.size] = gamma
+            wrapped = folded.reshape(-1, n_nodes).sum(axis=0)
+            cur = float(np.mean(np.abs(np.fft.ifft(wrapped) * n_nodes)))
+            if prev is not None and abs(cur - prev) <= tol * cur:
+                break
+            prev, n_nodes = cur, 2 * n_nodes
+        value = rk_circle_mean(coeffs_std0_n2, xi, tol)
+        assert abs(value - cur * math.exp(scale)) <= tol * value
+
 
 class TestValuesManyRange:
     @pytest.mark.parametrize("m", [0, 1])
@@ -294,6 +335,25 @@ class TestValuesManyRange:
         # its digits past that cancel, so compare on that scale
         assert abs(refs[1]) < 1e-11 * abs(refs[0])
         assert abs(vals[1] - refs[1]) <= 1e-12 * abs(refs[0])
+
+
+class TestSeriesAtCancellation:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_one_point_against_exact_phase_sum(self, tables, m):
+        """exp11, n = 2, t = 0.995i: the series cancels to about 1e-12 of
+        the sum of its term magnitudes.  The one-point sum (power recursion)
+        must match the exactly rounded sum of the same certified terms times
+        i^d to 1e-6; summing gamma_d cos(d theta) and gamma_d sin(d theta)
+        was 2.5e-3 off."""
+        tol = 1e-13
+        k = build_coeffs(tables["exp11"], 2, d_max=1 << 19, initial=1 << 17)
+        D, scale, gamma, _ = _terms(k, 0.995, tol, m)
+        signs = np.where(np.arange(D + 1) % 4 < 2, 1.0, -1.0)  # i^d is signs_d or i signs_d
+        exact = complex(math.fsum(gamma[0::2] * signs[0::2]),
+                        math.fsum(gamma[1::2] * signs[1::2]))
+        value, info = _series_at(k, 0.995j, tol, m)
+        assert info.degree_used == D
+        assert abs(value * math.exp(-scale) - exact) <= 1e-6 * abs(exact)
 
 
 class TestCertifyPrefix:

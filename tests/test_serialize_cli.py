@@ -297,6 +297,25 @@ class TestCliBadInput:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("missing", ["weight", "symbol", "samples-csv"])
+    def test_missing_file_error_line(self, weight_file, tmp_path, missing):
+        """A descriptor or samples file that cannot be read is bad input:
+        an error: line naming it and exit 1."""
+        gone = tmp_path / "no" / "such.json"
+        weight, command = weight_file, ["diagnose"]
+        if missing == "weight":
+            weight = gone
+        elif missing == "symbol":
+            command = ["project", "--symbol", str(gone)]
+        else:
+            weight = tmp_path / "tab.json"
+            weight.write_text(json.dumps({"kind": "tabulated", "samples_csv": "no/such.csv"}))
+        proc = _run_cli([*command, "--weight", str(weight), "--kmax", "2"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "such." in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def test_diagnose_exponential_excludes_underflowed_tails(tmp_path):
     """exp(-1/(1-r)) tails underflow at r = 1 - 1/x for x >= 1024: those x

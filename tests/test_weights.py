@@ -248,6 +248,21 @@ class TestMoments:
         lb = t.log_moments(3.0 + 2.0 * idx)
         assert_allclose(la[idx], lb, atol=1e-11)
 
+    def test_arith_progression_deep_exponential(self, tables):
+        """exp11 up to x = 2^20, where all but a few dozen grid nodes
+        underflow against the largest and the recurrence drops them."""
+        t = tables["exp11"]
+        count = 1 << 19
+        la = t.log_moments_arith(1.0, 2.0, count)
+        idx = np.r_[np.arange(0, count, 997), count - 1]
+        x = 1.0 + 2.0 * idx
+        lb = t.log_moments(x)
+        assert_allclose(la[idx], lb, rtol=1e-12)
+        g = t._g()
+        base = x[-1] * g["logt_f"] + g["logw_f"]
+        with np.errstate(under="ignore"):
+            assert np.count_nonzero(np.exp(base - base.max())) < base.size // 10
+
 
 class TestDhatTail:
     def test_constant_weight_exact_constant(self, weights):
