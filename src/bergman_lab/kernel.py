@@ -25,18 +25,25 @@ is certified by the sharper of two geometric envelopes: the moment lower
 bound rho_s >= C_eps (1-eps)^s with eps = (1-|t|)/2 (valid for every radial
 weight), or the observed decay ratio of the computed terms (valid once term
 ratios decrease, which holds past the peak for all weight families here;
-the doubling-stability property test guards it).  The ratio test scans
-prefixes of the coefficient table that double from 512 degrees, so
-certification reads only the degrees it needs, and D does not depend on
-how far an earlier call grew the table.  One point and arrays of points
-alike are summed by the power recursion x^d = x^{d-1} x; each result is
-multiplied back by e^scale, so only one beyond double range fails.  Circle
-means take an array of radii at once: the radii are certified together,
-in order.  Each mean takes one real FFT per angle level on the half circle
-(|p| is even in the angle, the terms being real), first level from D: the
-grid starts at no fewer than (D+1)/2 nodes.  The radii whose mean has not
-settled at a level share that level's FFT, in blocks of at most
-_BLOCK_ELEMENTS.
+the doubling-stability property test guards it).  The largest ratio of
+consecutive terms over the 16 degrees before D is the table's ratio
+envelope at D times |t|, so the envelope is formed once per range of
+degrees for every |t| scanned there.  Each published table keeps log d,
+the envelope over its first _ENVELOPE_HEAD degrees, and an index of the
+envelope's minima, from which each |t| finds its onset, the block where
+its ratio can first fall below 1; before it a row only adds its terms up.  The tail is tested against partial sums of the terms scaled
+by their running maximum: linear arithmetic, no logarithm per degree, and
+log space only where those sums underflow.  D reads only degrees <= D, so
+it does not depend on how far an earlier call grew the table.
+
+One point and arrays of points alike are summed by the power recursion
+x^d = x^{d-1} x; each result is multiplied back by e^scale, so only one
+beyond double range fails.  Circle means take an array of radii at once:
+the radii are certified together, in order.  Each mean takes one real FFT
+per angle level on the half circle (|p| is even in the angle, the terms
+being real), first level from D: the grid starts at no fewer than (D+1)/2
+nodes.  The radii whose mean has not settled at a level share that level's
+FFT, in blocks of at most _BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -68,12 +75,24 @@ __all__ = [
 
 _LOG_MAX = 709.0
 _RATIO_WINDOW = 16
-#: degrees in the first prefix the ratio test scans; later prefixes double
+#: the ratio test needs the window's largest log ratio below this
+_DECAY = -1.0e-12
+#: degrees in the first range the ratio test scans; later ranges double
 _CERTIFY_PREFIX = 512
+#: degrees per block of the ratio envelope's index of minima (it divides
+#: _BLOCK_ELEMENTS)
+_ENVELOPE_BLOCK = 256
+#: degrees over which a table keeps its ratio envelope: shallow |t|, one
+#: at a time, certify below it; deeper ranges form theirs for all their rows
+_ENVELOPE_HEAD = 1 << 14
+#: where the linear ratio test's right-hand side falls below this, the
+#: scaled partial sums may have underflowed: that range is tested in log space
+_TINY = 1.0e-290
 #: head moments log rho_{2n-1+2d}, d < _EPS_HEAD, fix the moment envelope
 _EPS_HEAD = 65
 #: elements in one (rows x degrees) or (rows x angles) block when many |t|
 #: are certified or circle means taken at once; a single row may exceed it
+#: when circle means are taken
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -86,12 +105,27 @@ class KernelEvalInfo:
     tail_bound_abs: float
 
 
+@dataclass(frozen=True)
+class _Table:
+    """One published size of a coefficient table: log c_d and log d for the
+    degrees d below its size, and for degree weight m = 0, 1 the index of
+    its ratio envelope (_envelope_index): floors[m], and heads[m], the
+    envelope over the first _ENVELOPE_HEAD degrees."""
+
+    log_c: np.ndarray
+    log_d: np.ndarray
+    floors: tuple
+    heads: tuple
+
+
 class KernelCoeffs:
     """Log-space kernel coefficients log c_d for degrees 0..d_max.
 
     Construction is lazy: an initial block is built and the table grows by
     doubling, under a lock, whenever an evaluation needs deeper degrees.
-    Extension is idempotent, so concurrent readers are safe.
+    Each growth publishes one new _Table, so a reader always sees arrays
+    and envelope index of one size.  Extension is idempotent, so concurrent
+    readers are safe.
     """
 
     def __init__(self, table: MomentTable, n: int, d_max: int = 4096,
@@ -104,17 +138,17 @@ class KernelCoeffs:
         self.n = n
         self.d_max = d_max
         self._lock = threading.RLock()
-        self._log_coeffs = np.empty(0)
+        self._table = _Table(np.empty(0), np.empty(0), (), ())
         self._head_log_moms = np.empty(0)
         self.ensure(min(initial, d_max) + 1)
 
     @property
     def built(self) -> int:
-        return self._log_coeffs.size
+        return self._table.log_c.size
 
     @property
     def log_coeffs(self) -> np.ndarray:
-        return self._log_coeffs
+        return self._table.log_c
 
     def ensure(self, count: int):
         """Grow the table to at least `count` coefficients (capped at d_max+1)."""
@@ -124,20 +158,36 @@ class KernelCoeffs:
         with self._lock:
             if self.built >= count:
                 return
-            lo = self.built
+            old = self._table
+            lo = old.log_c.size
             n = self.n
             new_moms = self.table.log_moments_arith(2 * n - 1 + 2 * lo, 2.0, count - lo)
             d = np.arange(lo, count, dtype=float)
-            new_coeffs = (gammaln(d + n) - gammaln(d + 1) - gammaln(n + 1)
-                          - math.log(2.0) - new_moms)
+            # gammaln(d + n) - gammaln(d + 1) - gammaln(n + 1) - log 2 - moments,
+            # in place: the largest growth holds few arrays of its size at once
+            coeffs = d + n
+            gammaln(coeffs, out=coeffs)
+            tmp = d + 1
+            coeffs -= gammaln(tmp, out=tmp)
+            del tmp
+            coeffs -= gammaln(n + 1)
+            coeffs -= math.log(2.0)
+            coeffs -= new_moms
             head = self._head_log_moms
             self._head_log_moms = np.concatenate(
                 [head, new_moms[:_EPS_HEAD - head.size]])
-            self._log_coeffs = np.concatenate([self._log_coeffs, new_coeffs])
+            del new_moms
+            log_c = np.concatenate([old.log_c, coeffs])
+            del coeffs
+            with np.errstate(divide="ignore"):  # log 0 = -inf
+                log_d = np.concatenate([old.log_d, np.log(d, out=d)])
+            del d
+            floors, heads = zip(*(_envelope_index(log_c, log_d, m) for m in (0, 1)))
+            self._table = _Table(log_c, log_d, floors, heads)
 
     def log_c(self, d: int) -> float:
         self.ensure(d + 1)
-        return float(self._log_coeffs[d])
+        return float(self._table.log_c[d])
 
 
 def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
@@ -150,20 +200,20 @@ def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
 # Truncation machinery
 # ----------------------------------------------------------------------
 
-def _log_terms(log_c: np.ndarray, log_t, degree_weight: int, lo: int = 0) -> np.ndarray:
+def _log_terms(log_c: np.ndarray, log_d: np.ndarray, log_t, degree_weight: int,
+               lo: int = 0) -> np.ndarray:
     """log |term_d| = log c_d + m log d + d log|t| for d = lo, lo+1, ...,
-    where log_c holds log c_d from degree lo on.
+    where log_c and log_d hold log c_d and log d from degree lo on.
 
     Certification reads only the degrees it scans.  log_t is log|t| from
     math.log, or a column of them for a block with one row per |t|.
     degree_weight m = 0 for the kernel itself, 1 for the radial-derivative
-    series sum d c_d t^d.  Degree 0 of the m = 1 series is -inf (callers
-    ignore divide warnings).
+    series sum d c_d t^d.  Degree 0 of the m = 1 series is -inf.
     """
-    d = np.arange(lo, lo + log_c.size, dtype=float)
-    out = log_c + d * log_t
+    out = np.arange(lo, lo + log_c.size, dtype=float) * log_t
+    out += log_c
     if degree_weight:
-        out = out + degree_weight * np.log(d)
+        out += log_d
     return out
 
 
@@ -198,65 +248,187 @@ def _epsilon_tail_log(k: KernelCoeffs, abs_t: float, D: int, degree_weight: int)
             + (D + 1) * math.log(q) - math.log1p(-kappa))
 
 
-def _ratio_scan(log_c: np.ndarray, log_ts: list, log_tol: float, degree_weight: int):
-    """The ratio test for one row of terms per log|t| in log_ts, over
-    prefixes of log_c that double from _CERTIFY_PREFIX degrees.
+def _ratio_range(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int,
+                 lo: int, hi: int) -> np.ndarray:
+    """The ratio envelope of degree weight m at D = lo..hi-1.
 
-    Returns one (D, tail_log, cum) per row: the first degree at which the
-    test certifies (None where no prefix does), its log tail bound, and the
-    log partial sum through D (through the last degree of log_c where D is
-    None).  The verdict at D reads only degrees <= D (the ratio window ends
-    at D and the partial sums run in order), so the first hit in a prefix
-    is the first hit in the whole table.  Each doubling therefore tests
-    only its new degrees: their terms, the window's reach back, and the
-    partial sums carried on from the previous prefix.  A row leaves the
-    scan at its hit; the rest go on in blocks of rows under
-    _BLOCK_ELEMENTS.  Callers ignore invalid and divide warnings.
+    ratio[D] is the largest ratio c_{d+1} (d+1)^m / (c_d d^m) over the
+    window d = D-16..D-1 (+inf for D < 16), so ratio[D] |t| is the largest
+    ratio of consecutive terms at |t| in the window ending at D: one
+    envelope serves every |t|.  It reads degrees <= D only.  Callers
+    ignore overflow and invalid warnings.
     """
-    n_built = log_c.size
+    first = max(lo - _RATIO_WINDOW, 0)
+    c, d = log_c[first:hi], log_d[first:hi]
+    steps = c[1:] - c[:-1]
+    if degree_weight:
+        steps += d[1:] - d[:-1]
+    window = _window_max(steps)  # D = hi - window.size .. hi - 1
+    del steps
+    out = np.empty(hi - lo)
+    pad = out.size - window.size
+    out[:pad] = np.inf
+    np.exp(window, out=out[pad:])
+    return out
+
+
+def _envelope_index(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int):
+    """(floor, head) for the ratio envelope of degree weight m, formed in
+    ranges under _BLOCK_ELEMENTS: floor[b] is its least value over blocks
+    0..b of _ENVELOPE_BLOCK degrees, and head the envelope itself over the
+    first _ENVELOPE_HEAD degrees."""
+    size = log_c.size
+    least = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, size, _BLOCK_ELEMENTS):
+            ratio = _ratio_range(log_c, log_d, degree_weight, lo,
+                                 min(lo + _BLOCK_ELEMENTS, size))
+            if lo == 0:
+                head = ratio[:_ENVELOPE_HEAD].copy()
+            least.append(np.fmin.reduceat(
+                ratio, np.arange(0, ratio.size, _ENVELOPE_BLOCK)))
+    return np.fmin.accumulate(np.concatenate(least)), head
+
+
+def _tail_log(table: _Table, log_t: float, degree_weight: int, D: int,
+              lt=None) -> float:
+    """log of the ratio test's tail bound past D: term_D rhat / (1 - rhat),
+    rhat the largest ratio of consecutive terms over the window ending at
+    D, taken from the log terms lt of degrees D-16..D (formed here if
+    None)."""
+    if lt is None:
+        lo = D - _RATIO_WINDOW
+        lt = _log_terms(table.log_c[lo:D + 1], table.log_d[lo:D + 1], log_t,
+                        degree_weight, lo)
+    rhat = (lt[1:] - lt[:-1]).max(keepdims=True)
+    return float((lt[-1:] + rhat - np.log1p(-np.exp(rhat)))[0])
+
+
+def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
+                degree_weight: int):
+    """The ratio test on one published table, one row per |t| in abs_ts
+    (log|t| in log_ts).
+
+    Returns one (D, tail_log, sum_log) per row: the first degree at which
+    the test certifies (None where none does), its log tail bound, and the
+    log partial sum through D (through the table's last degree where D is
+    None).  The test at D: rho = ratio[D] |t| (_ratio_range) is below
+    e^_DECAY, and term_D rho <= tol (1 - rho) sum_{d<=D} term_d, the
+    log-space test tail <= tol * partial sum.  A row cannot pass before its
+    onset, the first block of the table's envelope index holding a ratio
+    below e^_DECAY / |t|; in a range before it the row only adds its terms.
+
+    Rows go together through ranges of degrees that double from
+    _CERTIFY_PREFIX, at most _BLOCK_ELEMENTS wide, in blocks of rows under
+    _BLOCK_ELEMENTS, each row carrying (scale, total): its partial sum is
+    total e^scale, scale the largest log term so far.  Terms are divided by
+    that running maximum, so the test is linear arithmetic.  A row whose
+    right-hand side falls below _TINY somewhere in a range, where the
+    scaled sums may have underflowed, tests that range in log space.  D
+    reads degrees <= D only, so the first hit in a range is the first in
+    the table; a row leaves at its hit.  Callers ignore invalid and divide
+    warnings.
+    """
+    floor = table.floors[degree_weight]
+    n_built = table.log_c.size
     start = 1 if degree_weight else 0
-    out = [None] * len(log_ts)
-    carry = [None] * len(log_ts)  # log partial sum through degree lo - 1
-    live = list(range(len(log_ts)))
+    abs_t, log_t = np.array(abs_ts), np.array(log_ts)
+    limits = math.exp(_DECAY) / abs_t
     lo, hi = start, min(_CERTIFY_PREFIX, n_built)
+    if n_built - start <= _RATIO_WINDOW + 2:  # too few degrees for the ratio test
+        onset = np.full(abs_t.size, n_built)
+    elif hi == n_built:  # one range: every row is tested in it
+        onset = np.zeros(abs_t.size, dtype=int)
+    else:  # the start of the first block holding a ratio below the row's limit
+        onset = np.searchsorted(-floor, -limits, side="right") * _ENVELOPE_BLOCK
+    scale = np.full(abs_t.size, -np.inf)  # partial sums total e^scale
+    total = np.zeros(abs_t.size)
+    out = [None] * abs_t.size
+    live = np.arange(abs_t.size)
     while True:
-        # terms of degrees first..hi-1; the ratio windows ending at D >= lo
-        # reach back _RATIO_WINDOW degrees, except in the first prefix
-        first = max(start, lo - _RATIO_WINDOW)
-        D0 = first + _RATIO_WINDOW  # the first degree tested
-        missed = []
-        step = max(1, _BLOCK_ELEMENTS // (hi - first))
-        for b in range(0, len(live), step):
-            rows = live[b:b + step]
-            lt = _log_terms(log_c[first:hi], np.array([[log_ts[i]] for i in rows]),
-                            degree_weight, first)
-            if lo == start:
-                cum = np.logaddexp.accumulate(lt, axis=1)
-            else:
-                cum = np.logaddexp.accumulate(np.concatenate(
-                    [[[carry[i]] for i in rows], lt[:, lo - first:]], axis=1), axis=1)[:, 1:]
-            # cum[:, j]: log partial sum through degree lo + j
-            hit = [False] * len(rows)
-            if hi - start > _RATIO_WINDOW + 2:
-                # rhat[:, j]: max log ratio over the window of degrees ending
-                # at D = D0 + j; the tail starts at D+1
-                rhat = _window_max(lt[:, 1:] - lt[:, :-1])
-                tl = lt[:, _RATIO_WINDOW:] + rhat - np.log1p(-np.exp(rhat))
-                ok = (rhat < -1.0e-12) & (tl <= log_tol + cum[:, D0 - lo:])
-                hit, at = ok.any(axis=1).tolist(), ok.argmax(axis=1).tolist()
-            for r, i in enumerate(rows):
-                if hit[r]:
-                    j = at[r]
-                    out[i] = (D0 + j, float(tl[r, j]), cum[r, D0 - lo + j])
+        log_c, log_d = table.log_c[lo:hi], table.log_d[lo:hi]
+        step = max(1, _BLOCK_ELEMENTS // (hi - lo))
+        testing = onset[live] < hi
+        if testing.all():
+            groups = [(live, True)]
+        elif testing.any():
+            groups = [(live[~testing], False), (live[testing], True)]
+        else:
+            groups = [(live, False)]
+        if groups[-1][1]:
+            head = table.heads[degree_weight]
+            env = (head[lo:hi] if hi <= head.size
+                   else _ratio_range(table.log_c, table.log_d, degree_weight, lo, hi))
+        for group, test in groups:
+            for b in range(0, group.size, step):
+                rows = group[b:b + step]
+                lt = _log_terms(log_c, log_d, log_t[rows, None], degree_weight, lo)
+                top = lt.max(axis=1)
+                if lo > start:  # the partial sums from below lo, on the new scale
+                    top = np.maximum(scale[rows], top)
+                    carried = total[rows] * np.exp(scale[rows] - top)
                 else:
-                    carry[i] = cum[r, -1]
-                    missed.append(i)
-        live = missed
+                    carried = np.zeros(rows.size)
+                e = np.exp(lt - top[:, None])
+                if not test:
+                    total[rows], scale[rows] = e.sum(axis=1) + carried, top
+                    continue
+                partial = e.cumsum(axis=1)
+                partial += carried[:, None]
+                ok = env < limits[rows, None]
+                rho = env * abs_t[rows, None]
+                e *= rho
+                rhs = np.subtract(1.0, rho, out=rho)
+                rhs *= partial
+                rhs *= tol
+                risky = (ok & (rhs < _TINY)).any(axis=1).nonzero()[0].tolist()
+                ok &= e <= rhs
+                if risky:
+                    ok[risky] = False
+                hits = {}  # row in the block: (D, log partial sum through D)
+                for r in ok.any(axis=1).nonzero()[0].tolist():
+                    j = int(ok[r].argmax())
+                    hits[r] = (lo + j, float(top[r]) + math.log(partial[r, j]))
+                past = []  # log partial sums of the risky rows through hi - 1
+                for r in risky:
+                    i = rows[r]
+                    j, cum = _log_space_range(
+                        table, log_ts[i], abs_t[i], limits[i], env, tol, degree_weight,
+                        lo, scale[i] + np.log(total[i]))
+                    if j is not None:
+                        hits[r] = (lo + j, float(cum[j]))
+                    past.append(float(cum[-1]))
+                scale[rows], total[rows] = top, partial[:, -1]
+                if past:
+                    scale[rows[risky]], total[rows[risky]] = past, 1.0
+                for r, (D, log_sum) in hits.items():
+                    i, j = rows[r], D - lo
+                    # the window's log terms, where this range holds all of them
+                    window = lt[r, j - _RATIO_WINDOW:j + 1] if j >= _RATIO_WINDOW else None
+                    out[i] = (D, _tail_log(table, log_ts[i], degree_weight, D, window), log_sum)
+        live = [i for i in live.tolist() if out[i] is None]
         if hi == n_built or not live:
             for i in live:
-                out[i] = (None, None, carry[i])
+                out[i] = (None, None, float(scale[i]) + math.log(total[i]))
             return out
-        lo, hi = hi, min(2 * hi, n_built)
+        live = np.array(live)
+        lo, hi = hi, min(2 * hi, hi + _BLOCK_ELEMENTS, n_built)
+
+
+def _log_space_range(table: _Table, log_t: float, abs_t: float, limit: float,
+                     env: np.ndarray, tol: float, degree_weight: int, lo: int,
+                     carry_log: float):
+    """The ratio test of one row at D = lo, lo+1, ... (env the envelope
+    there) in log space, for a range where its scaled partial sums may
+    have underflowed.  Returns (j, cum): j the first D - lo that passes
+    (None if none does), cum the log partial sums through each D;
+    carry_log is the one through lo - 1."""
+    hi = lo + env.size
+    lt = _log_terms(table.log_c[lo:hi], table.log_d[lo:hi], log_t, degree_weight, lo)
+    cum = np.logaddexp.accumulate(np.concatenate([[carry_log], lt]))[1:]
+    rho = env * abs_t
+    ok = (env < limit) & (lt + np.log(rho) - np.log1p(-rho) <= math.log(tol) + cum)
+    return (int(ok.argmax()) if ok.any() else None), cum
 
 
 def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
@@ -283,14 +455,15 @@ def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
     D = [None] * len(abs_ts)
     bound_log = [None] * len(abs_ts)
     sum_log = [None] * len(abs_ts)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         rows = list(range(len(abs_ts)))
         for pending in (rows[:1], rows[1:]):
             while pending:
-                log_c = k.log_coeffs  # read once: another thread may publish a longer table
-                n_built = log_c.size
-                scanned = _ratio_scan(log_c, [log_ts[j] for j in pending], log_tol,
-                                      degree_weight)
+                # one snapshot: another thread may publish a longer table
+                table = k._table
+                n_built = table.log_c.size
+                scanned = _ratio_scan(table, [abs_ts[j] for j in pending],
+                                      [log_ts[j] for j in pending], tol_rel, degree_weight)
                 missed = []
                 for j, (d, tail_log, cum) in zip(pending, scanned):
                     if d is None:
@@ -311,7 +484,7 @@ def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
                     if before_growth is not None:
                         before_growth(j, D)
                     if n_built >= k.d_max + 1:
-                        lt = _log_terms(log_c, log_ts[j], degree_weight)
+                        lt = _log_terms(table.log_c, table.log_d, log_ts[j], degree_weight)
                         scale = float(lt.max())
                         with np.errstate(under="ignore", over="ignore"):
                             partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
@@ -326,13 +499,16 @@ def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
     return D, bound_log, sum_log
 
 
-def _scaled_terms(log_c: np.ndarray, abs_t: float, degree_weight: int):
-    """(scale, gamma): the terms d^m c_d |t|^d over the degrees of log_c,
-    divided by e^scale so that the largest is 1."""
-    with np.errstate(divide="ignore", under="ignore"):
-        lt = _log_terms(log_c, math.log(abs_t), degree_weight)
+def _scaled_terms(log_c: np.ndarray, log_d: np.ndarray, abs_t: float,
+                  degree_weight: int):
+    """(scale, gamma): the terms d^m c_d |t|^d over the degrees of log_c
+    (log_d the logs of those degrees), divided by e^scale so that the
+    largest is 1."""
+    with np.errstate(under="ignore"):
+        lt = _log_terms(log_c, log_d, math.log(abs_t), degree_weight)
         scale = float(lt.max())
-        return scale, np.exp(lt - scale)
+        lt -= scale
+        return scale, np.exp(lt, out=lt)
 
 
 def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
@@ -344,7 +520,8 @@ def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
     """
     (D,), (bound_log,), (sum_log,) = _certify(k, [amax], tol, m)
     bound_log = min(bound_log, _epsilon_tail_log(k, amax, D, m))
-    scale, gamma = _scaled_terms(k.log_coeffs[:D + 1], amax, m)
+    table = k._table
+    scale, gamma = _scaled_terms(table.log_c[:D + 1], table.log_d[:D + 1], amax, m)
     return D, scale, gamma, math.exp(bound_log - sum_log)
 
 
@@ -510,6 +687,22 @@ def _first_level(D: int, start_nodes: int, max_nodes: int) -> int:
     return n_nodes
 
 
+def _wrapped(gammas: list, n_nodes: int) -> np.ndarray:
+    """The term tables folded onto an n_nodes grid, one row each: degrees d
+    and d + n_nodes alias.  Rows end at the longest table; the real FFT
+    pads them with zeros to n_nodes."""
+    out = np.zeros((len(gammas), min(n_nodes, max(gamma.size for gamma in gammas))))
+    for row, gamma in zip(out, gammas):
+        if gamma.size <= n_nodes:
+            row[:gamma.size] = gamma
+        else:
+            folds = -(-gamma.size // n_nodes)
+            padded = np.zeros(folds * n_nodes)
+            padded[:gamma.size] = gamma
+            row[:] = padded.reshape(folds, n_nodes).sum(axis=0)
+    return out
+
+
 def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
     """Trapezoid means of |sum_d gamma_d e^{i d theta}| for each term table in
     gammas, on angle grids doubled from first[i] nodes until two levels
@@ -531,17 +724,9 @@ def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
         step = max(1, _BLOCK_ELEMENTS // n_nodes)
         for b in range(0, len(live), step):
             rows = live[b:b + step]
-            wrapped = np.zeros((len(rows), n_nodes))
-            for out, i in zip(wrapped, rows):
-                gamma = gammas[i]
-                if gamma.size <= n_nodes:
-                    out[:gamma.size] = gamma
-                else:  # fold the terms onto the grid: degrees d and d + n_nodes alias
-                    folds = -(-gamma.size // n_nodes)
-                    padded = np.zeros(folds * n_nodes)
-                    padded[:gamma.size] = gamma
-                    out[:] = padded.reshape(folds, n_nodes).sum(axis=0)
-            half = np.abs(np.fft.rfft(wrapped, axis=1))
+            # the folded terms are freed before the spectrum's moduli are taken
+            half = np.abs(np.fft.rfft(_wrapped([gammas[i] for i in rows], n_nodes),
+                                      n=n_nodes, axis=1))
             # |R_j| for 0 < j < N/2 stands for the nodes j and N - j
             total = half[:, 0] + 2.0 * np.add.reduce(half[:, 1:(n_nodes + 1) // 2], axis=1)
             if n_nodes % 2 == 0:
@@ -563,7 +748,7 @@ def _circle_means(k: KernelCoeffs, xs: list, D: list, tol: float,
     term tables are built for blocks of consecutive radii whose degrees sum
     to at most _BLOCK_ELEMENTS; the first radius in order that fails raises
     what it raises alone."""
-    log_c = k.log_coeffs
+    table = k._table
     out = np.empty(len(xs))
     lo = 0
     while lo < len(xs):
@@ -571,7 +756,8 @@ def _circle_means(k: KernelCoeffs, xs: list, D: list, tol: float,
         while hi < len(xs) and size + D[hi] + 1 <= _BLOCK_ELEMENTS:
             size += D[hi] + 1
             hi += 1
-        terms = [_scaled_terms(log_c[:D[i] + 1], xs[i], 1) for i in range(lo, hi)]
+        terms = [_scaled_terms(table.log_c[:D[i] + 1], table.log_d[:D[i] + 1], xs[i], 1)
+                 for i in range(lo, hi)]
         first = [_first_level(D[i], start_nodes, max_nodes) for i in range(lo, hi)]
         means, prev = _fft_levels([g for _, g in terms], first, tol, max_nodes)
         for i, (scale, _) in enumerate(terms):

@@ -233,6 +233,10 @@ class MomentTable:
     rapidly decaying weights come out with full relative accuracy even when
     their linear value underflows.
 
+    The mass past u = 2^-80 enters every moment as the geometric
+    continuation of the last two tail octaves when they decrease: a weight
+    singular at the rim, such as (1-r^2)^-0.99, keeps a large share there.
+
     Scalar lookups are memoized in `entries` (value, abs error estimate);
     the estimate is the deviation from an embedded half-order rule plus a
     bound on the mass beyond the deepest octave.
@@ -276,11 +280,19 @@ class MomentTable:
                 lt.append(np.log1p(-u))
                 lw.append(np.log(half * wq) + self.weight.log_eval_at_one_minus(u))
             tail_logmass.append(logsumexp(lw_f[-1]))
-        # unresolved slivers enter the error estimate only: past the deepest
-        # tail octave (t^x <= 1 there), and below the deepest head octave
-        # (t^x <= t <= 2^-_HEAD_DEPTH there)
+        # the mass past the deepest tail octave (t^x = 1 there to within
+        # x 2^-_GRID_DEPTH) is added to every moment: the last two octaves'
+        # masses continued as a geometric series, when they decrease.  A
+        # weight singular at the rim keeps much of its mass there
         m1, m2 = tail_logmass[-1], tail_logmass[-2]
-        ldiff = min(m1 - m2, -0.05)
+        step = m1 - m2
+        if math.isfinite(m1) and step < 0.0:
+            beyond_log = m1 + step - math.log1p(-math.exp(step))
+        else:
+            beyond_log = -math.inf
+        # the error estimate bounds that mass (its ratio clipped), and the
+        # sliver below the deepest head octave (t^x <= t <= 2^-_HEAD_DEPTH)
+        ldiff = min(step, -0.05)
         if math.isfinite(m1) and math.isfinite(ldiff):
             sliver_log = m1 + ldiff - math.log1p(-math.exp(ldiff))
         else:
@@ -291,6 +303,7 @@ class MomentTable:
                 "logt_f": np.concatenate(lt_f), "logw_f": np.concatenate(lw_f),
                 "logt_h": np.concatenate(lt_h), "logw_h": np.concatenate(lw_h),
                 "sliver": math.exp(sliver_log) + math.exp(head_sliver_log),
+                "beyond": beyond_log,
             }
 
     def _g(self):
@@ -313,7 +326,7 @@ class MomentTable:
             xb = xs[i:i + block, None]
             out[i:i + block] = logsumexp(xb * g["logt_f"][None, :] + g["logw_f"][None, :],
                                          axis=1)
-        return out
+        return np.logaddexp(out, g["beyond"], out=out)
 
     def log_moments_arith(self, x0: float, step: float, count: int) -> np.ndarray:
         """log rho_x along the arithmetic progression x0, x0+step, ...
@@ -353,7 +366,7 @@ class MomentTable:
                         scale += math.log(s)
                     v *= step_factor
             j += min(refresh, count - j)
-        return out
+        return np.logaddexp(out, g["beyond"], out=out)
 
     # -- scalar API -------------------------------------------------------
 
@@ -365,8 +378,8 @@ class MomentTable:
             if x in self.entries:
                 return self.entries[x]
         g = self._g()
-        lf = logsumexp(x * g["logt_f"] + g["logw_f"])
-        lh = logsumexp(x * g["logt_h"] + g["logw_h"])
+        lf, lh = np.logaddexp([logsumexp(x * g["logt_f"] + g["logw_f"]),
+                               logsumexp(x * g["logt_h"] + g["logw_h"])], g["beyond"])
         with np.errstate(under="ignore", over="ignore"):
             value = math.exp(lf)
         err = abs(value * -math.expm1(lh - lf)) + g["sliver"]

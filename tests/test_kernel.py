@@ -1,6 +1,8 @@
 """Kernel series construction, evaluation, truncation control, derivatives."""
 
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,8 +13,11 @@ from bergman_lab import (BallPoint, MomentTable, RadialWeight, TruncationError,
                          build_coeffs, eval_disk_kernel_deriv, eval_g,
                          eval_kernel, eval_rk, inner, integrate_ball_radial,
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
-from bergman_lab.kernel import (_BLOCK_ELEMENTS, _RATIO_WINDOW, _series_at, _terms,
-                                 _values_many, _window_max, kernel_values_many)
+from bergman_lab import kernel
+from bergman_lab.kernel import (_BLOCK_ELEMENTS, _ENVELOPE_BLOCK, _ENVELOPE_HEAD,
+                                 _RATIO_WINDOW, _certify,
+                                 _envelope_index, _series_at, _terms, _values_many,
+                                 _window_max, kernel_values_many)
 
 
 def _pair(t, n=2):
@@ -315,6 +320,20 @@ class TestCircleMean:
         assert abs(value - cur * math.exp(scale)) <= tol * value
 
 
+class TestCircleMeanSingularWeight:
+    @pytest.mark.parametrize("xi", [0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_n1_against_closed_form(self, xi):
+        """standard(-0.9), n = 1: R K = (a+1)(a+2) t (1-t)^-(a+3) on the disc,
+        so its circle mean is the mean of that closed form over a fine angle
+        grid.  The moments must carry the weight's mass past u = 2^-80,
+        about 0.4% of each."""
+        alpha = -0.9
+        k = build_coeffs(MomentTable(RadialWeight.standard(alpha)), 1, d_max=1 << 14)
+        t = xi * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        exact = np.mean(np.abs((alpha + 1) * (alpha + 2) * t * (1 - t) ** -(alpha + 3)))
+        assert abs(rk_circle_mean(k, xi, 1e-10) - exact) <= 1e-6 * exact
+
+
 class TestValuesManyRange:
     @pytest.mark.parametrize("m", [0, 1])
     def test_array_path_matches_scalar_past_double_range_coefficients(self, tables, m):
@@ -374,6 +393,23 @@ class TestCertifyPrefix:
             D2, scale2, gamma2, tail2 = _terms(grown, t, 1e-10, m)
             assert (D, scale, tail) == (D2, scale2, tail2), t
             assert gamma.tobytes() == gamma2.tobytes(), t
+
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    def test_cached_log_d_matches_per_row_logs(self, tables, key):
+        """The term tables read log d from the table's cache; their bytes
+        equal terms formed with log d taken for the row, on a fresh table and
+        on one grown in steps past 2^17 degrees."""
+        grown = build_coeffs(tables[key], 2, d_max=1 << 19)
+        while grown.built < 1 << 17:
+            grown.ensure(2 * grown.built)
+        for k in (build_coeffs(tables[key], 2, d_max=1 << 19), grown):
+            for t in (0.3, 0.9, 0.99):
+                D, scale, gamma, _ = _terms(k, t, 1e-10, 1)
+                d = np.arange(D + 1, dtype=float)
+                with np.errstate(divide="ignore"):
+                    lt = k.log_coeffs[:D + 1] + d * math.log(t) + np.log(d)
+                assert scale == lt.max()
+                assert gamma.tobytes() == np.exp(lt - scale).tobytes(), t
 
     def test_window_max_matches_sliding_window(self, rng):
         x = rng.normal(size=300)
@@ -476,3 +512,245 @@ def test_nonfinite_tolerance_rejected_before_growth(tables, tol):
         with pytest.raises(ValueError, match="finite positive"):
             call()
         assert k.built == built
+
+
+# ----------------------------------------------------------------------
+# The ratio test against its log-space form
+# ----------------------------------------------------------------------
+
+def _oracle_log_terms(log_c, log_t, degree_weight, lo=0):
+    d = np.arange(lo, lo + log_c.size, dtype=float)
+    out = log_c + d * log_t
+    if degree_weight:
+        out = out + degree_weight * np.log(d)
+    return out
+
+
+def _oracle_ratio_scan(log_c, log_ts, log_tol, degree_weight):
+    """The log-space ratio test over prefixes that double from 512 degrees,
+    partial sums by np.logaddexp.accumulate: one (D, tail_log, cum) per row,
+    (None, None, log partial sum of the table) where no prefix certifies."""
+    n_built = log_c.size
+    start = 1 if degree_weight else 0
+    out = [None] * len(log_ts)
+    carry = [None] * len(log_ts)
+    live = list(range(len(log_ts)))
+    lo, hi = start, min(512, n_built)
+    while True:
+        first = max(start, lo - _RATIO_WINDOW)
+        D0 = first + _RATIO_WINDOW
+        missed = []
+        for i in live:
+            lt = _oracle_log_terms(log_c[first:hi], log_ts[i], degree_weight, first)
+            if lo == start:
+                cum = np.logaddexp.accumulate(lt)
+            else:
+                cum = np.logaddexp.accumulate(np.concatenate([[carry[i]], lt[lo - first:]]))[1:]
+            hit = False
+            if hi - start > _RATIO_WINDOW + 2:
+                rhat = _window_max(lt[1:] - lt[:-1])
+                tl = lt[_RATIO_WINDOW:] + rhat - np.log1p(-np.exp(rhat))
+                ok = (rhat < -1.0e-12) & (tl <= log_tol + cum[D0 - lo:])
+                hit, j = bool(ok.any()), int(ok.argmax())
+            if hit:
+                out[i] = (D0 + j, float(tl[j]), float(cum[D0 - lo + j]))
+            else:
+                carry[i] = cum[-1]
+                missed.append(i)
+        live = missed
+        if hi == n_built or not live:
+            for i in live:
+                out[i] = (None, None, float(carry[i]))
+            return out
+        lo, hi = hi, min(2 * hi, n_built)
+
+
+def _oracle_certify(k, abs_ts, tol_rel, degree_weight):
+    """Certification as one log-space ratio scan per row, in order, with
+    the epsilon envelope and growth as the package takes them."""
+    log_tol = math.log(tol_rel)
+    abs_ts = [float(t) for t in abs_ts]
+    log_ts = [math.log(t) for t in abs_ts]
+    D, bound_log, sum_log = [], [], []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(len(abs_ts)):
+            while True:
+                log_c = k.log_coeffs
+                n_built = log_c.size
+                d, tail_log, cum = _oracle_ratio_scan(log_c, [log_ts[j]], log_tol,
+                                                      degree_weight)[0]
+                if d is not None:
+                    break
+                eps_log = kernel._epsilon_tail_log(k, abs_ts[j], n_built - 1, degree_weight)
+                if eps_log <= log_tol + cum:
+                    d, tail_log = n_built - 1, eps_log
+                    break
+                if n_built >= k.d_max + 1:
+                    lt = _oracle_log_terms(log_c, log_ts[j], degree_weight)
+                    scale = float(lt.max())
+                    with np.errstate(under="ignore", over="ignore"):
+                        partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
+                    raise TruncationError(
+                        f"tail not certified below {tol_rel:.1e} within "
+                        f"d_max={k.d_max} at |t|={abs_ts[j]:.6g}",
+                        partial_sum=partial, degree_used=n_built - 1,
+                        tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
+                k.ensure(min(2 * n_built, k.d_max + 1))
+            D.append(d)
+            bound_log.append(tail_log)
+            sum_log.append(cum)
+    return D, bound_log, sum_log
+
+
+def _certified(call):
+    """What a certification returns, or what it raises, to compare."""
+    try:
+        return call()
+    except TruncationError as exc:
+        return (str(exc), exc.partial_sum, exc.degree_used, exc.tail_bound)
+
+
+def _assert_same_certification(got, expected):
+    if isinstance(expected[0], str):
+        assert got == expected
+        return
+    assert got[0] == expected[0]
+    for a, b in zip(got[1] + got[2], expected[1] + expected[2]):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+ORACLE_WEIGHTS = {
+    "std0": lambda: RadialWeight.standard(0.0),
+    "std2": lambda: RadialWeight.standard(2.0),
+    "log0": lambda: RadialWeight.logarithmic(0.0),
+    "exp11": lambda: RadialWeight.exponential(1.0, 1.0),
+    "std-0.5": lambda: RadialWeight.standard(-0.5),
+    "tabulated": lambda: RadialWeight.tabulated(
+        [[r, 1 - r * r] for r in [*np.linspace(0.0, 0.98, 12), 0.99, 0.995, 0.999]]),
+}
+ORACLE_TS = [1e-3, 0.05, 0.3, 0.6, 0.9, 0.97, 0.99, 0.999, 1.0 - 2.0 ** -12]
+
+
+class _MemoMoments:
+    """A moment table whose log_moments_arith replays an earlier call with
+    the same arguments, so that two tables grown alike cost one."""
+
+    def __init__(self, table):
+        self.table, self.memo = table, {}
+
+    def log_moments_arith(self, x0, step, count):
+        key = (x0, step, count)
+        if key not in self.memo:
+            self.memo[key] = self.table.log_moments_arith(x0, step, count)
+        return self.memo[key].copy()
+
+
+class TestRatioScanOracle:
+    """The envelope scan in linear arithmetic certifies at the degree the
+    log-space scan over doubling prefixes picks, with the same tail bound
+    and partial sum to 1e-12, and fails as it fails."""
+
+    @pytest.mark.parametrize("key", list(ORACLE_WEIGHTS))
+    def test_fresh_and_grown_tables(self, key):
+        """d_max = 2^17; exp11 fails within it at |t| = 0.99."""
+        moments = _MemoMoments(MomentTable(ORACLE_WEIGHTS[key]()))
+        for grow_to in (0, 1 << 16):
+            for m in (0, 1):
+                pair = []
+                for _ in range(2):
+                    k = build_coeffs(moments, 2, d_max=1 << 17)
+                    k.ensure(grow_to)
+                    pair.append(k)
+                # all rows in one call, then each row alone: past a failing row
+                for ts in [ORACLE_TS] + [[t] for t in ORACLE_TS]:
+                    got = _certified(lambda: _certify(pair[0], ts, 1e-10, m))
+                    expected = _certified(lambda: _oracle_certify(pair[1], ts, 1e-10, m))
+                    _assert_same_certification(got, expected)
+                    assert pair[0].built == pair[1].built
+
+    @pytest.mark.parametrize("d_max", [17, 4096])
+    @pytest.mark.parametrize("key", ["std0", "exp11", "std-0.5"])
+    def test_rows_past_the_table(self, key, d_max):
+        """d_max = 4096: the deep rows miss the ratio test and take the
+        epsilon envelope or fail; d_max = 17 leaves too few degrees for the
+        ratio test."""
+        table = MomentTable(ORACLE_WEIGHTS[key]())
+        for ts in ([1e-3, 0.05, 0.3, 0.6, 0.9, 0.99], [0.999], [1e-3, 0.05, 0.2]):
+            for m in (0, 1):
+                got = _certified(lambda: _certify(
+                    build_coeffs(table, 2, d_max=d_max), ts, 1e-10, m))
+                expected = _certified(lambda: _oracle_certify(
+                    build_coeffs(table, 2, d_max=d_max), ts, 1e-10, m))
+                _assert_same_certification(got, expected)
+
+
+class _FakeMoments:
+    """Moments that give the n = 1 table log c_d = log_c[d] exactly:
+    c_d = 1 / (2 rho_{2d+1})."""
+
+    def __init__(self, log_c):
+        self.log_c = np.asarray(log_c, dtype=float)
+
+    def log_moments_arith(self, x0, step, count):
+        lo = int(round((x0 - 1.0) / 2.0))
+        return -math.log(2.0) - self.log_c[lo:lo + count]
+
+
+def test_scaled_sums_underflow_is_tested_in_log_space():
+    """Terms at |t| = 1/2 that fall gently for 200 degrees, rise by 1000
+    e-folds and fall again, all in the first range the scan takes.  Scaled
+    by the range's largest term, the partial sums of the first 200 degrees
+    underflow to 0, where 0 <= 0 would pass the linear test; the log-space
+    test certifies only past the peak, at the oracle's degree."""
+    d = np.arange(512, dtype=float)
+    terms = np.where(d <= 200, -0.01 * d,
+                     np.where(d <= 300, -2.0 + 10.0 * (d - 200), 998.0 - 10.0 * (d - 300)))
+    assert np.all(np.exp(terms[:201] - terms.max()) == 0.0)
+    fake = _FakeMoments(terms - d * math.log(0.5))
+    k = build_coeffs(fake, 1, d_max=511, initial=511)
+    oracle = _oracle_certify(build_coeffs(fake, 1, d_max=511, initial=511), [0.5], 1e-10, 0)
+    assert oracle[0] == [316]
+    _assert_same_certification(_certify(k, [0.5], 1e-10, 0), oracle)
+
+
+def test_threads_certify_on_a_growing_table(tables):
+    """Two threads certify on one table while their rows grow it; each gets
+    the degrees of a fresh table, and every published table pairs its
+    coefficients with log d and envelope indexes of its own size."""
+    ts = [0.3, 0.9, 0.99, 0.995, 0.999]
+    expected = _certify(build_coeffs(tables["std0"], 2, d_max=1 << 16), ts, 1e-10, 1)[0]
+    shared = build_coeffs(tables["std0"], 2, d_max=1 << 16)
+    sizes, mismatched, stop = set(), [], threading.Event()
+
+    def watch():
+        while not stop.is_set():
+            t = shared._table
+            size = t.log_c.size
+            blocks = -(-size // _ENVELOPE_BLOCK)
+            if (t.log_d.size != size or [f.size for f in t.floors] != [blocks] * 2
+                    or [h.size for h in t.heads] != [min(size, _ENVELOPE_HEAD)] * 2):
+                mismatched.append(size)
+            sizes.add(t.log_c.size)
+
+    def work(order):
+        return [_certify(shared, [x], 1e-10, 1)[0][0] for x in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            watcher = pool.submit(watch)
+            forward, backward = pool.submit(work, ts), pool.submit(work, ts[::-1])
+            try:
+                results = forward.result(timeout=300), backward.result(timeout=300)
+            finally:
+                stop.set()
+                watcher.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == expected and results[1][::-1] == expected
+    assert len(sizes) > 1 and not mismatched  # the watcher saw the table grow
+    final = shared._table
+    for m in (0, 1):
+        floor, head = _envelope_index(final.log_c, final.log_d, m)
+        assert np.array_equal(final.floors[m], floor) and np.array_equal(final.heads[m], head)

@@ -189,6 +189,18 @@ class TestTailArray:
 
 
 class TestMoments:
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99])
+    def test_mass_beyond_the_grid(self, alpha):
+        """rho_x = B((x+1)/2, alpha+1)/2 for (1-r^2)^alpha; for alpha = -0.99
+        more than half of rho_1 = 50 lies past u = 2^-80, the grid's end,
+        and every route to a moment must count it."""
+        t = MomentTable(RadialWeight.standard(alpha))
+        xs = np.array([1.0, 7.0, 101.0])
+        exact = 0.5 * np.exp(betaln((xs + 1.0) / 2.0, alpha + 1.0))
+        assert_allclose(np.exp(t.log_moments(xs)), exact, rtol=1e-10)
+        assert_allclose(np.exp(t.log_moments_arith(1.0, 6.0, 2)), exact[:2], rtol=1e-10)
+        assert_allclose([t.moment_with_error(x)[0] for x in xs], exact, rtol=1e-10)
+
     def test_constant_closed_forms(self, tables):
         assert_allclose(tables["std0"].moment(1), 0.5, atol=1e-12)
         assert_allclose(tables["std0"].moment(7), 0.125, atol=1e-12)
