@@ -25,16 +25,21 @@ is certified by the sharper of two geometric envelopes: the moment lower
 bound rho_s >= C_eps (1-eps)^s with eps = (1-|t|)/2 (valid for every radial
 weight), or the observed decay ratio of the computed terms (valid once term
 ratios decrease, which holds past the peak for all weight families here;
-the doubling-stability property test guards it).  The largest ratio of
-consecutive terms over the 16 degrees before D is the table's ratio
-envelope at D times |t|, so the envelope is formed once per range of
-degrees for every |t| scanned there.  Each published table keeps log d,
-the envelope over its first _ENVELOPE_HEAD degrees, and an index of the
-envelope's minima, from which each |t| finds its onset, the block where
-its ratio can first fall below 1; before it a row only adds its terms up.  The tail is tested against partial sums of the terms scaled
-by their running maximum: linear arithmetic, no logarithm per degree, and
-log space only where those sums underflow.  D reads only degrees <= D, so
-it does not depend on how far an earlier call grew the table.
+the doubling-stability property test guards it).  The ratio test scans
+ranges of the coefficient table that double from 512 degrees.  The
+largest ratio of consecutive terms over the 16 degrees before D is the
+table's ratio envelope at D times |t|, so the envelope is formed once per
+range for every |t| scanned there.  Each published table keeps log d and
+an index of the envelope's minima, from which each |t| finds its onset,
+the block where its ratio can first fall below 1; before it a row only
+adds its terms up.  From the onset the tail is tested, with a little
+slack, against partial sums of the terms scaled by their running maximum:
+linear arithmetic, no logarithm per degree.  The first degree that passes
+is checked in log space; where that check fails or the scaled sums
+underflow, the range is tested in log space, as are a table short enough
+to be one range and a lone row in the first range.  So D and its tail
+bound are those of the log-space test, and D reads only degrees <= D: it
+does not depend on how far an earlier call grew the table.
 
 One point and arrays of points alike are summed by the power recursion
 x^d = x^{d-1} x; each result is multiplied back by e^scale, so only one
@@ -82,9 +87,9 @@ _CERTIFY_PREFIX = 512
 #: degrees per block of the ratio envelope's index of minima (it divides
 #: _BLOCK_ELEMENTS)
 _ENVELOPE_BLOCK = 256
-#: degrees over which a table keeps its ratio envelope: shallow |t|, one
-#: at a time, certify below it; deeper ranges form theirs for all their rows
-_ENVELOPE_HEAD = 1 << 14
+#: relative slack of the linear ratio test, far above its rounding gap to
+#: the log-space test, so every degree the log-space test passes passes it
+_SLACK = 1.0e-9
 #: where the linear ratio test's right-hand side falls below this, the
 #: scaled partial sums may have underflowed: that range is tested in log space
 _TINY = 1.0e-290
@@ -108,14 +113,12 @@ class KernelEvalInfo:
 @dataclass(frozen=True)
 class _Table:
     """One published size of a coefficient table: log c_d and log d for the
-    degrees d below its size, and for degree weight m = 0, 1 the index of
-    its ratio envelope (_envelope_index): floors[m], and heads[m], the
-    envelope over the first _ENVELOPE_HEAD degrees."""
+    degrees d below its size, and floors[m], the index of the ratio
+    envelope of degree weight m = 0, 1 (_envelope_index)."""
 
     log_c: np.ndarray
     log_d: np.ndarray
     floors: tuple
-    heads: tuple
 
 
 class KernelCoeffs:
@@ -138,7 +141,7 @@ class KernelCoeffs:
         self.n = n
         self.d_max = d_max
         self._lock = threading.RLock()
-        self._table = _Table(np.empty(0), np.empty(0), (), ())
+        self._table = _Table(np.empty(0), np.empty(0), ())
         self._head_log_moms = np.empty(0)
         self.ensure(min(initial, d_max) + 1)
 
@@ -182,8 +185,8 @@ class KernelCoeffs:
             with np.errstate(divide="ignore"):  # log 0 = -inf
                 log_d = np.concatenate([old.log_d, np.log(d, out=d)])
             del d
-            floors, heads = zip(*(_envelope_index(log_c, log_d, m) for m in (0, 1)))
-            self._table = _Table(log_c, log_d, floors, heads)
+            self._table = _Table(log_c, log_d,
+                                 tuple(_envelope_index(log_c, log_d, m) for m in (0, 1)))
 
     def log_c(self, d: int) -> float:
         self.ensure(d + 1)
@@ -203,12 +206,13 @@ def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
 def _log_terms(log_c: np.ndarray, log_d: np.ndarray, log_t, degree_weight: int,
                lo: int = 0) -> np.ndarray:
     """log |term_d| = log c_d + m log d + d log|t| for d = lo, lo+1, ...,
-    where log_c and log_d hold log c_d and log d from degree lo on.
+    where log_c and log_d hold log c_d and log d from degree lo on, and the
+    degree weight m is 0 for the kernel itself or 1 for the radial-derivative
+    series sum d c_d t^d.
 
     Certification reads only the degrees it scans.  log_t is log|t| from
-    math.log, or a column of them for a block with one row per |t|.
-    degree_weight m = 0 for the kernel itself, 1 for the radial-derivative
-    series sum d c_d t^d.  Degree 0 of the m = 1 series is -inf.
+    math.log, or a column of them for a block with one row per |t|.  Degree
+    0 of the m = 1 series is -inf.
     """
     out = np.arange(lo, lo + log_c.size, dtype=float) * log_t
     out += log_c
@@ -273,35 +277,65 @@ def _ratio_range(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int,
 
 
 def _envelope_index(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int):
-    """(floor, head) for the ratio envelope of degree weight m, formed in
-    ranges under _BLOCK_ELEMENTS: floor[b] is its least value over blocks
-    0..b of _ENVELOPE_BLOCK degrees, and head the envelope itself over the
-    first _ENVELOPE_HEAD degrees."""
+    """floor[b], the least value of the ratio envelope of degree weight m
+    over blocks 0..b of _ENVELOPE_BLOCK degrees, the envelope formed in
+    ranges under _BLOCK_ELEMENTS."""
     size = log_c.size
     least = []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, size, _BLOCK_ELEMENTS):
             ratio = _ratio_range(log_c, log_d, degree_weight, lo,
                                  min(lo + _BLOCK_ELEMENTS, size))
-            if lo == 0:
-                head = ratio[:_ENVELOPE_HEAD].copy()
             least.append(np.fmin.reduceat(
                 ratio, np.arange(0, ratio.size, _ENVELOPE_BLOCK)))
-    return np.fmin.accumulate(np.concatenate(least)), head
+    return np.fmin.accumulate(np.concatenate(least))
 
 
 def _tail_log(table: _Table, log_t: float, degree_weight: int, D: int,
               lt=None) -> float:
-    """log of the ratio test's tail bound past D: term_D rhat / (1 - rhat),
+    """log of the ratio test's tail bound past D, term_D rhat / (1 - rhat),
     rhat the largest ratio of consecutive terms over the window ending at
-    D, taken from the log terms lt of degrees D-16..D (formed here if
-    None)."""
+    D, from the log terms lt of degrees D-16..D (formed here if None); +inf
+    where rhat is not below e^_DECAY."""
     if lt is None:
         lo = D - _RATIO_WINDOW
         lt = _log_terms(table.log_c[lo:D + 1], table.log_d[lo:D + 1], log_t,
                         degree_weight, lo)
     rhat = (lt[1:] - lt[:-1]).max(keepdims=True)
+    if not rhat[0] < _DECAY:
+        return math.inf
     return float((lt[-1:] + rhat - np.log1p(-np.exp(rhat)))[0])
+
+
+def _log_space_range(table: _Table, log_t: np.ndarray, log_tol: float,
+                     degree_weight: int, lo: int, hi: int, carry=None) -> list:
+    """The ratio test in log space at D = lo..hi-1, one row per log|t| in
+    the column log_t: rhat, the window's largest log ratio of the row's own
+    terms, below _DECAY, and log(term_D rhat / (1 - rhat)) <= log_tol + the
+    log partial sum through D.  carry holds each row's log partial sum
+    through lo - 1 (None at the table's first degree).  Returns one (D,
+    tail_log, sum_log) per row as _ratio_scan does, D None (with the
+    partial sum through hi - 1) where no degree passes."""
+    start = 1 if degree_weight else 0
+    first = max(start, lo - _RATIO_WINDOW)  # the windows reach back to first
+    D0 = first + _RATIO_WINDOW  # the first degree tested
+    lt = _log_terms(table.log_c[first:hi], table.log_d[first:hi], log_t,
+                    degree_weight, first)
+    # cum[:, j]: log partial sum through degree lo + j
+    if carry is None:
+        cum = np.logaddexp.accumulate(lt, axis=1)
+    else:
+        cum = np.logaddexp.accumulate(np.concatenate(
+            [carry[:, None], lt[:, lo - first:]], axis=1), axis=1)[:, 1:]
+    hit = [False] * lt.shape[0]
+    if hi - start > _RATIO_WINDOW + 2:
+        # rhat[:, j]: the window's largest log ratio at D = D0 + j
+        rhat = _window_max(lt[:, 1:] - lt[:, :-1])
+        tl = lt[:, _RATIO_WINDOW:] + rhat - np.log1p(-np.exp(rhat))
+        ok = (rhat < _DECAY) & (tl <= log_tol + cum[:, D0 - lo:])
+        hit, at = ok.any(axis=1).tolist(), ok.argmax(axis=1).tolist()
+    return [(D0 + at[r], float(tl[r, at[r]]), float(cum[r, D0 - lo + at[r]]))
+            if hit[r] else (None, None, float(cum[r, -1])) for r in range(lt.shape[0])]
 
 
 def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
@@ -312,36 +346,46 @@ def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
     Returns one (D, tail_log, sum_log) per row: the first degree at which
     the test certifies (None where none does), its log tail bound, and the
     log partial sum through D (through the table's last degree where D is
-    None).  The test at D: rho = ratio[D] |t| (_ratio_range) is below
-    e^_DECAY, and term_D rho <= tol (1 - rho) sum_{d<=D} term_d, the
-    log-space test tail <= tol * partial sum.  A row cannot pass before its
-    onset, the first block of the table's envelope index holding a ratio
-    below e^_DECAY / |t|; in a range before it the row only adds its terms.
+    None).  The test at D is _log_space_range's; D reads degrees <= D only,
+    so the first hit in a range is the first in the table, and a row leaves
+    at its hit.  Rows go together through ranges of degrees that double
+    from _CERTIFY_PREFIX, at most _BLOCK_ELEMENTS wide, in blocks of rows
+    under _BLOCK_ELEMENTS, each row carrying (scale, total): its partial
+    sum is total e^scale, scale the largest log term so far.
 
-    Rows go together through ranges of degrees that double from
-    _CERTIFY_PREFIX, at most _BLOCK_ELEMENTS wide, in blocks of rows under
-    _BLOCK_ELEMENTS, each row carrying (scale, total): its partial sum is
-    total e^scale, scale the largest log term so far.  Terms are divided by
-    that running maximum, so the test is linear arithmetic.  A row whose
-    right-hand side falls below _TINY somewhere in a range, where the
-    scaled sums may have underflowed, tests that range in log space.  D
-    reads degrees <= D only, so the first hit in a range is the first in
-    the table; a row leaves at its hit.  Callers ignore invalid and divide
-    warnings.
+    A row cannot pass before its onset, the first block of the table's
+    envelope index holding a ratio below e^_DECAY / |t|; in a range before
+    it the row only adds its terms, divided by that running maximum.  From
+    the onset, with rho = ratio[D] |t| (1 - _SLACK) (_ratio_range), a
+    degree is a candidate where rho < e^_DECAY and term_D rho <= tol (1 +
+    _SLACK) (1 - rho) sum_{d<=D} term_d: linear arithmetic on the scaled
+    terms.  The slack makes every degree the log-space test passes a
+    candidate, so a row whose first candidate passes that test has its D;
+    where it does not, or where the right-hand side falls below _TINY (the
+    scaled sums may have underflowed), the row tests the range in log
+    space.  A block of rows tested over at most _CERTIFY_PREFIX elements in
+    all, such as one row in the first range, is tested in log space, and
+    so is a table that is one range: there the log-space test makes fewer
+    array operations than the onset, the envelope and the linear test.
+    Callers ignore invalid, divide and overflow warnings.
     """
-    floor = table.floors[degree_weight]
     n_built = table.log_c.size
     start = 1 if degree_weight else 0
-    abs_t, log_t = np.array(abs_ts), np.array(log_ts)
-    limits = math.exp(_DECAY) / abs_t
+    log_tol = math.log(tol)
     lo, hi = start, min(_CERTIFY_PREFIX, n_built)
-    if n_built - start <= _RATIO_WINDOW + 2:  # too few degrees for the ratio test
-        onset = np.full(abs_t.size, n_built)
-    elif hi == n_built:  # one range: every row is tested in it
-        onset = np.zeros(abs_t.size, dtype=int)
-    else:  # the start of the first block holding a ratio below the row's limit
-        onset = np.searchsorted(-floor, -limits, side="right") * _ENVELOPE_BLOCK
-    scale = np.full(abs_t.size, -np.inf)  # partial sums total e^scale
+    if hi == n_built:
+        out = []
+        step = max(1, _BLOCK_ELEMENTS // (hi - lo))
+        for b in range(0, len(log_ts), step):
+            out += _log_space_range(table, np.array(log_ts[b:b + step])[:, None], log_tol,
+                                    degree_weight, lo, hi)
+        return out
+    abs_t, log_t = np.array(abs_ts) * (1.0 - _SLACK), np.array(log_ts)
+    decay, tol_slack = math.exp(_DECAY), tol * (1.0 + _SLACK)
+    # the start of the first block holding a ratio below the row's limit
+    onset = np.searchsorted(-table.floors[degree_weight], -decay / abs_t,
+                            side="right") * _ENVELOPE_BLOCK
+    scale = np.full(abs_t.size, -np.inf)
     total = np.zeros(abs_t.size)
     out = [None] * abs_t.size
     live = np.arange(abs_t.size)
@@ -351,84 +395,63 @@ def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
         testing = onset[live] < hi
         if testing.all():
             groups = [(live, True)]
-        elif testing.any():
-            groups = [(live[~testing], False), (live[testing], True)]
         else:
-            groups = [(live, False)]
-        if groups[-1][1]:
-            head = table.heads[degree_weight]
-            env = (head[lo:hi] if hi <= head.size
-                   else _ratio_range(table.log_c, table.log_d, degree_weight, lo, hi))
+            groups = [(live[~testing], False), (live[testing], True)]
+        if np.count_nonzero(testing) * (hi - lo) > _CERTIFY_PREFIX:
+            env = _ratio_range(table.log_c, table.log_d, degree_weight, lo, hi)
         for group, test in groups:
             for b in range(0, group.size, step):
                 rows = group[b:b + step]
-                lt = _log_terms(log_c, log_d, log_t[rows, None], degree_weight, lo)
-                top = lt.max(axis=1)
-                if lo > start:  # the partial sums from below lo, on the new scale
-                    top = np.maximum(scale[rows], top)
-                    carried = total[rows] * np.exp(scale[rows] - top)
+                if test and rows.size * (hi - lo) <= _CERTIFY_PREFIX:
+                    redo = rows
+                    carry = scale[redo] + np.log(total[redo]) if lo > start else None
                 else:
-                    carried = np.zeros(rows.size)
-                e = np.exp(lt - top[:, None])
-                if not test:
-                    total[rows], scale[rows] = e.sum(axis=1) + carried, top
-                    continue
-                partial = e.cumsum(axis=1)
-                partial += carried[:, None]
-                ok = env < limits[rows, None]
-                rho = env * abs_t[rows, None]
-                e *= rho
-                rhs = np.subtract(1.0, rho, out=rho)
-                rhs *= partial
-                rhs *= tol
-                risky = (ok & (rhs < _TINY)).any(axis=1).nonzero()[0].tolist()
-                ok &= e <= rhs
-                if risky:
-                    ok[risky] = False
-                hits = {}  # row in the block: (D, log partial sum through D)
-                for r in ok.any(axis=1).nonzero()[0].tolist():
-                    j = int(ok[r].argmax())
-                    hits[r] = (lo + j, float(top[r]) + math.log(partial[r, j]))
-                past = []  # log partial sums of the risky rows through hi - 1
-                for r in risky:
-                    i = rows[r]
-                    j, cum = _log_space_range(
-                        table, log_ts[i], abs_t[i], limits[i], env, tol, degree_weight,
-                        lo, scale[i] + np.log(total[i]))
-                    if j is not None:
-                        hits[r] = (lo + j, float(cum[j]))
-                    past.append(float(cum[-1]))
-                scale[rows], total[rows] = top, partial[:, -1]
-                if past:
-                    scale[rows[risky]], total[rows[risky]] = past, 1.0
-                for r, (D, log_sum) in hits.items():
-                    i, j = rows[r], D - lo
-                    # the window's log terms, where this range holds all of them
-                    window = lt[r, j - _RATIO_WINDOW:j + 1] if j >= _RATIO_WINDOW else None
-                    out[i] = (D, _tail_log(table, log_ts[i], degree_weight, D, window), log_sum)
-        live = [i for i in live.tolist() if out[i] is None]
-        if hi == n_built or not live:
-            for i in live:
+                    lt = _log_terms(log_c, log_d, log_t[rows, None], degree_weight, lo)
+                    # the partial sums from below lo, on the new scale
+                    top = np.maximum(scale[rows], lt.max(axis=1))
+                    carried = total[rows] * np.exp(scale[rows] - top)
+                    e = np.exp(lt - top[:, None])
+                    if not test:
+                        total[rows] = e.sum(axis=1) + carried
+                        scale[rows] = top
+                        continue
+                    partial = e.cumsum(axis=1)
+                    partial += carried[:, None]
+                    rho = env * abs_t[rows, None]
+                    ok = rho < decay
+                    e *= rho
+                    rhs = np.subtract(1.0, rho, out=rho)
+                    rhs *= partial
+                    rhs *= tol_slack
+                    risky = (ok & (rhs < _TINY)).any(axis=1)
+                    ok &= e <= rhs
+                    for r in (ok.any(axis=1) & ~risky).nonzero()[0].tolist():
+                        j = int(ok[r].argmax())
+                        D, log_sum = lo + j, float(top[r]) + math.log(partial[r, j])
+                        # the window's log terms, where this range holds all of them
+                        window = lt[r, j - _RATIO_WINDOW:j + 1] if j >= _RATIO_WINDOW else None
+                        tail = _tail_log(table, log_ts[rows[r]], degree_weight, D, window)
+                        if tail <= log_tol + log_sum:
+                            out[rows[r]] = (D, tail, log_sum)
+                        else:
+                            risky[r] = True
+                    redo = rows[risky]
+                    carry = scale[redo] + np.log(total[redo]) if lo > start else None
+                    scale[rows], total[rows] = top, partial[:, -1]
+                if redo.size:
+                    tested = _log_space_range(table, log_t[redo, None], log_tol, degree_weight,
+                                              lo, hi, carry)
+                    for i, (D, tail, log_sum) in zip(redo.tolist(), tested):
+                        if D is None:
+                            scale[i], total[i] = log_sum, 1.0
+                        else:
+                            out[i] = (D, tail, log_sum)
+        live = np.array([i for i in live.tolist() if out[i] is None], dtype=int)
+        if hi == n_built or not live.size:
+            for i in live.tolist():
                 out[i] = (None, None, float(scale[i]) + math.log(total[i]))
             return out
-        live = np.array(live)
         lo, hi = hi, min(2 * hi, hi + _BLOCK_ELEMENTS, n_built)
-
-
-def _log_space_range(table: _Table, log_t: float, abs_t: float, limit: float,
-                     env: np.ndarray, tol: float, degree_weight: int, lo: int,
-                     carry_log: float):
-    """The ratio test of one row at D = lo, lo+1, ... (env the envelope
-    there) in log space, for a range where its scaled partial sums may
-    have underflowed.  Returns (j, cum): j the first D - lo that passes
-    (None if none does), cum the log partial sums through each D;
-    carry_log is the one through lo - 1."""
-    hi = lo + env.size
-    lt = _log_terms(table.log_c[lo:hi], table.log_d[lo:hi], log_t, degree_weight, lo)
-    cum = np.logaddexp.accumulate(np.concatenate([[carry_log], lt]))[1:]
-    rho = env * abs_t
-    ok = (env < limit) & (lt + np.log(rho) - np.log1p(-rho) <= math.log(tol) + cum)
-    return (int(ok.argmax()) if ok.any() else None), cum
 
 
 def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
@@ -687,22 +710,6 @@ def _first_level(D: int, start_nodes: int, max_nodes: int) -> int:
     return n_nodes
 
 
-def _wrapped(gammas: list, n_nodes: int) -> np.ndarray:
-    """The term tables folded onto an n_nodes grid, one row each: degrees d
-    and d + n_nodes alias.  Rows end at the longest table; the real FFT
-    pads them with zeros to n_nodes."""
-    out = np.zeros((len(gammas), min(n_nodes, max(gamma.size for gamma in gammas))))
-    for row, gamma in zip(out, gammas):
-        if gamma.size <= n_nodes:
-            row[:gamma.size] = gamma
-        else:
-            folds = -(-gamma.size // n_nodes)
-            padded = np.zeros(folds * n_nodes)
-            padded[:gamma.size] = gamma
-            row[:] = padded.reshape(folds, n_nodes).sum(axis=0)
-    return out
-
-
 def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
     """Trapezoid means of |sum_d gamma_d e^{i d theta}| for each term table in
     gammas, on angle grids doubled from first[i] nodes until two levels
@@ -724,9 +731,18 @@ def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
         step = max(1, _BLOCK_ELEMENTS // n_nodes)
         for b in range(0, len(live), step):
             rows = live[b:b + step]
-            # the folded terms are freed before the spectrum's moduli are taken
-            half = np.abs(np.fft.rfft(_wrapped([gammas[i] for i in rows], n_nodes),
-                                      n=n_nodes, axis=1))
+            # rows only as wide as the longest table: rfft pads them to n_nodes
+            wrapped = np.zeros((len(rows), min(n_nodes, max(gammas[i].size for i in rows))))
+            for out, i in zip(wrapped, rows):
+                gamma = gammas[i]
+                if gamma.size <= n_nodes:
+                    out[:gamma.size] = gamma
+                else:  # fold the terms onto the grid: degrees d and d + n_nodes alias
+                    folds = -(-gamma.size // n_nodes)
+                    padded = np.zeros(folds * n_nodes)
+                    padded[:gamma.size] = gamma
+                    out[:] = padded.reshape(folds, n_nodes).sum(axis=0)
+            half = np.abs(np.fft.rfft(wrapped, n=n_nodes, axis=1))
             # |R_j| for 0 < j < N/2 stands for the nodes j and N - j
             total = half[:, 0] + 2.0 * np.add.reduce(half[:, 1:(n_nodes + 1) // 2], axis=1)
             if n_nodes % 2 == 0:

@@ -217,6 +217,10 @@ _SEG_NODES_HALF = np.polynomial.legendre.leggauss(12)
 #: tail octaves reach u = 1-t = 2^-_GRID_DEPTH, head octaves t = 2^-_HEAD_DEPTH
 _GRID_DEPTH = 80
 _HEAD_DEPTH = 32
+#: the mass past the grid is integrated in s = -log u over panels of this
+#: many octaves, down to u = 2^-_BEYOND_DEPTH, where u is still a normal double
+_BEYOND_PANEL = 16
+_BEYOND_DEPTH = 1008
 #: log_moments_arith drops the grid nodes that have underflowed to 0 once per
 #: this many terms
 _COMPACT_EVERY = 256
@@ -233,9 +237,13 @@ class MomentTable:
     rapidly decaying weights come out with full relative accuracy even when
     their linear value underflows.
 
-    The mass past u = 2^-80 enters every moment as the geometric
-    continuation of the last two tail octaves when they decrease: a weight
-    singular at the rim, such as (1-r^2)^-0.99, keeps a large share there.
+    The mass past u = 2^-80, where t^x = 1 to within x 2^-80, enters every
+    moment as one number: a weight singular at the rim, such as
+    (1-r^2)^-0.99, keeps a large share there.  It is integrated in s =
+    -log u down to u = 2^-1008; past that the last two panels' masses are
+    continued as a geometric series, which is exact for a power-law rim
+    (1-r)^alpha and leaves about 1e-7 of a moment of (1-r)^-0.99 /
+    log(e/(1-r))^2 out.
 
     Scalar lookups are memoized in `entries` (value, abs error estimate);
     the estimate is the deviation from an embedded half-order rule plus a
@@ -280,18 +288,12 @@ class MomentTable:
                 lt.append(np.log1p(-u))
                 lw.append(np.log(half * wq) + self.weight.log_eval_at_one_minus(u))
             tail_logmass.append(logsumexp(lw_f[-1]))
-        # the mass past the deepest tail octave (t^x = 1 there to within
-        # x 2^-_GRID_DEPTH) is added to every moment: the last two octaves'
-        # masses continued as a geometric series, when they decrease.  A
-        # weight singular at the rim keeps much of its mass there
         m1, m2 = tail_logmass[-1], tail_logmass[-2]
         step = m1 - m2
-        if math.isfinite(m1) and step < 0.0:
-            beyond_log = m1 + step - math.log1p(-math.exp(step))
-        else:
-            beyond_log = -math.inf
-        # the error estimate bounds that mass (its ratio clipped), and the
-        # sliver below the deepest head octave (t^x <= t <= 2^-_HEAD_DEPTH)
+        beyond_log = self._beyond_log()
+        # the error estimate bounds the mass past the deepest tail octave
+        # (its continuation with the ratio clipped), and the sliver below
+        # the deepest head octave (t^x <= t <= 2^-_HEAD_DEPTH)
         ldiff = min(step, -0.05)
         if math.isfinite(m1) and math.isfinite(ldiff):
             sliver_log = m1 + ldiff - math.log1p(-math.exp(ldiff))
@@ -305,6 +307,30 @@ class MomentTable:
                 "sliver": math.exp(sliver_log) + math.exp(head_sliver_log),
                 "beyond": beyond_log,
             }
+
+    def _beyond_log(self) -> float:
+        """log of the weight's mass past u = 2^-_GRID_DEPTH: Gauss panels
+        in s = -log u (du = e^-s ds) of _BEYOND_PANEL octaves down to
+        2^-_BEYOND_DEPTH, then the last two panels' masses continued as a
+        geometric series when they decrease."""
+        xg, wg = _SEG_NODES_FULL
+        width = 0.5 * _BEYOND_PANEL * math.log(2.0)
+        mids = (np.arange(_GRID_DEPTH, _BEYOND_DEPTH, _BEYOND_PANEL) * math.log(2.0)
+                + width)
+        s = mids[:, None] + width * xg
+        # log-sum-exp by hand: scipy's costs more than the rest of this
+        with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
+            lw = np.log(width * wg) - s + self.weight.log_eval_at_one_minus(np.exp(-s))
+            top = lw.max(axis=1)
+            masses = top + np.log(np.exp(lw - top[:, None]).sum(axis=1))
+        masses[top == -np.inf] = -np.inf
+        step = masses[-1] - masses[-2]
+        if math.isfinite(masses[-1]) and step < 0.0:
+            masses[-1] = np.logaddexp(masses[-1], masses[-1] + step - math.log1p(-math.exp(step)))
+        peak = masses.max()
+        if peak == -np.inf:
+            return -math.inf
+        return float(peak + math.log(np.exp(masses - peak).sum()))
 
     def _g(self):
         with self._lock:

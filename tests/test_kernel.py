@@ -14,10 +14,10 @@ from bergman_lab import (BallPoint, MomentTable, RadialWeight, TruncationError,
                          eval_kernel, eval_rk, inner, integrate_ball_radial,
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
 from bergman_lab import kernel
-from bergman_lab.kernel import (_BLOCK_ELEMENTS, _ENVELOPE_BLOCK, _ENVELOPE_HEAD,
-                                 _RATIO_WINDOW, _certify,
-                                 _envelope_index, _series_at, _terms, _values_many,
-                                 _window_max, kernel_values_many)
+from bergman_lab.kernel import (_BLOCK_ELEMENTS, _DECAY, _ENVELOPE_BLOCK,
+                                 _RATIO_WINDOW, _certify, _envelope_index,
+                                 _series_at, _terms, _values_many, _window_max,
+                                 kernel_values_many)
 
 
 def _pair(t, n=2):
@@ -697,20 +697,48 @@ class _FakeMoments:
 
 
 def test_scaled_sums_underflow_is_tested_in_log_space():
-    """Terms at |t| = 1/2 that fall gently for 200 degrees, rise by 1000
-    e-folds and fall again, all in the first range the scan takes.  Scaled
-    by the range's largest term, the partial sums of the first 200 degrees
-    underflow to 0, where 0 <= 0 would pass the linear test; the log-space
-    test certifies only past the peak, at the oracle's degree."""
-    d = np.arange(512, dtype=float)
-    terms = np.where(d <= 200, -0.01 * d,
-                     np.where(d <= 300, -2.0 + 10.0 * (d - 200), 998.0 - 10.0 * (d - 300)))
-    assert np.all(np.exp(terms[:201] - terms.max()) == 0.0)
+    """Terms at |t| = 1/2 that fall gently for 712 degrees, rise by 1000
+    e-folds and fall again, on a 2048-degree table: the rise lies in the
+    second range the scan takes, the first tested in linear arithmetic.
+    Scaled by that range's largest term, the partial sums through degree
+    711 underflow to 0, where 0 <= 0 would pass the linear test; the
+    log-space test certifies only past the peak, at the oracle's degree."""
+    d = np.arange(2048, dtype=float)
+    terms = np.where(d <= 711, -0.01 * d,
+                     np.where(d <= 811, -7.11 + 10.0 * (d - 711), 992.89 - 10.0 * (d - 811)))
+    assert np.all(np.exp(terms[:712] - terms[512:1024].max()) == 0.0)
     fake = _FakeMoments(terms - d * math.log(0.5))
-    k = build_coeffs(fake, 1, d_max=511, initial=511)
-    oracle = _oracle_certify(build_coeffs(fake, 1, d_max=511, initial=511), [0.5], 1e-10, 0)
-    assert oracle[0] == [316]
+    k = build_coeffs(fake, 1, d_max=2047, initial=2047)
+    oracle = _oracle_certify(build_coeffs(fake, 1, d_max=2047, initial=2047), [0.5], 1e-10, 0)
+    assert oracle[0] == [827]
     _assert_same_certification(_certify(k, [0.5], 1e-10, 0), oracle)
+
+
+@pytest.mark.parametrize("ulps", [-64, -4, -1, 0, 1, 4])
+def test_ratio_at_the_decay_limit(ulps):
+    """Coefficients flat at 1 for 100 degrees, then flat at e^-47: past the
+    drop the ratio of consecutive terms is |t| itself, so the m = 0 test
+    passes there as soon as |t| < e^-1e-12, and 1 - rho near 1e-12 puts
+    the tail bound within one e-fold of tol times the partial sum, where
+    it magnifies any rounding gap between the linear test and the
+    log-space one.  At |t| a few ulps either side of e^-1e-12, D, the tail
+    bound and the partial sum are the oracle's (or both fail alike), and a
+    certified tail bound is below tol times the partial sum."""
+    d = np.arange(1024, dtype=float)
+    fake = _FakeMoments(np.where(d < 100, 0.0, -47.0))
+    t = float(np.nextafter(math.exp(_DECAY), math.copysign(np.inf, ulps)))
+    for _ in range(abs(ulps) - 1):
+        t = float(np.nextafter(t, math.copysign(np.inf, ulps)))
+    if ulps == 0:
+        t = math.exp(_DECAY)
+    for m in (0, 1):
+        got = _certified(lambda: _certify(build_coeffs(fake, 1, d_max=1023, initial=1023),
+                                          [0.5, t], 1e-10, m))
+        expected = _certified(lambda: _oracle_certify(
+            build_coeffs(fake, 1, d_max=1023, initial=1023), [0.5, t], 1e-10, m))
+        _assert_same_certification(got, expected)
+        if not isinstance(got[0], str):
+            assert all(b <= math.log(1e-10) + s for b, s in zip(got[1], got[2]))
 
 
 def test_threads_certify_on_a_growing_table(tables):
@@ -727,8 +755,7 @@ def test_threads_certify_on_a_growing_table(tables):
             t = shared._table
             size = t.log_c.size
             blocks = -(-size // _ENVELOPE_BLOCK)
-            if (t.log_d.size != size or [f.size for f in t.floors] != [blocks] * 2
-                    or [h.size for h in t.heads] != [min(size, _ENVELOPE_HEAD)] * 2):
+            if t.log_d.size != size or [f.size for f in t.floors] != [blocks] * 2:
                 mismatched.append(size)
             sizes.add(t.log_c.size)
 
@@ -752,5 +779,4 @@ def test_threads_certify_on_a_growing_table(tables):
     assert len(sizes) > 1 and not mismatched  # the watcher saw the table grow
     final = shared._table
     for m in (0, 1):
-        floor, head = _envelope_index(final.log_c, final.log_d, m)
-        assert np.array_equal(final.floors[m], floor) and np.array_equal(final.heads[m], head)
+        assert np.array_equal(final.floors[m], _envelope_index(final.log_c, final.log_d, m))

@@ -201,6 +201,29 @@ class TestMoments:
         assert_allclose(np.exp(t.log_moments_arith(1.0, 6.0, 2)), exact[:2], rtol=1e-10)
         assert_allclose([t.moment_with_error(x)[0] for x in xs], exact, rtol=1e-10)
 
+    @pytest.mark.parametrize("gamma", [-0.9, -0.99])
+    def test_mass_beyond_the_grid_logarithmic(self, gamma):
+        """(1-r)^gamma log(e/(1-r))^-2 loses mass past the grid like a power
+        of log u, not geometrically per octave: against adaptive quadrature
+        of rho_x in s = -log u, to 1e-7 (the geometric continuation past
+        u = 2^-1008 leaves about 7e-9 of rho_1 out at gamma = -0.99)."""
+        from scipy.integrate import quad
+
+        def exact(x):
+            def f(s):
+                return math.exp(-(gamma + 1.0) * s - 2.0 * math.log1p(s)
+                                + x * math.log1p(-math.exp(-s)))
+            cuts = [0.0, 1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 1e3, 1e4, 1e5, 1e6, np.inf]
+            return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                       for a, b in zip(cuts, cuts[1:]))
+
+        t = MomentTable(RadialWeight.logarithmic(gamma))
+        xs = np.array([1.0, 7.0, 101.0])
+        want = [exact(x) for x in xs]
+        assert_allclose(np.exp(t.log_moments(xs)), want, rtol=1e-7)
+        assert_allclose(np.exp(t.log_moments_arith(1.0, 6.0, 2)), want[:2], rtol=1e-7)
+        assert_allclose([t.moment_with_error(x)[0] for x in xs], want, rtol=1e-7)
+
     def test_constant_closed_forms(self, tables):
         assert_allclose(tables["std0"].moment(1), 0.5, atol=1e-12)
         assert_allclose(tables["std0"].moment(7), 0.125, atol=1e-12)
