@@ -29,15 +29,16 @@ the doubling-stability property test guards it).  The ratio test scans
 ranges of the coefficient table that double from 512 degrees.  The
 largest ratio of consecutive terms over the 16 degrees before D is the
 table's ratio envelope at D times |t|, so the envelope is formed once per
-range for every |t| scanned there.  Each published table keeps log d and
-an index of the envelope's minima, from which each |t| finds its onset,
-the block where its ratio can first fall below 1; before it a row only
-adds its terms up.  From the onset the tail is tested, with a little
+range for every |t| scanned there.  Each published table keeps log d, and
+an index of the envelope's minima built on its first use, from which each
+|t| finds its onset, the block where its ratio can first fall below 1;
+before it a row only adds its terms up.  From the onset the tail is tested, with a little
 slack, against partial sums of the terms scaled by their running maximum:
 linear arithmetic, no logarithm per degree.  The first degree that passes
 is checked in log space; where that check fails or the scaled sums
 underflow, the range is tested in log space, as are a table short enough
-to be one range and a lone row in the first range.  So D and its tail
+to be one range and a lone row in the first range (before any index or
+onset is looked up).  So D and its tail
 bound are those of the log-space test, and D reads only degrees <= D: it
 does not depend on how far an earlier call grew the table.
 
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -114,11 +115,12 @@ class KernelEvalInfo:
 class _Table:
     """One published size of a coefficient table: log c_d and log d for the
     degrees d below its size, and floors[m], the index of the ratio
-    envelope of degree weight m = 0, 1 (_envelope_index)."""
+    envelope of degree weight m = 0, 1 (_envelope_index), built from these
+    arrays on its first use (KernelCoeffs._floor)."""
 
     log_c: np.ndarray
     log_d: np.ndarray
-    floors: tuple
+    floors: dict = field(default_factory=dict)
 
 
 class KernelCoeffs:
@@ -127,8 +129,8 @@ class KernelCoeffs:
     Construction is lazy: an initial block is built and the table grows by
     doubling, under a lock, whenever an evaluation needs deeper degrees.
     Each growth publishes one new _Table, so a reader always sees arrays
-    and envelope index of one size.  Extension is idempotent, so concurrent
-    readers are safe.
+    of one size, and the envelope indexes kept on a table are its own.
+    Extension is idempotent, so concurrent readers are safe.
     """
 
     def __init__(self, table: MomentTable, n: int, d_max: int = 4096,
@@ -141,7 +143,7 @@ class KernelCoeffs:
         self.n = n
         self.d_max = d_max
         self._lock = threading.RLock()
-        self._table = _Table(np.empty(0), np.empty(0), ())
+        self._table = _Table(np.empty(0), np.empty(0))
         self._head_log_moms = np.empty(0)
         self.ensure(min(initial, d_max) + 1)
 
@@ -185,8 +187,19 @@ class KernelCoeffs:
             with np.errstate(divide="ignore"):  # log 0 = -inf
                 log_d = np.concatenate([old.log_d, np.log(d, out=d)])
             del d
-            self._table = _Table(log_c, log_d,
-                                 tuple(_envelope_index(log_c, log_d, m) for m in (0, 1)))
+            self._table = _Table(log_c, log_d)
+
+    def _floor(self, table: _Table, degree_weight: int) -> np.ndarray:
+        """The envelope index of degree weight m on the published table,
+        built on its first use and kept on that table."""
+        floor = table.floors.get(degree_weight)
+        if floor is None:
+            with self._lock:
+                floor = table.floors.get(degree_weight)
+                if floor is None:
+                    floor = _envelope_index(table.log_c, table.log_d, degree_weight)
+                    table.floors[degree_weight] = floor
+        return floor
 
     def log_c(self, d: int) -> float:
         self.ensure(d + 1)
@@ -338,10 +351,10 @@ def _log_space_range(table: _Table, log_t: np.ndarray, log_tol: float,
             if hit[r] else (None, None, float(cum[r, -1])) for r in range(lt.shape[0])]
 
 
-def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
-                degree_weight: int):
-    """The ratio test on one published table, one row per |t| in abs_ts
-    (log|t| in log_ts).
+def _ratio_scan(k: KernelCoeffs, table: _Table, abs_ts: list, log_ts: list,
+                tol: float, degree_weight: int):
+    """The ratio test on one published table of k, one row per |t| in
+    abs_ts (log|t| in log_ts).
 
     Returns one (D, tail_log, sum_log) per row: the first degree at which
     the test certifies (None where none does), its log tail bound, and the
@@ -354,41 +367,52 @@ def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
     sum is total e^scale, scale the largest log term so far.
 
     A row cannot pass before its onset, the first block of the table's
-    envelope index holding a ratio below e^_DECAY / |t|; in a range before
-    it the row only adds its terms, divided by that running maximum.  From
-    the onset, with rho = ratio[D] |t| (1 - _SLACK) (_ratio_range), a
-    degree is a candidate where rho < e^_DECAY and term_D rho <= tol (1 +
-    _SLACK) (1 - rho) sum_{d<=D} term_d: linear arithmetic on the scaled
-    terms.  The slack makes every degree the log-space test passes a
+    envelope index (k._floor) holding a ratio below e^_DECAY / |t|; in a
+    range before it the row only adds its terms, divided by that running
+    maximum.  From the onset, with rho = ratio[D] |t| (1 - _SLACK)
+    (_ratio_range), a degree is a candidate where rho < e^_DECAY and
+    term_D rho <= tol (1 + _SLACK) (1 - rho) sum_{d<=D} term_d: linear
+    arithmetic on the scaled terms.  The slack makes every degree the log-space test passes a
     candidate, so a row whose first candidate passes that test has its D;
     where it does not, or where the right-hand side falls below _TINY (the
     scaled sums may have underflowed), the row tests the range in log
     space.  A block of rows tested over at most _CERTIFY_PREFIX elements in
     all, such as one row in the first range, is tested in log space, and
     so is a table that is one range: there the log-space test makes fewer
-    array operations than the onset, the envelope and the linear test.
+    array operations than the onset, the envelope and the linear test.  A
+    lone row tests the first range in log space before anything else is
+    set up, the onset included; one that does not pass there carries that
+    range's log partial sum on if its onset lies in the range (as the
+    ranges below would have tested it), and otherwise only adds that
+    range's terms, in the same arithmetic as below, so its D, tail bound
+    and partial sum do not depend on this shortcut.
     Callers ignore invalid, divide and overflow warnings.
     """
     n_built = table.log_c.size
     start = 1 if degree_weight else 0
     log_tol = math.log(tol)
     lo, hi = start, min(_CERTIFY_PREFIX, n_built)
-    if hi == n_built:
-        out = []
+    if hi == n_built or len(log_ts) == 1:
+        first = []
         step = max(1, _BLOCK_ELEMENTS // (hi - lo))
         for b in range(0, len(log_ts), step):
-            out += _log_space_range(table, np.array(log_ts[b:b + step])[:, None], log_tol,
-                                    degree_weight, lo, hi)
-        return out
+            first += _log_space_range(table, np.array(log_ts[b:b + step])[:, None], log_tol,
+                                      degree_weight, lo, hi)
+        if hi == n_built or first[0][0] is not None:
+            return first
     abs_t, log_t = np.array(abs_ts) * (1.0 - _SLACK), np.array(log_ts)
     decay, tol_slack = math.exp(_DECAY), tol * (1.0 + _SLACK)
     # the start of the first block holding a ratio below the row's limit
-    onset = np.searchsorted(-table.floors[degree_weight], -decay / abs_t,
+    onset = np.searchsorted(-k._floor(table, degree_weight), -decay / abs_t,
                             side="right") * _ENVELOPE_BLOCK
     scale = np.full(abs_t.size, -np.inf)
     total = np.zeros(abs_t.size)
     out = [None] * abs_t.size
     live = np.arange(abs_t.size)
+    if abs_t.size == 1 and onset[0] < hi:
+        # the first range below would test the lone row in log space again
+        scale[0], total[0] = first[0][2], 1.0
+        lo, hi = hi, min(2 * hi, hi + _BLOCK_ELEMENTS, n_built)
     while True:
         log_c, log_d = table.log_c[lo:hi], table.log_d[lo:hi]
         step = max(1, _BLOCK_ELEMENTS // (hi - lo))
@@ -485,8 +509,9 @@ def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
                 # one snapshot: another thread may publish a longer table
                 table = k._table
                 n_built = table.log_c.size
-                scanned = _ratio_scan(table, [abs_ts[j] for j in pending],
-                                      [log_ts[j] for j in pending], tol_rel, degree_weight)
+                scanned = _ratio_scan(k, table, [abs_ts[j] for j in pending],
+                                      [log_ts[j] for j in pending], tol_rel,
+                                      degree_weight)
                 missed = []
                 for j, (d, tail_log, cum) in zip(pending, scanned):
                     if d is None:

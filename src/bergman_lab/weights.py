@@ -221,9 +221,16 @@ _HEAD_DEPTH = 32
 #: many octaves, down to u = 2^-_BEYOND_DEPTH, where u is still a normal double
 _BEYOND_PANEL = 16
 _BEYOND_DEPTH = 1008
-#: log_moments_arith drops the grid nodes that have underflowed to 0 once per
-#: this many terms
+#: log_moments_arith recomputes its grid values exactly once per this many
+#: terms, and drops the grid nodes that have underflowed to 0 once per
+#: _COMPACT_EVERY terms
+_REFRESH = 16384
 _COMPACT_EVERY = 256
+#: elements in one (degrees x live nodes) block of log_moments_arith
+_ARITH_BLOCK = 1 << 16
+#: live nodes up to which a block's rows come from one multiply.accumulate
+#: down the block; wider blocks multiply row by row, which is faster there
+_ACCUMULATE_WIDTH = 256
 
 
 class MomentTable:
@@ -358,13 +365,28 @@ class MomentTable:
         """log rho_x along the arithmetic progression x0, x0+step, ...
 
         Uses the recurrence t^{x+step} = t^x * t^step on the shared grid,
-        refreshed exactly every few thousand terms so rounding never
+        refreshed exactly every _REFRESH terms so rounding never
         accumulates.  This is what makes deep kernel coefficient tables
         (hundreds of thousands of degrees) affordable.  Every
         _COMPACT_EVERY terms the grid nodes whose scaled value is exactly 0
         are dropped: step_factor <= 1 and the rescale divides, so they stay
         0 until the next refresh, and deep exponents leave few nodes.
+
+        The scaled vector v advances a block of degrees per array call: the
+        rows of a (degrees x live nodes) block are v, v f, v f f, ... for
+        the step factor f, each row the previous one times f, as a
+        per-degree loop would form them.  Up to _ACCUMULATE_WIDTH live
+        nodes one np.multiply.accumulate down the block forms all rows;
+        wider, one multiply per row is faster.  Each row is summed along
+        the contiguous node axis (the pairwise sum of a 1-D reduce) and
+        its log taken with math.log, which rounds differently from np.log
+        on some inputs.  Where a sum falls below 1e-120 the block ends at
+        that degree and the next starts from (v / sum) f.  Blocks hold at
+        most _ARITH_BLOCK elements and end at every compaction, so the
+        values are bit for bit those of one degree at a time.
         """
+        if not (math.isfinite(x0) and math.isfinite(step)) or x0 < 1.0 or step < 0.0:
+            raise WeightDomainError("moment progression needs finite x0 >= 1 and step >= 0")
         if count <= 0:
             return np.empty(0)
         g = self._g()
@@ -372,26 +394,49 @@ class MomentTable:
         with np.errstate(under="ignore"):
             full_step_factor = np.exp(step * logt)
         out = np.empty(count)
-        refresh = 16384
+        # one buffer for every block: a fresh one per block pays its page faults
+        buf = np.empty(max(_ARITH_BLOCK, logt.size))
         j = 0
         while j < count:
             base = (x0 + j * step) * logt + logw
             scale = base.max()
-            step_factor = full_step_factor
+            f = full_step_factor
+            n = min(_REFRESH, count - j)
+            i = 0
             with np.errstate(under="ignore"):
                 v = np.exp(base - scale)
-                for i in range(min(refresh, count - j)):
+                while i < n:
                     if i % _COMPACT_EVERY == 0:
                         live = v != 0.0
                         if not live.all():
-                            v, step_factor = v[live], step_factor[live]
-                    s = np.add.reduce(v)
-                    out[j + i] = scale + math.log(s)
-                    if s < 1.0e-120:
-                        v /= s
-                        scale += math.log(s)
-                    v *= step_factor
-            j += min(refresh, count - j)
+                            v, f = v[live], f[live]
+                    rows = min(_COMPACT_EVERY - i % _COMPACT_EVERY, n - i,
+                               max(1, _ARITH_BLOCK // v.size))
+                    block = buf[:rows * v.size].reshape(rows, v.size)
+                    block[0] = v
+                    if v.size <= _ACCUMULATE_WIDTH:
+                        block[1:] = f
+                        np.multiply.accumulate(block, axis=0, out=block)
+                    else:
+                        for r in range(1, rows):
+                            np.multiply(block[r - 1], f, out=block[r])
+                    sums = np.add.reduce(block, axis=1)
+                    # the first degree whose sum needs a rescale ends the block
+                    last = int(np.argmax(sums < 1.0e-120))
+                    rescale = sums[last] < 1.0e-120
+                    if not rescale:
+                        last = rows - 1
+                    logs = [math.log(s) for s in sums[:last + 1].tolist()]
+                    done = out[j + i:j + i + last + 1]
+                    done[:] = logs
+                    done += scale
+                    v = block[last]
+                    if rescale:
+                        v = v / sums[last]
+                        scale += logs[-1]
+                    v = v * f
+                    i += last + 1
+            j += n
         return np.logaddexp(out, g["beyond"], out=out)
 
     # -- scalar API -------------------------------------------------------

@@ -744,7 +744,8 @@ def test_ratio_at_the_decay_limit(ulps):
 def test_threads_certify_on_a_growing_table(tables):
     """Two threads certify on one table while their rows grow it; each gets
     the degrees of a fresh table, and every published table pairs its
-    coefficients with log d and envelope indexes of its own size."""
+    coefficients with log d and envelope indexes of its own size, built
+    only for the degree weight certified."""
     ts = [0.3, 0.9, 0.99, 0.995, 0.999]
     expected = _certify(build_coeffs(tables["std0"], 2, d_max=1 << 16), ts, 1e-10, 1)[0]
     shared = build_coeffs(tables["std0"], 2, d_max=1 << 16)
@@ -755,7 +756,8 @@ def test_threads_certify_on_a_growing_table(tables):
             t = shared._table
             size = t.log_c.size
             blocks = -(-size // _ENVELOPE_BLOCK)
-            if t.log_d.size != size or [f.size for f in t.floors] != [blocks] * 2:
+            floors = list(t.floors.values())
+            if t.log_d.size != size or any(f.size != blocks for f in floors):
                 mismatched.append(size)
             sizes.add(t.log_c.size)
 
@@ -778,5 +780,7 @@ def test_threads_certify_on_a_growing_table(tables):
     assert results[0] == expected and results[1][::-1] == expected
     assert len(sizes) > 1 and not mismatched  # the watcher saw the table grow
     final = shared._table
+    assert list(final.floors) == [1]
     for m in (0, 1):
-        assert np.array_equal(final.floors[m], _envelope_index(final.log_c, final.log_d, m))
+        assert np.array_equal(shared._floor(final, m),
+                              _envelope_index(final.log_c, final.log_d, m))

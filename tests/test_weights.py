@@ -299,6 +299,94 @@ class TestMoments:
             assert np.count_nonzero(np.exp(base - base.max())) < base.size // 10
 
 
+def _oracle_log_moments_arith(t, x0, step, count):
+    """log_moments_arith advanced one degree at a time: one sum, one log
+    and one multiply per degree.  Returns the values, the degrees at which
+    the sum fell below 1e-120 and was divided out, and the number of grid
+    nodes dropped as underflowed."""
+    g = t._g()
+    logt, logw = g["logt_f"], g["logw_f"]
+    with np.errstate(under="ignore"):
+        full_step_factor = np.exp(step * logt)
+    out = np.empty(count)
+    rescaled, dropped = [], 0
+    j = 0
+    while j < count:
+        base = (x0 + j * step) * logt + logw
+        scale = base.max()
+        step_factor = full_step_factor
+        with np.errstate(under="ignore"):
+            v = np.exp(base - scale)
+            for i in range(min(16384, count - j)):
+                if i % 256 == 0:
+                    live = v != 0.0
+                    dropped += v.size - np.count_nonzero(live)
+                    v, step_factor = v[live], step_factor[live]
+                s = np.add.reduce(v)
+                out[j + i] = scale + math.log(s)
+                if s < 1.0e-120:
+                    v /= s
+                    scale += math.log(s)
+                    rescaled.append(j + i)
+                v *= step_factor
+        j += min(16384, count - j)
+    return np.logaddexp(out, g["beyond"], out=out), rescaled, dropped
+
+
+ARITH_WEIGHTS = {
+    "std-0.5": lambda: RadialWeight.standard(-0.5),
+    "tabulated": lambda: RadialWeight.tabulated(
+        [[r, 1 - r * r] for r in [*np.linspace(0.0, 0.98, 12), 0.99, 0.995, 0.999]]),
+}
+
+
+class TestMomentRecurrenceBlocks:
+    """log_moments_arith advances blocks of degrees per array call; its
+    values are bit for bit those of the per-degree loop."""
+
+    @pytest.mark.parametrize("step", [1.0, 2.0])
+    @pytest.mark.parametrize("key", ["std0", "std2", "log0", "exp11", "exp21",
+                                     "std-0.5", "tabulated"])
+    def test_bitwise_equal_per_degree(self, tables, key, step):
+        """Counts at and around a compaction (256 degrees) and a refresh
+        (16,384); exp11 drops nodes and, at step 2, rescales its sum."""
+        t = tables[key] if key in tables else MomentTable(ARITH_WEIGHTS[key]())
+        for count in (1, 255, 256, 257, 16384, 16385, 40000):
+            want, rescaled, dropped = _oracle_log_moments_arith(t, 3.0, step, count)
+            assert t.log_moments_arith(3.0, step, count).tobytes() == want.tobytes()
+        if key == "exp11":
+            assert dropped > 0
+            assert rescaled or step == 1.0
+
+    @pytest.mark.parametrize("width", [3, 300])
+    @pytest.mark.parametrize("first", [255, 256])
+    def test_rescale_at_block_ends(self, width, first):
+        """A hand-built grid whose width - 2 dominant nodes sit at log t =
+        -1, so the sum is about (width - 2) e^(-step d): the step puts its
+        first rescale on degree 255, the last of a block, or 256, the
+        first after a compaction.  Two nodes underflow and are dropped in
+        each of the two refresh spans.  Width 3 takes the accumulate path,
+        width 300 the row by row one."""
+        logt = np.r_[np.full(width - 2, -1.0), -50.0, -400.0]
+        step = (math.log(width - 2) - math.log(1.0e-120)) / (first - 0.5)
+        t = MomentTable(RadialWeight.standard(0.0))
+        t._grid = {"logt_f": logt, "logw_f": np.zeros(width), "beyond": -math.inf}
+        want, rescaled, dropped = _oracle_log_moments_arith(t, 1.0, step, 20000)
+        assert rescaled[0] == first and len(rescaled) > 60 and dropped == 4
+        assert t.log_moments_arith(1.0, step, 20000).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x0,step", [(0.5, 2.0), (-3.0, 2.0), (math.nan, 2.0),
+                                         (math.inf, 2.0), (3.0, -2.0), (3.0, math.inf),
+                                         (3.0, math.nan)])
+    def test_domain(self, tables, x0, step):
+        with pytest.raises(WeightDomainError):
+            tables["std0"].log_moments_arith(x0, step, 4)
+
+    def test_empty_progression(self, tables):
+        for count in (0, -1):
+            assert tables["std0"].log_moments_arith(3.0, 2.0, count).size == 0
+
+
 class TestDhatTail:
     def test_constant_weight_exact_constant(self, weights):
         rep = is_dhat_tail(weights["std0"])
