@@ -116,7 +116,7 @@ def _slice_weight_profile(w: RadialWeight, n: int, v: float, spec: QuadSpec) -> 
             base = base * (1.0 - (v / s) ** 2) ** (n - 2)
         return base
 
-    val, _ = integrate_radial(spec=spec, a=v, b=1.0, graded_end=1.0, f_dist=f_dist)
+    val, _ = integrate_radial(spec=spec, a=v, b=1.0, f_dist=f_dist)
     return v * val
 
 
@@ -216,7 +216,7 @@ def majorant(w: RadialWeight, r: float, q: QuadSpec | None = None) -> float:
         out = np.divide(num, den, out=np.zeros(t.size), where=den > 0.0)
         return out / (1.0 - t) ** 2
 
-    val, _ = integrate_radial(f, q, a=0.0, b=r, graded_end=r)
+    val, _ = integrate_radial(f, q, a=0.0, b=r)
     return 1.0 + val
 
 
@@ -258,7 +258,7 @@ def pr_estimate_check(k: KernelCoeffs, w: RadialWeight, s: float,
         return np.divide(1.0, th * (1.0 - t) ** 2, out=np.full(t.size, math.inf),
                          where=th > 0)
 
-    rhs, _ = integrate_radial(f_rhs, q, a=0.0, b=s, graded_end=s)
+    rhs, _ = integrate_radial(f_rhs, q, a=0.0, b=s)
     return lhs, rhs, lhs / rhs
 
 

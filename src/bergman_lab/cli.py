@@ -26,7 +26,7 @@ from .analysis import (AnalysisConfig, hardy_littlewood_check,
 from .errors import (DescriptorError, NumericRangeError, QuadratureError,
                      SymbolFormError, TruncationError, WeightDomainError)
 from .kernel import build_coeffs, eval_kernel, eval_rk
-from .projection import project, project_bloch_image
+from .projection import project, project_bloch_image, surviving_degree
 from .quadrature import BallPoint, QuadSpec
 from .serialize import (dumps_report, load_symbol_file, load_weight_file,
                         report_envelope, write_csv)
@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError("tolerance must be a finite positive number")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.command == "pr-check" and self.n < 2:
+            raise ValueError("pr-check needs n >= 2")
         if not (1 <= self.grid_k_max <= 24):
             raise ValueError("kmax must be in 1..24")
         if self.d_max < 1:
@@ -68,6 +70,10 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
 
 
 def _emit(config: RunConfig, doc: dict, csv_tables: dict[str, tuple[list, list]]):
@@ -159,6 +165,11 @@ def _cmd_project(config: RunConfig, w: RadialWeight):
         raise DescriptorError(
             f"symbol descriptor: multi_index has {len(phi.multi_index)} entries "
             f"but --n is {config.n}", field="multi_index")
+    degree = surviving_degree(phi)
+    if degree > config.d_max:
+        raise DescriptorError(
+            f"symbol descriptor: multi_index needs kernel degree {degree} "
+            f"but --dmax is {config.d_max}", field="multi_index")
     table = MomentTable(w)
     coeffs = build_coeffs(table, config.n, d_max=config.d_max)
     spec = QuadSpec(tolerance=min(config.tolerance * 1e-2, 1e-10))

@@ -28,19 +28,16 @@ ratios decrease, which holds past the peak for all weight families here;
 the doubling-stability property test guards it).  The ratio test scans
 ranges of the coefficient table that double from 512 degrees.  The
 largest ratio of consecutive terms over the 16 degrees before D is the
-table's ratio envelope at D times |t|, so the envelope is formed once per
-range for every |t| scanned there.  Each published table keeps log d, and
-an index of the envelope's minima built on its first use, from which each
-|t| finds its onset, the block where its ratio can first fall below 1;
-before it a row only adds its terms up.  From the onset the tail is tested, with a little
-slack, against partial sums of the terms scaled by their running maximum:
-linear arithmetic, no logarithm per degree.  The first degree that passes
-is checked in log space; where that check fails or the scaled sums
-underflow, the range is tested in log space, as are a table short enough
-to be one range and a lone row in the first range (before any index or
-onset is looked up).  So D and its tail
-bound are those of the log-space test, and D reads only degrees <= D: it
-does not depend on how far an earlier call grew the table.
+table's ratio envelope at D times |t|, formed once per range for every
+|t|; a row whose |t| times the range's least envelope value is not below
+e^-1e-12 only adds that range's terms.  The others are tested, with a
+little slack, against partial sums of terms scaled by their running
+maximum: linear arithmetic.  The first degree that passes is checked in
+log space; where that check fails or the scaled sums underflow, the range
+is tested in log space, as is a block of rows short enough to test there
+outright (one row in the first two ranges).  So D and its tail bound are
+the log-space test's, and D reads only degrees <= D: it does not depend
+on how far an earlier call grew the table.
 
 One point and arrays of points alike are summed by the power recursion
 x^d = x^{d-1} x; each result is multiplied back by e^scale, so only one
@@ -56,7 +53,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -85,9 +82,6 @@ _RATIO_WINDOW = 16
 _DECAY = -1.0e-12
 #: degrees in the first range the ratio test scans; later ranges double
 _CERTIFY_PREFIX = 512
-#: degrees per block of the ratio envelope's index of minima (it divides
-#: _BLOCK_ELEMENTS)
-_ENVELOPE_BLOCK = 256
 #: relative slack of the linear ratio test, far above its rounding gap to
 #: the log-space test, so every degree the log-space test passes passes it
 _SLACK = 1.0e-9
@@ -113,14 +107,10 @@ class KernelEvalInfo:
 
 @dataclass(frozen=True)
 class _Table:
-    """One published size of a coefficient table: log c_d and log d for the
-    degrees d below its size, and floors[m], the index of the ratio
-    envelope of degree weight m = 0, 1 (_envelope_index), built from these
-    arrays on its first use (KernelCoeffs._floor)."""
+    """One published size of a coefficient table: log c_d and log d, d < size."""
 
     log_c: np.ndarray
     log_d: np.ndarray
-    floors: dict = field(default_factory=dict)
 
 
 class KernelCoeffs:
@@ -128,8 +118,8 @@ class KernelCoeffs:
 
     Construction is lazy: an initial block is built and the table grows by
     doubling, under a lock, whenever an evaluation needs deeper degrees.
-    Each growth publishes one new _Table, so a reader always sees arrays
-    of one size, and the envelope indexes kept on a table are its own.
+    Each growth publishes one new _Table, so a reader always sees log c_d
+    and log d of one size.
     Extension is idempotent, so concurrent readers are safe.
     """
 
@@ -189,19 +179,9 @@ class KernelCoeffs:
             del d
             self._table = _Table(log_c, log_d)
 
-    def _floor(self, table: _Table, degree_weight: int) -> np.ndarray:
-        """The envelope index of degree weight m on the published table,
-        built on its first use and kept on that table."""
-        floor = table.floors.get(degree_weight)
-        if floor is None:
-            with self._lock:
-                floor = table.floors.get(degree_weight)
-                if floor is None:
-                    floor = _envelope_index(table.log_c, table.log_d, degree_weight)
-                    table.floors[degree_weight] = floor
-        return floor
-
     def log_c(self, d: int) -> float:
+        if not 0 <= d <= self.d_max:
+            raise ValueError(f"kernel degree {d} is outside 0..d_max={self.d_max}")
         self.ensure(d + 1)
         return float(self._table.log_c[d])
 
@@ -289,21 +269,6 @@ def _ratio_range(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int,
     return out
 
 
-def _envelope_index(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int):
-    """floor[b], the least value of the ratio envelope of degree weight m
-    over blocks 0..b of _ENVELOPE_BLOCK degrees, the envelope formed in
-    ranges under _BLOCK_ELEMENTS."""
-    size = log_c.size
-    least = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, size, _BLOCK_ELEMENTS):
-            ratio = _ratio_range(log_c, log_d, degree_weight, lo,
-                                 min(lo + _BLOCK_ELEMENTS, size))
-            least.append(np.fmin.reduceat(
-                ratio, np.arange(0, ratio.size, _ENVELOPE_BLOCK)))
-    return np.fmin.accumulate(np.concatenate(least))
-
-
 def _tail_log(table: _Table, log_t: float, degree_weight: int, D: int,
               lt=None) -> float:
     """log of the ratio test's tail bound past D, term_D rhat / (1 - rhat),
@@ -351,78 +316,53 @@ def _log_space_range(table: _Table, log_t: np.ndarray, log_tol: float,
             if hit[r] else (None, None, float(cum[r, -1])) for r in range(lt.shape[0])]
 
 
-def _ratio_scan(k: KernelCoeffs, table: _Table, abs_ts: list, log_ts: list,
-                tol: float, degree_weight: int):
-    """The ratio test on one published table of k, one row per |t| in
-    abs_ts (log|t| in log_ts).
+def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
+                degree_weight: int):
+    """The ratio test on one published table, one row per |t| in abs_ts
+    (log|t| in log_ts).
 
     Returns one (D, tail_log, sum_log) per row: the first degree at which
     the test certifies (None where none does), its log tail bound, and the
     log partial sum through D (through the table's last degree where D is
     None).  The test at D is _log_space_range's; D reads degrees <= D only,
-    so the first hit in a range is the first in the table, and a row leaves
-    at its hit.  Rows go together through ranges of degrees that double
-    from _CERTIFY_PREFIX, at most _BLOCK_ELEMENTS wide, in blocks of rows
-    under _BLOCK_ELEMENTS, each row carrying (scale, total): its partial
-    sum is total e^scale, scale the largest log term so far.
+    so a row leaves at its first hit.  Rows go together through ranges of
+    degrees that double from _CERTIFY_PREFIX, at most _BLOCK_ELEMENTS wide,
+    in blocks of rows under _BLOCK_ELEMENTS, each row carrying (scale,
+    total): its partial sum is total e^scale, scale its largest log term.
 
-    A row cannot pass before its onset, the first block of the table's
-    envelope index (k._floor) holding a ratio below e^_DECAY / |t|; in a
-    range before it the row only adds its terms, divided by that running
-    maximum.  From the onset, with rho = ratio[D] |t| (1 - _SLACK)
-    (_ratio_range), a degree is a candidate where rho < e^_DECAY and
-    term_D rho <= tol (1 + _SLACK) (1 - rho) sum_{d<=D} term_d: linear
-    arithmetic on the scaled terms.  The slack makes every degree the log-space test passes a
+    A block of rows tested over at most _CERTIFY_PREFIX elements, such as
+    one row in the first two ranges, is tested in log space: fewer array
+    operations there.  Otherwise the range's envelope is formed once
+    (_ratio_range).  With rho = ratio[D] |t| (1 - _SLACK), a degree is a
+    candidate where rho < e^_DECAY and term_D rho <= tol (1 + _SLACK) (1 -
+    rho) sum_{d<=D} term_d: linear arithmetic on the scaled terms.  Rounded
+    multiplication is monotone, so a row whose rho at the envelope's least
+    value is not below e^_DECAY has no candidate in the range: it only adds
+    its terms.  The slack makes every degree the log-space test passes a
     candidate, so a row whose first candidate passes that test has its D;
     where it does not, or where the right-hand side falls below _TINY (the
-    scaled sums may have underflowed), the row tests the range in log
-    space.  A block of rows tested over at most _CERTIFY_PREFIX elements in
-    all, such as one row in the first range, is tested in log space, and
-    so is a table that is one range: there the log-space test makes fewer
-    array operations than the onset, the envelope and the linear test.  A
-    lone row tests the first range in log space before anything else is
-    set up, the onset included; one that does not pass there carries that
-    range's log partial sum on if its onset lies in the range (as the
-    ranges below would have tested it), and otherwise only adds that
-    range's terms, in the same arithmetic as below, so its D, tail bound
-    and partial sum do not depend on this shortcut.
+    scaled sums may have underflowed), the row tests the range in log space.
     Callers ignore invalid, divide and overflow warnings.
     """
     n_built = table.log_c.size
     start = 1 if degree_weight else 0
     log_tol = math.log(tol)
-    lo, hi = start, min(_CERTIFY_PREFIX, n_built)
-    if hi == n_built or len(log_ts) == 1:
-        first = []
-        step = max(1, _BLOCK_ELEMENTS // (hi - lo))
-        for b in range(0, len(log_ts), step):
-            first += _log_space_range(table, np.array(log_ts[b:b + step])[:, None], log_tol,
-                                      degree_weight, lo, hi)
-        if hi == n_built or first[0][0] is not None:
-            return first
-    abs_t, log_t = np.array(abs_ts) * (1.0 - _SLACK), np.array(log_ts)
     decay, tol_slack = math.exp(_DECAY), tol * (1.0 + _SLACK)
-    # the start of the first block holding a ratio below the row's limit
-    onset = np.searchsorted(-k._floor(table, degree_weight), -decay / abs_t,
-                            side="right") * _ENVELOPE_BLOCK
-    scale = np.full(abs_t.size, -np.inf)
-    total = np.zeros(abs_t.size)
-    out = [None] * abs_t.size
-    live = np.arange(abs_t.size)
-    if abs_t.size == 1 and onset[0] < hi:
-        # the first range below would test the lone row in log space again
-        scale[0], total[0] = first[0][2], 1.0
-        lo, hi = hi, min(2 * hi, hi + _BLOCK_ELEMENTS, n_built)
+    log_t = np.array(log_ts)
+    scale = np.array([-math.inf] * log_t.size)
+    total = np.zeros(log_t.size)
+    out = [None] * log_t.size
+    live = np.arange(log_t.size)
+    lo, hi = start, min(_CERTIFY_PREFIX, n_built)
     while True:
         log_c, log_d = table.log_c[lo:hi], table.log_d[lo:hi]
         step = max(1, _BLOCK_ELEMENTS // (hi - lo))
-        testing = onset[live] < hi
-        if testing.all():
-            groups = [(live, True)]
-        else:
-            groups = [(live[~testing], False), (live[testing], True)]
-        if np.count_nonzero(testing) * (hi - lo) > _CERTIFY_PREFIX:
+        groups = [(live, True)]
+        if live.size * (hi - lo) > _CERTIFY_PREFIX:
             env = _ratio_range(table.log_c, table.log_d, degree_weight, lo, hi)
+            abs_t = np.array(abs_ts) * (1.0 - _SLACK)
+            testing = abs_t[live] * np.fmin.reduce(env) < decay  # else no candidate
+            groups = [(live[~testing], False), (live[testing], True)]
         for group, test in groups:
             for b in range(0, group.size, step):
                 rows = group[b:b + step]
@@ -430,14 +370,13 @@ def _ratio_scan(k: KernelCoeffs, table: _Table, abs_ts: list, log_ts: list,
                     redo = rows
                     carry = scale[redo] + np.log(total[redo]) if lo > start else None
                 else:
-                    lt = _log_terms(log_c, log_d, log_t[rows, None], degree_weight, lo)
+                    lt = _log_terms(log_c, log_d, log_t[rows][:, None], degree_weight, lo)
                     # the partial sums from below lo, on the new scale
                     top = np.maximum(scale[rows], lt.max(axis=1))
                     carried = total[rows] * np.exp(scale[rows] - top)
                     e = np.exp(lt - top[:, None])
                     if not test:
-                        total[rows] = e.sum(axis=1) + carried
-                        scale[rows] = top
+                        total[rows], scale[rows] = e.sum(axis=1) + carried, top
                         continue
                     partial = e.cumsum(axis=1)
                     partial += carried[:, None]
@@ -463,18 +402,19 @@ def _ratio_scan(k: KernelCoeffs, table: _Table, abs_ts: list, log_ts: list,
                     carry = scale[redo] + np.log(total[redo]) if lo > start else None
                     scale[rows], total[rows] = top, partial[:, -1]
                 if redo.size:
-                    tested = _log_space_range(table, log_t[redo, None], log_tol, degree_weight,
+                    tested = _log_space_range(table, log_t[redo][:, None], log_tol, degree_weight,
                                               lo, hi, carry)
                     for i, (D, tail, log_sum) in zip(redo.tolist(), tested):
                         if D is None:
                             scale[i], total[i] = log_sum, 1.0
                         else:
                             out[i] = (D, tail, log_sum)
-        live = np.array([i for i in live.tolist() if out[i] is None], dtype=int)
-        if hi == n_built or not live.size:
-            for i in live.tolist():
+        live = [i for i in live.tolist() if out[i] is None]
+        if hi == n_built or not live:
+            for i in live:
                 out[i] = (None, None, float(scale[i]) + math.log(total[i]))
             return out
+        live = np.array(live)
         lo, hi = hi, min(2 * hi, hi + _BLOCK_ELEMENTS, n_built)
 
 
@@ -509,7 +449,7 @@ def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
                 # one snapshot: another thread may publish a longer table
                 table = k._table
                 n_built = table.log_c.size
-                scanned = _ratio_scan(k, table, [abs_ts[j] for j in pending],
+                scanned = _ratio_scan(table, [abs_ts[j] for j in pending],
                                       [log_ts[j] for j in pending], tol_rel,
                                       degree_weight)
                 missed = []

@@ -166,7 +166,7 @@ def _fresh_radial_moment(w: RadialWeight, power: int, spec: QuadSpec) -> float:
     moment table, the projection integrals from an independent quadrature.
     """
     value, _ = integrate_radial(
-        spec=spec, graded_end=1.0,
+        spec=spec,
         f_dist=lambda u: (1.0 - u) ** power * w.eval_at_one_minus(u))
     return value
 
@@ -224,7 +224,7 @@ def _project_structured(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
         c0 = math.exp(k.log_c(0))
         val, _ = integrate_radial(
             lambda t: t ** (2 * n - 1) * w.eval_at_one_minus(1.0 - t),
-            spec, a=phi.r_lo, b=phi.r_hi, graded_end=phi.r_hi)
+            spec, a=phi.r_lo, b=phi.r_hi)
         return 0, tuple([0] * n), c0 * 2.0 * n * val
     if phi.kind == "unimodular_phase":
         gamma = tuple(a - b for a, b in zip(phi.multi_index, phi.multi_index_2))
@@ -240,6 +240,19 @@ def _project_structured(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
         return d, gamma, _surviving_factor(k, w, d, 2 * n - 1 + d, sphere,
                                            mult, spec, degree_weight)
     raise ValueError(f"unhandled symbol kind {phi.kind!r}")
+
+
+def surviving_degree(phi: BoundedSymbol) -> int:
+    """The kernel degree whose coefficient _project_structured reads: |a|
+    for the monomial w^a, |a - b| for a unimodular phase with a - b >= 0,
+    and 0 otherwise (degree 0 or none survives, or the symbol is a radial
+    indicator or custom)."""
+    if phi.kind == "monomial":
+        return sum(phi.multi_index)
+    if phi.kind == "unimodular_phase":
+        gamma = [a - b for a, b in zip(phi.multi_index, phi.multi_index_2)]
+        return sum(gamma) if min(gamma) >= 0 else 0
+    return 0
 
 
 def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,

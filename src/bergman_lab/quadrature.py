@@ -214,12 +214,11 @@ def _bisect(fs, segs, vals, raws, spec: QuadSpec, s_floor: float):
 
 
 def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
-                     b: float = 1.0, graded_end: float | None = None,
-                     f_dist=None):
+                     b: float = 1.0, *, f_dist=None):
     """Adaptive integral over (a, b) with nodes kept strictly interior.
 
     Returns (value, error_estimate).  Internally the variable is the
-    distance s from graded_end (default b), so the mesh can refine
+    distance s = b - t from the end b, so the mesh can refine
     geometrically toward an integrable endpoint singularity without losing
     the endpoint offset to rounding.  Segments are bisected worst first
     until the summed error estimate drops below
@@ -236,25 +235,20 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     f and f_dist must accept numpy arrays.
     """
     spec = spec or DEFAULT_SPEC
-    if graded_end is None:
-        graded_end = b
     if not (b > a):
         raise ValueError("empty integration range")
-    if graded_end not in (a, b):
-        raise ValueError("graded_end must be one of the interval endpoints")
     if f is None and f_dist is None:
         raise ValueError("need f or f_dist")
-    sign = -1.0 if graded_end == b else 1.0
 
     if f_dist is not None:
         fs = f_dist
     else:
         def fs(s):
-            return f(graded_end + sign * s)
+            return f(b - s)
 
     pts = sorted(set(_initial_mesh(b - a, spec).tolist()))
     # below this scale, b - s is no longer distinguishable from b
-    s_floor = 0.0 if f_dist is not None else 8.0 * np.finfo(float).eps * max(abs(graded_end), 1.0)
+    s_floor = 0.0 if f_dist is not None else 8.0 * np.finfo(float).eps * max(abs(b), 1.0)
     segs = list(zip(pts[:-1], pts[1:]))
     vals, raws = map(np.array, zip(*(_segment_estimates(fs, lo, hi) for lo, hi in segs)))
     return _bisect(fs, segs, vals, raws, spec, s_floor)

@@ -201,8 +201,7 @@ def tail(w: RadialWeight, r, spec: QuadSpec | None = None):
     if not np.all((0.0 <= radii) & (radii < 1.0)):
         raise WeightDomainError("radius outside [0, 1)")
     if radii.ndim == 0:
-        value, _ = integrate_radial(spec=spec, a=r, b=1.0, graded_end=1.0,
-                                    f_dist=w.eval_at_one_minus)
+        value, _ = integrate_radial(spec=spec, a=r, b=1.0, f_dist=w.eval_at_one_minus)
         return max(float(value), 0.0)
     values, _ = integrate_to_end(w.eval_at_one_minus, 1.0 - radii, spec)
     return np.maximum(values, 0.0)

@@ -257,7 +257,7 @@ class TestMajorant:
                 out[i] = tail(w, float(ti / r), PROFILE_SPEC) / den
             return out / (1.0 - t) ** 2
 
-        val, _ = integrate_radial(f, PROFILE_SPEC, a=0.0, b=r, graded_end=r)
+        val, _ = integrate_radial(f, PROFILE_SPEC, a=0.0, b=r)
         assert majorant(w, r) == 1.0 + val
 
 

@@ -14,8 +14,7 @@ from bergman_lab import (BallPoint, MomentTable, RadialWeight, TruncationError,
                          eval_kernel, eval_rk, inner, integrate_ball_radial,
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
 from bergman_lab import kernel
-from bergman_lab.kernel import (_BLOCK_ELEMENTS, _DECAY, _ENVELOPE_BLOCK,
-                                 _RATIO_WINDOW, _certify, _envelope_index,
+from bergman_lab.kernel import (_BLOCK_ELEMENTS, _DECAY, _RATIO_WINDOW, _certify,
                                  _series_at, _terms, _values_many, _window_max,
                                  kernel_values_many)
 
@@ -49,6 +48,12 @@ class TestBuildCoeffs:
             k = build_coeffs(tables[key], 2, d_max=4096, initial=4097)
             d = 4096
             assert k.log_c(d) / d < 0.01
+
+    def test_degree_past_d_max_rejected(self, tables):
+        k = build_coeffs(tables["std0"], 2, d_max=4)
+        assert math.exp(k.log_c(4)) == pytest.approx(15.0)
+        with pytest.raises(ValueError, match="kernel degree 6 .*d_max=4"):
+            k.log_c(6)
 
     def test_lazy_extension_threadsafe(self, tables):
         k = build_coeffs(tables["std1"], 2, d_max=8192, initial=16)
@@ -741,11 +746,40 @@ def test_ratio_at_the_decay_limit(ulps):
             assert all(b <= math.log(1e-10) + s for b, s in zip(got[1], got[2]))
 
 
+def test_rows_only_add_a_range_with_no_candidate():
+    """Terms at |t| = 1/2 that fall by e^-0.01 per degree over the first
+    range of a 2048-degree table, rise by e^0.01 over the whole second
+    range and fall by e^-1 over the third: the envelope times 1/2 dips
+    below e^_DECAY in the first and third ranges and nowhere in the second,
+    where a row only adds its terms.  Certified together or one at a time,
+    rows at four |t| (the third and fourth rising until the third range)
+    get the oracle's D, tail bound and partial sum."""
+    d = np.arange(2048, dtype=float)
+    terms = np.where(d <= 511, -0.01 * d,
+                     np.where(d <= 1023, -5.11 + 0.01 * (d - 511), 0.01 - (d - 1023)))
+    fake = _FakeMoments(terms - d * math.log(0.5))
+    ts = [0.25, 0.5, 0.5 * math.exp(0.02), 0.9]
+    for m in (0, 1):
+        k = build_coeffs(fake, 1, d_max=2047, initial=2047)
+        table = k._table
+        with np.errstate(over="ignore", invalid="ignore"):
+            least = [np.fmin.reduce(kernel._ratio_range(table.log_c, table.log_d, m, lo, hi))
+                     for lo, hi in ((m, 512), (512, 1024), (1024, 2048))]
+        assert [0.5 * x < math.exp(_DECAY) for x in least] == [True, False, True]
+        for rows in [ts] + [[t] for t in ts]:
+            got = _certified(lambda: _certify(k, rows, 1e-10, m))
+            expected = _certified(lambda: _oracle_certify(
+                build_coeffs(fake, 1, d_max=2047, initial=2047), rows, 1e-10, m))
+            _assert_same_certification(got, expected)
+        # all but the first row certify in the third range
+        D = _certify(k, ts, 1e-10, m)[0]
+        assert D[0] < 512 and all(1024 < x < 2048 for x in D[1:])
+
+
 def test_threads_certify_on_a_growing_table(tables):
     """Two threads certify on one table while their rows grow it; each gets
     the degrees of a fresh table, and every published table pairs its
-    coefficients with log d and envelope indexes of its own size, built
-    only for the degree weight certified."""
+    coefficients with log d of its own size."""
     ts = [0.3, 0.9, 0.99, 0.995, 0.999]
     expected = _certify(build_coeffs(tables["std0"], 2, d_max=1 << 16), ts, 1e-10, 1)[0]
     shared = build_coeffs(tables["std0"], 2, d_max=1 << 16)
@@ -755,9 +789,7 @@ def test_threads_certify_on_a_growing_table(tables):
         while not stop.is_set():
             t = shared._table
             size = t.log_c.size
-            blocks = -(-size // _ENVELOPE_BLOCK)
-            floors = list(t.floors.values())
-            if t.log_d.size != size or any(f.size != blocks for f in floors):
+            if t.log_d.size != size:
                 mismatched.append(size)
             sizes.add(t.log_c.size)
 
@@ -779,8 +811,3 @@ def test_threads_certify_on_a_growing_table(tables):
         sys.setswitchinterval(interval)
     assert results[0] == expected and results[1][::-1] == expected
     assert len(sizes) > 1 and not mismatched  # the watcher saw the table grow
-    final = shared._table
-    assert list(final.floors) == [1]
-    for m in (0, 1):
-        assert np.array_equal(shared._floor(final, m),
-                              _envelope_index(final.log_c, final.log_d, m))

@@ -284,8 +284,13 @@ class TestCliBadInput:
         (["kernel", "--threads", "0"], None),
         (["kernel", "--tol", "nan"], None),
         (["diagnose", "--tol", "inf"], None),
+        (["hl-check", "--seed", "-1"], None),
+        (["hl-check", "--trials", "-3"], None),
+        (["pr-check", "--n", "1"], None),
+        (["project", "--n", "2", "--dmax", "4"], {"kind": "monomial", "multi_index": [3, 3]}),
     ], ids=["multi-index-length", "negative-multi-index", "dmax-zero", "threads-zero",
-            "tol-nan", "tol-inf"])
+            "tol-nan", "tol-inf", "seed-negative", "trials-negative", "pr-check-n-one",
+            "degree-past-dmax"])
     def test_error_line_and_exit_one(self, weight_file, tmp_path, extra, symbol):
         args = [*extra, "--weight", str(weight_file), "--kmax", "2"]
         if symbol is not None:

@@ -109,7 +109,7 @@ def _integrand_calls(w, r, spec):
         calls[0] += 1
         return w.eval_at_one_minus(s)
 
-    integrate_radial(spec=spec, a=r, b=1.0, graded_end=1.0, f_dist=f_dist)
+    integrate_radial(spec=spec, a=r, b=1.0, f_dist=f_dist)
     return calls[0]
 
 
