@@ -317,11 +317,10 @@ def cesaro_lower(t: MomentTable, n: int, N: int) -> float:
 def moment_doubling_chain(t: MomentTable, N_list):
     """Ratios rho_{4N}/rho_{6N} along N_list; bounded whenever the Cesaro
     means are, by the chain rho_k <= rho_{8N} <~ rho_{12N} <~ rho_{18N} <= rho_{2k}."""
-    out = []
-    for N in N_list:
-        lm = t.log_moments(np.array([4.0 * N, 6.0 * N]))
-        out.append((int(N), float(math.exp(lm[0] - lm[1]))))
-    return out
+    ns = np.asarray(N_list, dtype=float)
+    lm = t.log_moments(np.concatenate([4.0 * ns, 6.0 * ns]))
+    return [(int(N), math.exp(a - b))
+            for N, a, b in zip(ns.tolist(), lm[:ns.size].tolist(), lm[ns.size:].tolist())]
 
 
 # ----------------------------------------------------------------------

@@ -104,8 +104,8 @@ def _cmd_diagnose(config: RunConfig, w: RadialWeight):
     # the power-envelope exponent needs the full deep grid to separate betas
     beta = dhat_beta_estimate(w, spec=spec) if reports[0].in_class else None
     xs, ratios, notes = [], [], []
-    for x in 2.0 ** np.arange(1, 15):
-        ratio = moment_tail_ratio(table, float(x), spec)
+    all_xs = 2.0 ** np.arange(1, 15)
+    for x, ratio in zip(all_xs, moment_tail_ratio(table, all_xs, spec).tolist()):
         if math.isfinite(ratio):
             xs.append(x)
             ratios.append(ratio)

@@ -211,8 +211,7 @@ def tail(w: RadialWeight, r, spec: QuadSpec | None = None):
 # Moment table
 # ----------------------------------------------------------------------
 
-_SEG_NODES_FULL = np.polynomial.legendre.leggauss(24)
-_SEG_NODES_HALF = np.polynomial.legendre.leggauss(12)
+_SEG_NODES = np.polynomial.legendre.leggauss(24)
 #: tail octaves reach u = 1-t = 2^-_GRID_DEPTH, head octaves t = 2^-_HEAD_DEPTH
 _GRID_DEPTH = 80
 _HEAD_DEPTH = 32
@@ -233,7 +232,7 @@ _ACCUMULATE_WIDTH = 256
 
 
 class MomentTable:
-    """Memoized moments rho_x with a shared graded quadrature grid.
+    """Moments rho_x with a shared graded quadrature grid.
 
     The grid is a dyadic composite Gauss rule in u = 1-t, 24 points per
     octave down to u = 2^-80.  Because each octave resolves e^{-x u}-type
@@ -250,76 +249,39 @@ class MomentTable:
     continued as a geometric series, which is exact for a power-law rim
     (1-r)^alpha and leaves about 1e-7 of a moment of (1-r)^-0.99 /
     log(e/(1-r))^2 out.
-
-    Scalar lookups are memoized in `entries` (value, abs error estimate);
-    the estimate is the deviation from an embedded half-order rule plus a
-    bound on the mass beyond the deepest octave.
     """
 
     def __init__(self, weight: RadialWeight):
         self.weight = weight
-        self.entries: dict[float, tuple[float, float]] = {}
         self._lock = threading.RLock()
         self._grid = None
 
     # -- master grid ----------------------------------------------------
 
     def _build_grid(self):
-        xg_f, wg_f = _SEG_NODES_FULL
-        xg_h, wg_h = _SEG_NODES_HALF
-        lt_f, lw_f, lt_h, lw_h = [], [], [], []
-        tail_logmass = []
-        head_logmass = None
-        # head octaves t in [2^-j-1, 2^-j]: the t^x factor has a branch point
-        # at t = 0, so the mesh must grade toward both endpoints
-        for j in range(_HEAD_DEPTH, 0, -1):
-            hi = 2.0 ** (-j)
-            half = 0.25 * hi
-            mid = 0.75 * hi
-            for lt, lw, x, wq in ((lt_f, lw_f, xg_f, wg_f), (lt_h, lw_h, xg_h, wg_h)):
-                t = mid + half * x
-                lt.append(np.log(t))
-                lw.append(np.log(half * wq)
-                          + self.weight.log_eval_at_one_minus(1.0 - t))
-            if j == _HEAD_DEPTH:
-                head_logmass = logsumexp(lw_f[-1])
-        # tail octaves u = 1-t in [2^-k-1, 2^-k], stored through u so the
-        # boundary offset keeps full floating resolution
-        for k in range(1, _GRID_DEPTH):
-            hi = 2.0 ** (-k)
-            half = 0.25 * hi
-            mid = 0.75 * hi
-            for lt, lw, x, wq in ((lt_f, lw_f, xg_f, wg_f), (lt_h, lw_h, xg_h, wg_h)):
-                u = mid + half * x
-                lt.append(np.log1p(-u))
-                lw.append(np.log(half * wq) + self.weight.log_eval_at_one_minus(u))
-            tail_logmass.append(logsumexp(lw_f[-1]))
-        m1, m2 = tail_logmass[-1], tail_logmass[-2]
-        step = m1 - m2
-        beyond_log = self._beyond_log()
-        # the error estimate bounds the mass past the deepest tail octave
-        # (its continuation with the ratio clipped), and the sliver below
-        # the deepest head octave (t^x <= t <= 2^-_HEAD_DEPTH)
-        ldiff = min(step, -0.05)
-        if math.isfinite(m1) and math.isfinite(ldiff):
-            sliver_log = m1 + ldiff - math.log1p(-math.exp(ldiff))
-        else:
-            sliver_log = -math.inf  # mass beyond the grid underflows entirely
-        head_sliver_log = head_logmass + (1 - _HEAD_DEPTH) * math.log(2.0)
-        with np.errstate(under="ignore", over="ignore"):
-            self._grid = {
-                "logt_f": np.concatenate(lt_f), "logw_f": np.concatenate(lw_f),
-                "logt_h": np.concatenate(lt_h), "logw_h": np.concatenate(lw_h),
-                "sliver": math.exp(sliver_log) + math.exp(head_sliver_log),
-                "beyond": beyond_log,
-            }
+        xg, wg = _SEG_NODES
+        # head octaves t in [2^-j-1, 2^-j], j = _HEAD_DEPTH..1: the t^x factor
+        # has a branch point at t = 0, so the mesh must grade toward both
+        # endpoints; tail octaves u = 1-t in [2^-k-1, 2^-k], k = 1.._GRID_DEPTH-1,
+        # stored through u so the boundary offset keeps full floating resolution
+        hi = 2.0 ** -np.arange(_HEAD_DEPTH, 0, -1.0)[:, None]
+        t = 0.75 * hi + 0.25 * hi * xg
+        lw_head = np.log(0.25 * hi * wg) + self.weight.log_eval_at_one_minus(1.0 - t)
+        hi = 2.0 ** -np.arange(1.0, _GRID_DEPTH)[:, None]
+        u = 0.75 * hi + 0.25 * hi * xg
+        lw_tail = np.log(0.25 * hi * wg) + self.weight.log_eval_at_one_minus(u)
+        self._grid = {
+            "logt_f": np.concatenate([np.log(t).ravel(), np.log1p(-u).ravel()]),
+            "logw_f": np.concatenate([lw_head.ravel(), lw_tail.ravel()]),
+            "beyond": self._beyond_log(),
+        }
 
     def _beyond_log(self) -> float:
         """log of the weight's mass past u = 2^-_GRID_DEPTH: Gauss panels
         in s = -log u (du = e^-s ds) of _BEYOND_PANEL octaves down to
         2^-_BEYOND_DEPTH, then the last two panels' masses continued as a
         geometric series when they decrease."""
-        xg, wg = _SEG_NODES_FULL
+        xg, wg = _SEG_NODES
         width = 0.5 * _BEYOND_PANEL * math.log(2.0)
         mids = (np.arange(_GRID_DEPTH, _BEYOND_DEPTH, _BEYOND_PANEL) * math.log(2.0)
                 + width)
@@ -347,10 +309,10 @@ class MomentTable:
     # -- log-space batch API ---------------------------------------------
 
     def log_moments(self, xs) -> np.ndarray:
-        """log rho_x for an arbitrary array of exponents x >= 1."""
+        """log rho_x for an arbitrary array of finite exponents x >= 1."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if np.any(xs < 1.0):
-            raise WeightDomainError("moment exponent must be >= 1")
+        if not np.all(np.isfinite(xs) & (xs >= 1.0)):
+            raise WeightDomainError("moment exponent must be finite and >= 1")
         g = self._g()
         out = np.empty(xs.size)
         block = max(1, (1 << 22) // g["logt_f"].size)
@@ -440,27 +402,9 @@ class MomentTable:
 
     # -- scalar API -------------------------------------------------------
 
-    def moment_with_error(self, x: float) -> tuple[float, float]:
-        x = float(x)
-        if x < 1.0:
-            raise WeightDomainError("moment exponent must be >= 1")
-        with self._lock:
-            if x in self.entries:
-                return self.entries[x]
-        g = self._g()
-        lf, lh = np.logaddexp([logsumexp(x * g["logt_f"] + g["logw_f"]),
-                               logsumexp(x * g["logt_h"] + g["logw_h"])], g["beyond"])
-        with np.errstate(under="ignore", over="ignore"):
-            value = math.exp(lf)
-        err = abs(value * -math.expm1(lh - lf)) + g["sliver"]
-        entry = (value, err)
-        with self._lock:
-            self.entries[x] = entry
-        return entry
-
     def moment(self, x: float) -> float:
-        """rho_x = int_0^1 t^x rho(t) dt, memoized."""
-        return self.moment_with_error(x)[0]
+        """rho_x = int_0^1 t^x rho(t) dt."""
+        return math.exp(self.log_moment(x))
 
     def log_moment(self, x: float) -> float:
         return float(self.log_moments(np.array([float(x)]))[0])
@@ -613,16 +557,22 @@ def dhat_beta_estimate(w: RadialWeight, radii=None, beta_grid=None,
     return None
 
 
-def moment_tail_ratio(t: MomentTable, x: float,
-                      spec: QuadSpec | None = None) -> float:
+def moment_tail_ratio(t: MomentTable, x, spec: QuadSpec | None = None):
     """rho_x / rhohat(1 - 1/x); comparable above and below for class weights.
 
-    Returns math.inf where the tail underflows to 0.0.
+    x is an exponent or an array of exponents, as `tail` takes radii: a
+    float gives a float, an array an array of the same shape, from one
+    log_moments call and one array tail.  Each moment is math.exp of its
+    log (np.exp rounds some of them differently).  Returns math.inf where
+    the tail underflows to 0.0.
     """
-    if x < 1.0:
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs >= 1.0):
         raise WeightDomainError("x must be >= 1")
-    den = tail(t.weight, 1.0 - 1.0 / x, spec)
-    return t.moment(x) / den if den > 0.0 else math.inf
+    moments = [math.exp(v) for v in t.log_moments(xs.ravel()).tolist()]
+    dens = np.ravel(tail(t.weight, 1.0 - 1.0 / xs, spec)).tolist()
+    ratios = [m / d if d > 0.0 else math.inf for m, d in zip(moments, dens)]
+    return ratios[0] if xs.ndim == 0 else np.reshape(ratios, xs.shape)
 
 
 def is_regular(w: RadialWeight, radii=None,

@@ -199,7 +199,7 @@ class TestMoments:
         exact = 0.5 * np.exp(betaln((xs + 1.0) / 2.0, alpha + 1.0))
         assert_allclose(np.exp(t.log_moments(xs)), exact, rtol=1e-10)
         assert_allclose(np.exp(t.log_moments_arith(1.0, 6.0, 2)), exact[:2], rtol=1e-10)
-        assert_allclose([t.moment_with_error(x)[0] for x in xs], exact, rtol=1e-10)
+        assert_allclose([t.moment(x) for x in xs], exact, rtol=1e-10)
 
     @pytest.mark.parametrize("gamma", [-0.9, -0.99])
     def test_mass_beyond_the_grid_logarithmic(self, gamma):
@@ -222,7 +222,7 @@ class TestMoments:
         want = [exact(x) for x in xs]
         assert_allclose(np.exp(t.log_moments(xs)), want, rtol=1e-7)
         assert_allclose(np.exp(t.log_moments_arith(1.0, 6.0, 2)), want[:2], rtol=1e-7)
-        assert_allclose([t.moment_with_error(x)[0] for x in xs], want, rtol=1e-7)
+        assert_allclose([t.moment(x) for x in xs], want, rtol=1e-7)
 
     def test_constant_closed_forms(self, tables):
         assert_allclose(tables["std0"].moment(1), 0.5, atol=1e-12)
@@ -249,8 +249,6 @@ class TestMoments:
         t = tables["std1"]
         v = t.moment(17.5)
         assert v > 0
-        assert t.entries[17.5][0] == v
-        assert t.entries[17.5][1] >= 0
 
     def test_against_adaptive_quadrature(self, weights, rng):
         """Master-grid moments agree with the independent adaptive integrator,
@@ -269,6 +267,16 @@ class TestMoments:
     def test_domain(self, tables):
         with pytest.raises(WeightDomainError):
             tables["std0"].moment(0.5)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+    def test_non_finite_exponent(self, tables, x):
+        """t^inf is not 1 on the grid's last octaves, and NaN is no exponent:
+        both are refused, alone and inside an array."""
+        t = tables["std0"]
+        with pytest.raises(WeightDomainError):
+            t.moment(x)
+        with pytest.raises(WeightDomainError):
+            t.log_moments(np.array([2.0, x]))
 
     def test_concurrent_memoization_idempotent(self, weights):
         t = MomentTable(weights["std1"])
@@ -333,6 +341,27 @@ def _oracle_log_moments_arith(t, x0, step, count):
     return np.logaddexp(out, g["beyond"], out=out), rescaled, dropped
 
 
+def _oracle_grid(w):
+    """The moment grid built one octave at a time, 24-point Gauss rule per
+    octave: head octaves t in [2^-j-1, 2^-j] for j = 32..1, then tail
+    octaves u = 1-t in [2^-k-1, 2^-k] for k = 1..79."""
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    lt, lw = [], []
+    for j in range(32, 0, -1):
+        hi = 2.0 ** (-j)
+        half, mid = 0.25 * hi, 0.75 * hi
+        t = mid + half * xg
+        lt.append(np.log(t))
+        lw.append(np.log(half * wg) + w.log_eval_at_one_minus(1.0 - t))
+    for k in range(1, 80):
+        hi = 2.0 ** (-k)
+        half, mid = 0.25 * hi, 0.75 * hi
+        u = mid + half * xg
+        lt.append(np.log1p(-u))
+        lw.append(np.log(half * wg) + w.log_eval_at_one_minus(u))
+    return np.concatenate(lt), np.concatenate(lw)
+
+
 ARITH_WEIGHTS = {
     "std-0.5": lambda: RadialWeight.standard(-0.5),
     "tabulated": lambda: RadialWeight.tabulated(
@@ -385,6 +414,32 @@ class TestMomentRecurrenceBlocks:
     def test_empty_progression(self, tables):
         for count in (0, -1):
             assert tables["std0"].log_moments_arith(3.0, 2.0, count).size == 0
+
+
+class TestMomentGrid:
+    """The grid is built as two array expressions, bit for bit the
+    per-octave loop."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: RadialWeight.standard(0.0),
+        lambda: RadialWeight.standard(2.0),
+        lambda: RadialWeight.standard(-0.9),
+        lambda: RadialWeight.logarithmic(0.0),
+        lambda: RadialWeight.logarithmic(-0.99),
+        lambda: RadialWeight.exponential(1.0, 1.0),
+        ARITH_WEIGHTS["tabulated"],
+    ], ids=["std0", "std2", "std-0.9", "log0", "log-0.99", "exp11", "tabulated"])
+    def test_bitwise_equal_per_octave(self, make):
+        w, w_oracle = make(), make()
+        g = MomentTable(w)._g()
+        logt, logw = _oracle_grid(w_oracle)
+        assert g["logt_f"].tobytes() == logt.tobytes()
+        assert g["logw_f"].tobytes() == logw.tobytes()
+        beyond = MomentTable(make())._beyond_log()
+        assert np.float64(g["beyond"]).tobytes() == np.float64(beyond).tobytes()
+        # the tabulated rule's last tail octaves lie past its last sample
+        assert w.extrapolation_used == w_oracle.extrapolation_used
+        assert w.extrapolation_used == (w.kind == "tabulated")
 
 
 class TestDhatTail:
@@ -484,6 +539,29 @@ class TestMomentTailRatio:
             oracle = 6 * x ** 3 / ((x + 1) * (x + 3) * (3 * x - 1))
             assert_allclose(moment_tail_ratio(tables["std1"], x), oracle,
                             rtol=1e-9)
+
+    @pytest.mark.parametrize("key", ["std0", "log0", "exp11"])
+    def test_array_equals_per_exponent(self, tables, weights, key):
+        """One log_moments call and one array tail give, bit for bit, the
+        per-exponent math.exp(log_moment(x)) / tail(w, 1 - 1/x); exp11's
+        tail underflows at the deep exponents, which give inf."""
+        t, w = tables[key], weights[key]
+        xs = 2.0 ** np.arange(0, 15)
+        want = [math.exp(t.log_moment(x)) / den if (den := tail(w, 1.0 - 1.0 / x)) > 0.0
+                else math.inf for x in xs.tolist()]
+        got = moment_tail_ratio(t, xs)
+        assert got.shape == xs.shape
+        assert got.tobytes() == np.array(want).tobytes()
+        assert moment_tail_ratio(t, xs.reshape(3, 5)).tobytes() == got.tobytes()
+        assert (key == "exp11") == (math.inf in want)
+        one = moment_tail_ratio(t, np.float64(xs[7]))
+        assert type(one) is float and one == want[7]
+        assert moment_tail_ratio(t, 128.0) == want[7]
+
+    @pytest.mark.parametrize("x", [0.5, math.nan, [2.0, math.nan], [4.0, 0.5]])
+    def test_domain(self, tables, x):
+        with pytest.raises(WeightDomainError):
+            moment_tail_ratio(tables["std0"], x)
 
     def test_window_for_class_weights(self, tables):
         """For class weights the ratio settles into a window [1/C, C]."""

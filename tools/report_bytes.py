@@ -10,7 +10,8 @@ weight and symbol descriptors it writes to a temporary directory:
               --kmax 8 --dmax 4096
     pr-check  std0 and exp11
     kernel    std0 and exp11
-    diagnose  std0, std2, log0, exp11 and a tabulated 1 - r^2
+    diagnose  std0, std2, log0, exp11, a tabulated 1 - r^2 and standard(-0.9),
+              which keeps more than half of its rho_1 past the moment grid's end
     project   the monomial w1^2 w2, and a 9 x 9 x 16 polar-grid symbol of
               1 + Re(lam)/2 at --kmax 4
 
@@ -39,6 +40,7 @@ _TABULATED_R = [0.98 * i / 11 for i in range(12)] + [0.99, 0.995, 0.999]
 WEIGHTS = {
     "std0": {"kind": "standard", "alpha": 0.0, "label": "std0"},
     "std2": {"kind": "standard", "alpha": 2.0, "label": "std2"},
+    "std-0.9": {"kind": "standard", "alpha": -0.9, "label": "std-0.9"},
     "log0": {"kind": "logarithmic", "gamma": 0.0, "label": "log0"},
     "exp11": {"kind": "exponential", "c": 1.0, "beta": 1.0, "label": "exp11"},
     "tab": {"kind": "tabulated", "label": "tabulated 1 - r^2",
@@ -69,7 +71,8 @@ REPORTS = [
     ("theorem exp11 --kmax 8 --dmax 4096", "exp11", None,
      ["theorem", "--kmax", "8", "--dmax", "4096"]),
     *[(f"{c} {w}", w, None, [c]) for c in ("pr-check", "kernel") for w in ("std0", "exp11")],
-    *[(f"diagnose {w}", w, None, ["diagnose"]) for w in ("std0", "std2", "log0", "exp11", "tab")],
+    *[(f"diagnose {w}", w, None, ["diagnose"])
+      for w in ("std0", "std2", "log0", "exp11", "tab", "std-0.9")],
     ("project monomial w1^2 w2", "std0", "monomial", ["project"]),
     ("project polar grid --kmax 4", "std0", "grid", ["project", "--kmax", "4"]),
 ]
