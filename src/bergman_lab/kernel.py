@@ -14,34 +14,42 @@ series
 ties the two together: R K(z,w) = <z,w> g(<z,w>) / (2 Gamma(n+1)), and the
 n-th z-derivative of the corresponding disk kernel is g(z conj(w)) conj(w)^n / 2.
 
-Everything is computed in log space from log-Gamma and log-moments, so
-coefficient tables stay finite for weights whose moments underflow.
+Everything is computed in log space from log-moments, so coefficient
+tables stay finite for weights whose moments underflow.  The factorial
+part of log c_d is the exact sum of logs sum_{j=1}^{n-1} log(d+j) - log n!:
+a difference of log-Gammas would lose about 1e-10 to cancellation at d =
+2^17.  A table grows through the sizes 257 2^k (capped at d_max + 1), so
+its coefficients do not depend on how it was asked to grow.
 
 Every evaluator of sum_d d^m c_d t^d (m = 0 for K, 1 for R K) draws on one
 term table, `_terms`, built for the largest argument modulus amax: the
 degree D at which the tail is certified below tolerance, and the terms
 d^m c_d amax^d, d <= D, divided by e^scale so the largest is 1.  The tail
 is certified by the sharper of two geometric envelopes: the moment lower
-bound rho_s >= C_eps (1-eps)^s with eps = (1-|t|)/2 (valid for every radial
-weight), or the observed decay ratio of the computed terms (valid once term
+bound rho_s >= C_eps (1-eps)^s, eps = (1-|t|)/2, that the log-convexity of
+the moments gives past D where they fall slowly enough there (valid for
+every radial weight), or the observed decay ratio of the computed terms (valid once term
 ratios decrease, which holds past the peak for all weight families here;
-the doubling-stability property test guards it).  The ratio test scans
-ranges of the coefficient table that double from 512 degrees.  The
-largest ratio of consecutive terms over the 16 degrees before D is the
-table's ratio envelope at D times |t|, formed once per range for every
-|t|; a row whose |t| times the range's least envelope value is not below
-e^-1e-12 only adds that range's terms.  The others are tested, with a
-little slack, against partial sums of terms scaled by their running
+the doubling-stability property test guards it).  D is the one a fresh
+table would certify: the ratio test's at the first table size s it passes
+below, else s - 1 at the first size where the moment envelope holds.  The
+ratio test scans ranges of the coefficient table that end at the table
+sizes.  The largest ratio of consecutive terms over the 16 degrees before
+D is the table's ratio envelope at D times |t|, formed once per range for
+every |t|; a row whose |t| times the range's least envelope value is not
+below e^-1e-12 only adds that range's terms.  The others are tested, with
+a little slack, against partial sums of terms scaled by their running
 maximum: linear arithmetic.  The first degree that passes is checked in
 log space; where that check fails or the scaled sums underflow, the range
 is tested in log space, as is a block of rows short enough to test there
 outright (one row in the first two ranges).  So D and its tail bound are
-the log-space test's, and D reads only degrees <= D: it does not depend
-on how far an earlier call grew the table.
+the log-space test's, and D reads only degrees <= D: it does not depend on
+how far an earlier call grew the table.
 
-One point and arrays of points alike are summed by the power recursion
-x^d = x^{d-1} x; each result is multiplied back by e^scale, so only one
-beyond double range fails.  Circle means take an array of radii at once:
+One point and arrays of points alike take their powers by the recursion
+x^d = x^{d-1} x (one point's terms are summed exactly rounded, by
+math.fsum); each result is multiplied back by e^scale, so only one beyond
+double range fails.  Circle means take an array of radii at once:
 the radii are certified together, in order.  Each mean takes one real FFT
 per angle level on the half circle (|p| is even in the angle, the terms
 being real), first level from D: the grid starts at no fewer than (D+1)/2
@@ -56,7 +64,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericRangeError, QuadratureError, TruncationError
 from .quadrature import BallPoint, inner
@@ -80,7 +87,8 @@ _LOG_MAX = 709.0
 _RATIO_WINDOW = 16
 #: the ratio test needs the window's largest log ratio below this
 _DECAY = -1.0e-12
-#: degrees in the first range the ratio test scans; later ranges double
+#: blocks of (rows x degrees) up to this many elements in a range of the
+#: ratio test are tested in log space
 _CERTIFY_PREFIX = 512
 #: relative slack of the linear ratio test, far above its rounding gap to
 #: the log-space test, so every degree the log-space test passes passes it
@@ -88,8 +96,8 @@ _SLACK = 1.0e-9
 #: where the linear ratio test's right-hand side falls below this, the
 #: scaled partial sums may have underflowed: that range is tested in log space
 _TINY = 1.0e-290
-#: head moments log rho_{2n-1+2d}, d < _EPS_HEAD, fix the moment envelope
-_EPS_HEAD = 65
+#: a coefficient table holds _FIRST_SIZE 2^k coefficients, or d_max + 1
+_FIRST_SIZE = 257
 #: elements in one (rows x degrees) or (rows x angles) block when many |t|
 #: are certified or circle means taken at once; a single row may exceed it
 #: when circle means are taken
@@ -116,8 +124,12 @@ class _Table:
 class KernelCoeffs:
     """Log-space kernel coefficients log c_d for degrees 0..d_max.
 
-    Construction is lazy: an initial block is built and the table grows by
-    doubling, under a lock, whenever an evaluation needs deeper degrees.
+    Construction is lazy: the table holds 257 2^k coefficients (or d_max + 1,
+    the cap) and grows through these sizes in turn, under a lock, whenever
+    an evaluation needs deeper degrees.  Each growth extends the moment
+    recurrence from its first degree, so the sizes a table passed through
+    fix its bits: growing through the same sizes, every table holds the
+    same coefficients, however far and in what steps it was asked to grow.
     Each growth publishes one new _Table, so a reader always sees log c_d
     and log d of one size.
     Extension is idempotent, so concurrent readers are safe.
@@ -134,7 +146,6 @@ class KernelCoeffs:
         self.d_max = d_max
         self._lock = threading.RLock()
         self._table = _Table(np.empty(0), np.empty(0))
-        self._head_log_moms = np.empty(0)
         self.ensure(min(initial, d_max) + 1)
 
     @property
@@ -146,44 +157,58 @@ class KernelCoeffs:
         return self._table.log_c
 
     def ensure(self, count: int):
-        """Grow the table to at least `count` coefficients (capped at d_max+1)."""
+        """Grow the table to at least `count` coefficients (capped at
+        d_max+1), through each table size below it."""
         count = min(count, self.d_max + 1)
         if self.built >= count:
             return
         with self._lock:
-            if self.built >= count:
-                return
-            old = self._table
-            lo = old.log_c.size
-            n = self.n
-            new_moms = self.table.log_moments_arith(2 * n - 1 + 2 * lo, 2.0, count - lo)
-            d = np.arange(lo, count, dtype=float)
-            # gammaln(d + n) - gammaln(d + 1) - gammaln(n + 1) - log 2 - moments,
-            # in place: the largest growth holds few arrays of its size at once
-            coeffs = d + n
-            gammaln(coeffs, out=coeffs)
-            tmp = d + 1
-            coeffs -= gammaln(tmp, out=tmp)
-            del tmp
-            coeffs -= gammaln(n + 1)
-            coeffs -= math.log(2.0)
-            coeffs -= new_moms
-            head = self._head_log_moms
-            self._head_log_moms = np.concatenate(
-                [head, new_moms[:_EPS_HEAD - head.size]])
-            del new_moms
-            log_c = np.concatenate([old.log_c, coeffs])
-            del coeffs
-            with np.errstate(divide="ignore"):  # log 0 = -inf
-                log_d = np.concatenate([old.log_d, np.log(d, out=d)])
-            del d
-            self._table = _Table(log_c, log_d)
+            while self.built < count:
+                self._grow(min(_next_size(self.built), self.d_max + 1))
+
+    def _grow(self, size: int):
+        old = self._table
+        lo = old.log_c.size
+        n = self.n
+        new_moms = self.table.log_moments_arith(2 * n - 1 + 2 * lo, 2.0, size - lo)
+        d = np.arange(lo, size, dtype=float)
+        # log((d+n-1)! / (d! n!)) - log 2 - moments, in place: the largest
+        # growth holds few arrays of its size at once
+        coeffs = _log_gamma_part(d, n)
+        coeffs -= math.log(2.0)
+        coeffs -= new_moms
+        del new_moms
+        log_c = np.concatenate([old.log_c, coeffs])
+        del coeffs
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            log_d = np.concatenate([old.log_d, np.log(d, out=d)])
+        del d
+        self._table = _Table(log_c, log_d)
 
     def log_c(self, d: int) -> float:
         if not 0 <= d <= self.d_max:
             raise ValueError(f"kernel degree {d} is outside 0..d_max={self.d_max}")
         self.ensure(d + 1)
         return float(self._table.log_c[d])
+
+
+def _next_size(size: int) -> int:
+    """The least table size _FIRST_SIZE 2^k above size."""
+    s = _FIRST_SIZE
+    while s <= size:
+        s *= 2
+    return s
+
+
+def _log_gamma_part(d: np.ndarray, n: int) -> np.ndarray:
+    """log((d+n-1)! / (d! n!)) = sum_{j=1}^{n-1} log(d+j) - log n! at the
+    degrees d, as an exact sum of logs: gammaln(d+n) - gammaln(d+1) loses
+    about 1e-10 to cancellation at d = 2^17."""
+    out = np.full(d.shape, -math.log(math.factorial(n)))
+    tmp = np.empty_like(out)
+    for j in range(1, n):
+        out += np.log(np.add(d, j, out=tmp), out=tmp)
+    return out
 
 
 def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
@@ -224,25 +249,41 @@ def _window_max(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _epsilon_tail_log(k: KernelCoeffs, abs_t: float, D: int, degree_weight: int):
-    """log of the moment-envelope tail bound past degree D, or +inf."""
-    n = k.n
-    eps = 0.5 * (1.0 - abs_t)
-    log_one_minus_eps = math.log1p(-eps)
-    q = abs_t * math.exp(-2.0 * log_one_minus_eps)
-    if q >= 1.0:
-        return math.inf
-    head = k._head_log_moms
-    d = np.arange(head.size, dtype=float)
-    log_c_eps = float(np.min(head - (2 * n - 1 + 2 * d) * log_one_minus_eps))
+def _epsilon_tail_log(k: KernelCoeffs, abs_t: np.ndarray, D: int,
+                      degree_weight: int) -> np.ndarray:
+    """log of the moment-envelope tail bound past degree D at each |t| of
+    the array abs_t, +inf where the envelope gives none.
+
+    log rho_x is convex in x, so past x_D = 2n-1+2D it lies above the chord
+    through x_{D-1} and x_D.  Where that chord falls by no more than 2
+    log(1-eps) per degree, eps = (1-|t|)/2, rho_x >= C_eps (1-eps)^x for x
+    >= x_D with C_eps = rho_{x_D} (1-eps)^-x_D, and the terms past D are
+    bounded by a geometric series of ratio q = |t| / (1-eps)^2 times the
+    factorial part.  The moments are read back from log c_{D-1} and log c_D.
+    """
+    n, m = k.n, degree_weight
+    if D < 1:
+        return np.full(np.shape(abs_t), math.inf)
+    log_c = k._table.log_c
+    chord = math.log((D + n - 1) / D) - float(log_c[D] - log_c[D - 1])
+    log_one_minus_eps = np.log1p(-0.5 * (1.0 - abs_t))
+    steep = chord < 2.0 * log_one_minus_eps
+    if steep.all():
+        return np.full(np.shape(abs_t), math.inf)
+    log_mom = (sum(math.log(D + j) for j in range(1, n)) - math.log(math.factorial(n))
+               - math.log(2.0) - float(log_c[D]))  # log rho_{x_D}
+    q = abs_t * np.exp(-2.0 * log_one_minus_eps)
+    log_c_eps = log_mom - (2 * n - 1 + 2 * D) * log_one_minus_eps
     log_a = -math.log(2 * n) - (2 * n - 1) * log_one_minus_eps - log_c_eps
-    m = degree_weight
-    kappa = q * (D + 1 + n) / (D + 2) * ((D + 2) / (D + 1)) ** m
-    if kappa >= 1.0:
-        return math.inf
-    log_binom = gammaln(D + n + 1) - gammaln(D + 2) - gammaln(n)
-    return (log_a + m * math.log(D + 1) + log_binom
-            + (D + 1) * math.log(q) - math.log1p(-kappa))
+    kappa = q * ((D + 1 + n) / (D + 2) * ((D + 2) / (D + 1)) ** m)
+    # log((D+n)! / ((D+1)! (n-1)!)), an exact sum of logs as in _log_gamma_part
+    log_binom = (sum(math.log(D + j) for j in range(2, n + 1))
+                 - math.log(math.factorial(n - 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (log_a + m * math.log(D + 1) + log_binom
+               + (D + 1) * np.log(q) - np.log1p(-kappa))
+    out[steep | (q >= 1.0) | (kappa >= 1.0)] = math.inf
+    return out
 
 
 def _ratio_range(log_c: np.ndarray, log_d: np.ndarray, degree_weight: int,
@@ -316,23 +357,27 @@ def _log_space_range(table: _Table, log_t: np.ndarray, log_tol: float,
             if hit[r] else (None, None, float(cum[r, -1])) for r in range(lt.shape[0])]
 
 
-def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
-                degree_weight: int):
-    """The ratio test on one published table, one row per |t| in abs_ts
-    (log|t| in log_ts).
+def _ratio_scan(k: KernelCoeffs, table: _Table, abs_ts: list, log_ts: list,
+                tol: float, degree_weight: int):
+    """Certification on one published table of k, one row per |t| in
+    abs_ts (log|t| in log_ts).
 
-    Returns one (D, tail_log, sum_log) per row: the first degree at which
-    the test certifies (None where none does), its log tail bound, and the
-    log partial sum through D (through the table's last degree where D is
-    None).  The test at D is _log_space_range's; D reads degrees <= D only,
-    so a row leaves at its first hit.  Rows go together through ranges of
-    degrees that double from _CERTIFY_PREFIX, at most _BLOCK_ELEMENTS wide,
-    in blocks of rows under _BLOCK_ELEMENTS, each row carrying (scale,
-    total): its partial sum is total e^scale, scale its largest log term.
+    Returns one (D, tail_log, sum_log) per row: the degree at which the row
+    certifies (None where it does not within the table), its log tail
+    bound, and the log partial sum through D (through the table's last
+    degree where D is None).  Rows go together through ranges of degrees
+    that end at the table sizes _FIRST_SIZE 2^k (and d_max + 1), at most
+    _BLOCK_ELEMENTS wide, in blocks of rows under _BLOCK_ELEMENTS, each
+    row carrying (scale, total): its partial sum is total e^scale, scale
+    its largest log term.  Where a range ends at a table size s, a row the
+    ratio test has not certified below s takes the epsilon envelope at s -
+    1 if it holds there: a fresh table of s coefficients would do the same,
+    so D does not depend on how far the table has grown.
 
-    A block of rows tested over at most _CERTIFY_PREFIX elements, such as
-    one row in the first two ranges, is tested in log space: fewer array
-    operations there.  Otherwise the range's envelope is formed once
+    The ratio test at D is _log_space_range's, and it reads degrees <= D
+    only.  A block of rows tested over at most _CERTIFY_PREFIX elements,
+    such as one row in the first two ranges, is tested in log space: fewer
+    array operations there.  Otherwise the range's envelope is formed once
     (_ratio_range).  With rho = ratio[D] |t| (1 - _SLACK), a degree is a
     candidate where rho < e^_DECAY and term_D rho <= tol (1 + _SLACK) (1 -
     rho) sum_{d<=D} term_d: linear arithmetic on the scaled terms.  Rounded
@@ -348,20 +393,24 @@ def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
     start = 1 if degree_weight else 0
     log_tol = math.log(tol)
     decay, tol_slack = math.exp(_DECAY), tol * (1.0 + _SLACK)
-    log_t = np.array(log_ts)
+    abs_t, log_t = np.array(abs_ts), np.array(log_ts)
     scale = np.array([-math.inf] * log_t.size)
     total = np.zeros(log_t.size)
     out = [None] * log_t.size
     live = np.arange(log_t.size)
-    lo, hi = start, min(_CERTIFY_PREFIX, n_built)
+
+    def sum_log(i):
+        return float(scale[i]) + math.log(total[i])
+
+    lo, hi = start, min(_FIRST_SIZE, n_built)
     while True:
         log_c, log_d = table.log_c[lo:hi], table.log_d[lo:hi]
         step = max(1, _BLOCK_ELEMENTS // (hi - lo))
         groups = [(live, True)]
         if live.size * (hi - lo) > _CERTIFY_PREFIX:
             env = _ratio_range(table.log_c, table.log_d, degree_weight, lo, hi)
-            abs_t = np.array(abs_ts) * (1.0 - _SLACK)
-            testing = abs_t[live] * np.fmin.reduce(env) < decay  # else no candidate
+            slack_t = abs_t * (1.0 - _SLACK)
+            testing = slack_t[live] * np.fmin.reduce(env) < decay  # else no candidate
             groups = [(live[~testing], False), (live[testing], True)]
         for group, test in groups:
             for b in range(0, group.size, step):
@@ -380,7 +429,7 @@ def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
                         continue
                     partial = e.cumsum(axis=1)
                     partial += carried[:, None]
-                    rho = env * abs_t[rows, None]
+                    rho = env * slack_t[rows, None]
                     ok = rho < decay
                     e *= rho
                     rhs = np.subtract(1.0, rho, out=rho)
@@ -410,33 +459,40 @@ def _ratio_scan(table: _Table, abs_ts: list, log_ts: list, tol: float,
                         else:
                             out[i] = (D, tail, log_sum)
         live = [i for i in live.tolist() if out[i] is None]
+        if live and (hi == n_built or hi == _next_size(hi - 1)):
+            # the rows a table of hi coefficients leaves to the epsilon envelope
+            eps = _epsilon_tail_log(k, abs_t[live], hi - 1, degree_weight).tolist()
+            for i, eps_log in zip(live, eps):
+                if eps_log < math.inf and eps_log <= log_tol + sum_log(i):
+                    out[i] = (hi - 1, eps_log, sum_log(i))
+            live = [i for i in live if out[i] is None]
         if hi == n_built or not live:
             for i in live:
-                out[i] = (None, None, float(scale[i]) + math.log(total[i]))
+                out[i] = (None, None, sum_log(i))
             return out
         live = np.array(live)
-        lo, hi = hi, min(2 * hi, hi + _BLOCK_ELEMENTS, n_built)
+        lo, hi = hi, min(_next_size(hi), hi + _BLOCK_ELEMENTS, n_built)
 
 
 def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
              before_growth=None):
-    """Truncation degree D and log tail bound for each |t| in abs_ts,
-    exactly as certifying them one at a time in this order would pick them.
+    """Truncation degree D and log tail bound for each |t| in abs_ts, the
+    ones a fresh table would certify for them one at a time in this order.
     Returns lists (D, bound_log, sum_log): the relative tail bound is
     exp(min(bound_log, _epsilon_tail_log(..., D, ...)) - sum_log).
 
-    The ratio test (_ratio_scan) certifies rows on the built table at once.
-    Its D for a row does not change when the table grows, so only the rows
-    it misses take their turn, in order: the epsilon envelope at the built
-    size, else the table doubles (before_growth(j, D) is called first, once
-    the rows before j hold their D), else TruncationError at d_max.  After a
-    growth the missed rows still to come are scanned again.  The first row
-    is scanned alone, so a |t| that needs the table grown, or cannot be
-    certified, costs one row's scan rather than one per row.
+    A row certifies at the first table size s where the ratio test passes
+    at a degree below s, or else where the epsilon envelope holds at s - 1
+    (_ratio_scan takes both on the built table for all rows at once).  The
+    rows it misses take their turn, in order: the table grows to its next
+    size (before_growth(j, D) is called first, once the rows before j hold
+    their D), else TruncationError at d_max.  After a growth the missed
+    rows are scanned again.  The first row is scanned alone, so a |t| that
+    needs the table grown, or cannot be certified, costs one row's scan
+    rather than one per row.
     """
     if not (0.0 < tol_rel < math.inf):
         raise ValueError("tolerance must be a finite positive number")
-    log_tol = math.log(tol_rel)
     abs_ts = [float(t) for t in abs_ts]
     log_ts = [math.log(t) for t in abs_ts]
     D = [None] * len(abs_ts)
@@ -449,41 +505,31 @@ def _certify(k: KernelCoeffs, abs_ts, tol_rel: float, degree_weight: int,
                 # one snapshot: another thread may publish a longer table
                 table = k._table
                 n_built = table.log_c.size
-                scanned = _ratio_scan(table, [abs_ts[j] for j in pending],
+                scanned = _ratio_scan(k, table, [abs_ts[j] for j in pending],
                                       [log_ts[j] for j in pending], tol_rel,
                                       degree_weight)
-                missed = []
                 for j, (d, tail_log, cum) in zip(pending, scanned):
-                    if d is None:
-                        missed.append((j, cum))
-                    else:
+                    if d is not None:
                         D[j], bound_log[j], sum_log[j] = d, tail_log, cum
-                pending = []
-                for pos, (j, cum) in enumerate(missed):
-                    if k.built > n_built:  # grown by another thread: scan that table
-                        pending = [j for j, _ in missed[pos:]]
-                        break
-                    # epsilon envelope may certify the full built prefix even
-                    # when the ratio test cannot (e.g. short tables)
-                    eps_log = _epsilon_tail_log(k, abs_ts[j], n_built - 1, degree_weight)
-                    if eps_log <= log_tol + cum:
-                        D[j], bound_log[j], sum_log[j] = n_built - 1, eps_log, cum
-                        continue
-                    if before_growth is not None:
-                        before_growth(j, D)
-                    if n_built >= k.d_max + 1:
-                        lt = _log_terms(table.log_c, table.log_d, log_ts[j], degree_weight)
-                        scale = float(lt.max())
-                        with np.errstate(under="ignore", over="ignore"):
-                            partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
-                        raise TruncationError(
-                            f"tail not certified below {tol_rel:.1e} within "
-                            f"d_max={k.d_max} at |t|={abs_ts[j]:.6g}",
-                            partial_sum=partial, degree_used=n_built - 1,
-                            tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
-                    k.ensure(min(2 * n_built, k.d_max + 1))
-                    pending = [j for j, _ in missed[pos:]]
-                    break
+                pending = [j for j in pending if D[j] is None]
+                if not pending or k.built > n_built:  # grown by another thread: scan that
+                    continue
+                j = pending[0]
+                if before_growth is not None:
+                    before_growth(j, D)
+                if n_built >= k.d_max + 1:
+                    lt = _log_terms(table.log_c, table.log_d, log_ts[j], degree_weight)
+                    scale = float(lt.max())
+                    with np.errstate(under="ignore", over="ignore"):
+                        partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
+                    eps_log = float(_epsilon_tail_log(k, np.array([abs_ts[j]]), n_built - 1,
+                                                      degree_weight)[0])
+                    raise TruncationError(
+                        f"tail not certified below {tol_rel:.1e} within "
+                        f"d_max={k.d_max} at |t|={abs_ts[j]:.6g}",
+                        partial_sum=partial, degree_used=n_built - 1,
+                        tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
+                k.ensure(n_built + 1)
     return D, bound_log, sum_log
 
 
@@ -507,7 +553,7 @@ def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
     and the certified relative tail bound at |t| = amax.
     """
     (D,), (bound_log,), (sum_log,) = _certify(k, [amax], tol, m)
-    bound_log = min(bound_log, _epsilon_tail_log(k, amax, D, m))
+    bound_log = min(bound_log, float(_epsilon_tail_log(k, np.array([amax]), D, m)[0]))
     table = k._table
     scale, gamma = _scaled_terms(table.log_c[:D + 1], table.log_d[:D + 1], amax, m)
     return D, scale, gamma, math.exp(bound_log - sum_log)
@@ -530,11 +576,12 @@ def _power_sums(k: KernelCoeffs, flat: np.ndarray, tol: float, degree_weight: in
     rounded angle times d.  Divide componentwise: complex division
     multiplies by a rounded 1/amax, and that one-ulp error compounds over D
     powers.  Many points step the degree over the whole array; one point
-    runs the same recurrence along the degrees with np.multiply.accumulate,
-    and the same running sum in degree order with np.add.accumulate.  Where
-    the series cancels, that running sum is far closer to the exact sum
-    than a pairwise one: 8e-9 against 2.5e-7 relative for exp11, n = 2, at
-    t = 0.995i.
+    runs the same recurrence along the degrees with np.multiply.accumulate
+    and sums its terms with math.fsum, the real and imaginary parts each
+    exactly rounded.  Where the series cancels, any rounded running sum
+    keeps an error of about 1e-16 of the largest term: for exp11, n = 2, at
+    t = 0.995i the sum is 4e-13 of it, so that error would be 1e-4 of the
+    value.
     """
     amax = float(np.max(np.abs(flat)))
     D, scale, gamma, tail_rel = _terms(k, amax, tol, degree_weight)
@@ -542,7 +589,8 @@ def _power_sums(k: KernelCoeffs, flat: np.ndarray, tol: float, degree_weight: in
     if x.size == 1:
         steps = np.full(gamma.size, x[0])
         steps[0] = 1.0
-        vals = np.add.accumulate(gamma * np.multiply.accumulate(steps))[-1:]
+        terms = gamma * np.multiply.accumulate(steps)
+        vals = np.array([complex(math.fsum(terms.real), math.fsum(terms.imag))])
     else:
         vals = np.full(x.shape, gamma[0], dtype=complex)
         p = np.ones(x.shape, dtype=complex)

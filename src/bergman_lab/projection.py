@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import QuadratureError, SymbolFormError
 from .kernel import KernelCoeffs, _terms, _unscale
@@ -125,23 +124,53 @@ class BoundedSymbol:
 
 class _PolarGridSlice:
     """Trilinear interpolant of a polar-grid symbol in (r, |lam|, angle), the
-    angle taken as (arg lam - arg_nodes[0]) mod 2 pi."""
+    angle taken as (arg lam - arg_nodes[0]) mod 2 pi.  Outside the grid each
+    axis continues its first or last cell linearly; an axis of one node is
+    constant."""
 
     def __init__(self, r_nodes, mod_nodes, arg_nodes, values):
-        from scipy.interpolate import RegularGridInterpolator
-
         self.arg_nodes = arg_nodes
         self.offsets = np.append(arg_nodes - arg_nodes[0], 2.0 * np.pi)
-        self.interp = RegularGridInterpolator(
-            (r_nodes, mod_nodes, self.offsets),
-            np.concatenate([values, values[:, :, :1]], axis=2),
-            bounds_error=False, fill_value=None)
+        values = np.concatenate([values, values[:, :, :1]], axis=2)
+        axes = []
+        for i, nodes in enumerate((r_nodes, mod_nodes, self.offsets)):
+            if nodes.size == 0:
+                raise ValueError(f"the grid has no points in dimension {i}")
+            if not np.all(nodes[1:] > nodes[:-1]):
+                if i == 2 or not np.all(nodes[1:] < nodes[:-1]):
+                    raise ValueError(f"The points in dimension {i} must be strictly "
+                                     "ascending or descending")
+                nodes, values = nodes[::-1], np.flip(values, axis=i)
+            axes.append(nodes)
+        self.axes, self.values = axes, values
 
     def __call__(self, r, lam):
         lam = np.asarray(lam, dtype=complex)
-        pts = np.stack(np.broadcast_arrays(
-            r, np.abs(lam), np.mod(np.angle(lam) - self.arg_nodes[0], 2.0 * np.pi)), axis=-1)
-        return self.interp(pts.reshape(-1, 3)).reshape(lam.shape)
+        coords = np.broadcast_arrays(
+            r, np.abs(lam), np.mod(np.angle(lam) - self.arg_nodes[0], 2.0 * np.pi))
+        lower, upper, weights = [], [], []
+        for nodes, x in zip(self.axes, coords):
+            x = np.asarray(x, dtype=float).ravel()
+            if nodes.size == 1:
+                i = np.zeros(x.size, dtype=int)
+                lower.append(i), upper.append(i), weights.append(np.zeros(x.size))
+                continue
+            # the cell [nodes[i], nodes[i + 1]] holding x, the end cells past the ends
+            i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+            lower.append(i), upper.append(i + 1)
+            weights.append((x - nodes[i]) / (nodes[i + 1] - nodes[i]))
+        out = np.zeros(lower[0].size, dtype=complex)
+        for corner in range(8):
+            idx, weight = [], 1.0
+            for axis in range(3):
+                if corner >> (2 - axis) & 1:
+                    idx.append(upper[axis])
+                    weight = weight * weights[axis]
+                else:
+                    idx.append(lower[axis])
+                    weight = weight * (1.0 - weights[axis])
+            out += self.values[tuple(idx)] * weight
+        return out.reshape(lam.shape)
 
     def modes(self, r, mods, D: int):
         """Exact angular modes f_{-d}, d = 0..D, shape (mods.size, D + 1).
@@ -173,9 +202,9 @@ def _fresh_radial_moment(w: RadialWeight, power: int, spec: QuadSpec) -> float:
 
 def _sphere_modulus_moment(gamma, n: int) -> float:
     """int_{S_n} prod |xi_j|^{gamma_j} dsigma = Gamma(n) prod Gamma(g_j/2+1) / Gamma(n+|g|/2)."""
-    g = np.asarray(gamma, dtype=float)
-    return math.exp(gammaln(n) + float(np.sum(gammaln(0.5 * g + 1.0)))
-                    - gammaln(n + 0.5 * float(g.sum())))
+    g = [float(x) for x in gamma]
+    return math.exp(math.lgamma(n) + sum(math.lgamma(0.5 * x + 1.0) for x in g)
+                    - math.lgamma(n + 0.5 * sum(g)))
 
 
 def _zpow(z: BallPoint, alpha) -> complex:
@@ -207,7 +236,7 @@ def _project_structured(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
         d = sum(alpha)
         if len(alpha) != n:
             raise ValueError("multi-index dimension mismatch")
-        sphere = math.exp(gammaln(d + 1) + gammaln(n) - gammaln(d + n))
+        sphere = math.exp(math.lgamma(d + 1) + math.lgamma(n) - math.lgamma(d + n))
         return d, alpha, _surviving_factor(k, w, d, 2 * n - 1 + 2 * d, sphere,
                                            1.0, spec, degree_weight)
     if phi.kind == "conj_monomial":
@@ -235,7 +264,7 @@ def _project_structured(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
         d = sum(gamma)
         if d == 0 and degree_weight:
             return 0, gamma, 0.0
-        mult = math.exp(gammaln(d + 1) - float(np.sum(gammaln(np.asarray(gamma) + 1.0))))
+        mult = math.exp(math.lgamma(d + 1) - sum(math.lgamma(g + 1.0) for g in gamma))
         sphere = _sphere_modulus_moment(gamma, n)
         return d, gamma, _surviving_factor(k, w, d, 2 * n - 1 + d, sphere,
                                            mult, spec, degree_weight)
@@ -340,9 +369,9 @@ def verify_star(k: KernelCoeffs, w_weight: RadialWeight, alpha, z: BallPoint,
         raise ValueError("multi-index dimension mismatch")
     d = sum(alpha)
     lhs = _zpow(z, alpha)
-    log_pref = (gammaln(d + n) - math.log(2.0) - gammaln(d + 1) - gammaln(n + 1)
+    log_pref = (math.lgamma(d + n) - math.log(2.0) - math.lgamma(d + 1) - math.lgamma(n + 1)
                 - k.table.log_moment(2 * n - 1 + 2 * d))
-    sphere = math.exp(gammaln(d + 1) + gammaln(n) - gammaln(d + n))
+    sphere = math.exp(math.lgamma(d + 1) + math.lgamma(n) - math.lgamma(d + n))
     integral = 2.0 * n * _fresh_radial_moment(w_weight, 2 * n - 1 + 2 * d, q) \
         * sphere * lhs
     rhs = math.exp(log_pref) * integral

@@ -26,8 +26,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .errors import WeightDomainError
 from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_radial, integrate_to_end
@@ -62,9 +60,10 @@ class RadialWeight:
       logarithmic  rho(r) = (1-r)^gamma log(e/(1-r))^{-2},     gamma > -1
       tabulated    monotone-cubic interpolant of (r, value) samples
 
-    Tabulated weights extrapolate past the last sample by the last
-    interpolant segment; any such evaluation sets `extrapolation_used`, which
-    downstream reports surface as a note.
+    The tabulated interpolant is PCHIP (Fritsch-Carlson slopes as scipy's
+    PchipInterpolator takes them).  Tabulated weights extrapolate past the
+    last sample by the last interpolant segment; any such evaluation sets
+    `extrapolation_used`, which downstream reports surface as a note.
     """
 
     def __init__(self, kind, label="", *, alpha=None, c=None, beta=None,
@@ -99,7 +98,7 @@ class RadialWeight:
             if np.any(v <= 0):
                 raise WeightDomainError("sample values must be positive")
             self.samples = pts
-            self._pchip = PchipInterpolator(r, v, extrapolate=True)
+            self._pchip = _Pchip(r, v)
             self._r_last = float(r[-1])
         else:
             raise WeightDomainError(f"unknown weight kind {kind!r}")
@@ -179,6 +178,49 @@ class RadialWeight:
         return d
 
 
+class _Pchip:
+    """Monotone piecewise cubic Hermite interpolant of three or more samples
+    (x, y), x strictly increasing, with scipy's PchipInterpolator slopes: the
+    weighted harmonic mean of the neighbouring secants where they share a
+    sign (else 0), and at each end the three-point one-sided estimate,
+    kept to the end secant's sign and to at most three times it where the
+    secants change sign.  Outside [x_0, x_last] the end cubics continue.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        slopes = np.zeros_like(y)
+        inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        slopes[1:-1][inner] = 1.0 / whmean[inner]
+        slopes[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        slopes[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        # s = x - x_i on segment i: y_i + slopes_i s + c1 s^2 + c0 s^3
+        t = (slopes[:-1] + slopes[1:] - 2.0 * m) / h
+        self.x = x
+        self.coeffs = (t / h, (m - slopes[:-1]) / h - t, slopes[:-1], y[:-1])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 2)
+        s = xs - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.coeffs)
+        # added from the constant term up, in scipy's PPoly order: the same bits
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
 def eval_weight(w: RadialWeight, r: float) -> float:
     """rho(r) as a scalar; domain error outside [0,1)."""
     return float(w(float(r)))
@@ -229,6 +271,16 @@ _ARITH_BLOCK = 1 << 16
 #: live nodes up to which a block's rows come from one multiply.accumulate
 #: down the block; wider blocks multiply row by row, which is faster there
 _ACCUMULATE_WIDTH = 256
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(a[i, j]) for each row i, about its largest entry;
+    -inf for a row that is all -inf."""
+    top = a.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
+    out[top == -np.inf] = -np.inf
+    return out
 
 
 class MomentTable:
@@ -286,19 +338,13 @@ class MomentTable:
         mids = (np.arange(_GRID_DEPTH, _BEYOND_DEPTH, _BEYOND_PANEL) * math.log(2.0)
                 + width)
         s = mids[:, None] + width * xg
-        # log-sum-exp by hand: scipy's costs more than the rest of this
         with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
-            lw = np.log(width * wg) - s + self.weight.log_eval_at_one_minus(np.exp(-s))
-            top = lw.max(axis=1)
-            masses = top + np.log(np.exp(lw - top[:, None]).sum(axis=1))
-        masses[top == -np.inf] = -np.inf
+            masses = _row_logsumexp(np.log(width * wg) - s
+                                    + self.weight.log_eval_at_one_minus(np.exp(-s)))
         step = masses[-1] - masses[-2]
         if math.isfinite(masses[-1]) and step < 0.0:
             masses[-1] = np.logaddexp(masses[-1], masses[-1] + step - math.log1p(-math.exp(step)))
-        peak = masses.max()
-        if peak == -np.inf:
-            return -math.inf
-        return float(peak + math.log(np.exp(masses - peak).sum()))
+        return float(_row_logsumexp(masses[None, :])[0])
 
     def _g(self):
         with self._lock:
@@ -318,8 +364,7 @@ class MomentTable:
         block = max(1, (1 << 22) // g["logt_f"].size)
         for i in range(0, xs.size, block):
             xb = xs[i:i + block, None]
-            out[i:i + block] = logsumexp(xb * g["logt_f"][None, :] + g["logw_f"][None, :],
-                                         axis=1)
+            out[i:i + block] = _row_logsumexp(xb * g["logt_f"][None, :] + g["logw_f"][None, :])
         return np.logaddexp(out, g["beyond"], out=out)
 
     def log_moments_arith(self, x0: float, step: float, count: int) -> np.ndarray:

@@ -55,6 +55,21 @@ class TestBuildCoeffs:
         with pytest.raises(ValueError, match="kernel degree 6 .*d_max=4"):
             k.log_c(6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_factorial_part_against_mpmath(self, n):
+        """log((d+n-1)! / (d! n!)) as a sum of logs is within 1e-14 of the
+        mpmath value at 50 digits; gammaln(d+n) - gammaln(d+1) - gammaln(n+1)
+        misses it by 2.8e-10 at n = 2, d = 2^17."""
+        import mpmath
+
+        d = np.array([0.0, 1.0, 2.0 ** 17, 2.0 ** 19])
+        got = kernel._log_gamma_part(d, n)
+        with mpmath.workdps(50):
+            for dd, value in zip(d.tolist(), got.tolist()):
+                exact = (mpmath.loggamma(dd + n) - mpmath.loggamma(dd + 1)
+                         - mpmath.loggamma(n + 1))
+                assert abs(value - float(exact)) <= 1e-14, dd
+
     def test_lazy_extension_threadsafe(self, tables):
         k = build_coeffs(tables["std1"], 2, d_max=8192, initial=16)
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -399,6 +414,39 @@ class TestCertifyPrefix:
             assert (D, scale, tail) == (D2, scale2, tail2), t
             assert gamma.tobytes() == gamma2.tobytes(), t
 
+    @pytest.mark.parametrize("d_max", [17, 4096, 1 << 19])
+    @pytest.mark.parametrize("key", ["std0", "exp11", "std-0.5"])
+    def test_pre_grown_tables_certify_as_a_fresh_one(self, key, d_max):
+        """Tables grown by ensure(3000), by log_c(5000) (log_c(d_max) where
+        that is smaller) and by initial = 2^17 hold the coefficients of a
+        fresh table, byte for byte, and give the term table a fresh one
+        certifies: D, scale, tail bound and term bytes, or the same
+        TruncationError.  d_max = 17 leaves the ratio test too few degrees,
+        so |t| = 0.05 takes the epsilon envelope at degree 17."""
+        moments = _MemoMoments(MomentTable(ORACLE_WEIGHTS[key]()))
+        grown = [build_coeffs(moments, 2, d_max=d_max) for _ in range(2)]
+        grown[0].ensure(3000)
+        grown[1].log_c(min(5000, d_max))
+        grown.append(build_coeffs(moments, 2, d_max=d_max, initial=1 << 17))
+
+        def terms(k, t, m):
+            D, scale, gamma, tail = _terms(k, t, 1e-10, m)
+            return D, scale, gamma.tobytes(), tail
+
+        epsilon_rows = 0
+        for m in (0, 1):
+            for t in (0.05, 0.3, 0.6, 0.9, 0.9664, 0.9686, 0.9774, 0.99, 0.999):
+                fresh = build_coeffs(moments, 2, d_max=d_max)
+                expected = _outcome(lambda: terms(fresh, t, m))
+                if expected[0] == d_max:
+                    epsilon_rows += 1
+                for k in grown:
+                    assert _outcome(lambda: terms(k, t, m)) == expected, (t, m, k.built)
+                    size = min(k.built, fresh.built)
+                    assert k.log_coeffs[:size].tobytes() == fresh.log_coeffs[:size].tobytes()
+        if d_max == 17:
+            assert epsilon_rows == 2
+
     @pytest.mark.parametrize("key", ["std0", "exp11"])
     def test_cached_log_d_matches_per_row_logs(self, tables, key):
         """The term tables read log d from the table's cache; their bytes
@@ -570,13 +618,29 @@ def _oracle_ratio_scan(log_c, log_ts, log_tol, degree_weight):
         lo, hi = hi, min(2 * hi, n_built)
 
 
+def _oracle_sizes(d_max):
+    """The sizes a fresh table grows through: 257 2^k, capped at d_max + 1."""
+    sizes = [257]
+    while sizes[-1] < d_max + 1:
+        sizes.append(2 * sizes[-1])
+    return [min(s, d_max + 1) for s in sizes]
+
+
 def _oracle_certify(k, abs_ts, tol_rel, degree_weight):
-    """Certification as one log-space ratio scan per row, in order, with
-    the epsilon envelope and growth as the package takes them."""
+    """Certification as one log-space ratio scan per row, in order.  A row
+    certifies at the first table size s (_oracle_sizes) where the ratio
+    test passes below s, or else where the epsilon envelope holds at s - 1
+    against the partial sum through s - 1; the table grows to its next size
+    as the package grows it."""
     log_tol = math.log(tol_rel)
     abs_ts = [float(t) for t in abs_ts]
     log_ts = [math.log(t) for t in abs_ts]
     D, bound_log, sum_log = [], [], []
+
+    def eps_tail_log(j, degree):
+        return float(kernel._epsilon_tail_log(k, np.array([abs_ts[j]]), degree,
+                                              degree_weight)[0])
+
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(len(abs_ts)):
             while True:
@@ -584,23 +648,30 @@ def _oracle_certify(k, abs_ts, tol_rel, degree_weight):
                 n_built = log_c.size
                 d, tail_log, cum = _oracle_ratio_scan(log_c, [log_ts[j]], log_tol,
                                                       degree_weight)[0]
-                if d is not None:
-                    break
-                eps_log = kernel._epsilon_tail_log(k, abs_ts[j], n_built - 1, degree_weight)
-                if eps_log <= log_tol + cum:
-                    d, tail_log = n_built - 1, eps_log
+                lt = _oracle_log_terms(log_c, log_ts[j], degree_weight)
+                cums = np.logaddexp.accumulate(lt)
+                found = False
+                for s in [s for s in _oracle_sizes(k.d_max) if s <= n_built]:
+                    if d is not None and d < s:
+                        found = True
+                        break
+                    eps_log = eps_tail_log(j, s - 1)
+                    if eps_log <= log_tol + cums[s - 1]:
+                        d, tail_log, cum, found = s - 1, eps_log, float(cums[s - 1]), True
+                        break
+                if found:
                     break
                 if n_built >= k.d_max + 1:
-                    lt = _oracle_log_terms(log_c, log_ts[j], degree_weight)
                     scale = float(lt.max())
                     with np.errstate(under="ignore", over="ignore"):
                         partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
+                    eps_log = eps_tail_log(j, n_built - 1)
                     raise TruncationError(
                         f"tail not certified below {tol_rel:.1e} within "
                         f"d_max={k.d_max} at |t|={abs_ts[j]:.6g}",
                         partial_sum=partial, degree_used=n_built - 1,
                         tail_bound=math.exp(eps_log) if math.isfinite(eps_log) else None)
-                k.ensure(min(2 * n_built, k.d_max + 1))
+                k.ensure(n_built + 1)
             D.append(d)
             bound_log.append(tail_log)
             sum_log.append(cum)

@@ -65,6 +65,34 @@ class TestSymbolConstruction:
         assert_allclose(fn.modes(0.6, mods, D), dft[:, -np.arange(D + 1) % n_theta],
                         atol=1e-8)
 
+    def test_polar_grid_interpolant_matches_scipy(self, rng):
+        """The trilinear slice function equals scipy's RegularGridInterpolator
+        (linear, extrapolating) on the grid closed at 2 pi, at points inside
+        and outside the (r, |lam|) grid, with descending radii accepted."""
+        from scipy.interpolate import RegularGridInterpolator
+
+        r_nodes, m_nodes = np.array([0.0, 0.3, 0.7, 1.0]), np.array([0.0, 0.4, 1.0])
+        a_nodes = np.sort(rng.uniform(-1.0, 4.0, 6))
+        vals = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+        offsets = np.append(a_nodes - a_nodes[0], 2 * np.pi)
+        ref = RegularGridInterpolator((r_nodes, m_nodes, offsets),
+                                      np.concatenate([vals, vals[:, :, :1]], axis=2),
+                                      bounds_error=False, fill_value=None)
+        r = rng.uniform(-0.3, 1.3, 300)
+        lam = rng.uniform(0.0, 1.4, 300) * np.exp(1j * rng.uniform(-7.0, 7.0, 300))
+        expected = ref(np.stack([r, np.abs(lam),
+                                 np.mod(np.angle(lam) - a_nodes[0], 2 * np.pi)], axis=-1))
+        assert np.any((r < 0.0) | (r > 1.0)) and np.any(np.abs(lam) > 1.0)
+        for grid in ((r_nodes, vals), (r_nodes[::-1], vals[::-1])):
+            fn = BoundedSymbol.custom_from_polar_grid(grid[0], m_nodes, a_nodes, grid[1],
+                                                      5.0).slice_fn
+            assert_allclose(fn(r, lam), expected, rtol=1e-13, atol=1e-13)
+
+    def test_polar_grid_unordered_nodes_rejected(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            BoundedSymbol.custom_from_polar_grid([0.0, 0.7, 0.3], [0.0, 1.0], [0.0, 1.0],
+                                                 np.ones((3, 2, 2)), 1.0)
+
 
 class TestProjectStructured:
     def test_constant_symbol(self, coeffs_std0_n2, weights):

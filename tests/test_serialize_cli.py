@@ -358,3 +358,41 @@ def test_diagnose_steep_exponential_reports_nulls(tmp_path):
     mt = results["moment_tail"]
     assert mt["ratio"] == [] and mt["last_quartile_window"] == [None, None]
     assert mt["window_spread"] is None and mt["notes"]
+
+
+_SCIPY_MODULES = """\
+import sys
+from bergman_lab.cli import main
+status = main(sys.argv[1:])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("command, descriptor, symbol", [
+    (["theorem", "--kmax", "4"], {"kind": "standard", "alpha": 0.0}, None),
+    (["diagnose"], {"kind": "tabulated",
+                    "samples": [[r, 1.0 - r * r] for r in np.linspace(0.0, 0.99, 12).tolist()]},
+     None),
+    (["kernel"], {"kind": "exponential", "c": 1.0, "beta": 1.0}, None),
+    (["project", "--kmax", "2"], {"kind": "standard", "alpha": 0.0},
+     {"kind": "custom", "sup_norm_bound": 1.5,
+      "polar_grid": {"r_nodes": [0.0, 0.5, 1.0], "mod_nodes": [0.0, 0.5, 1.0],
+                     "arg_nodes": [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi],
+                     "values_real": [[[1.0, 1.25, 1.5, 1.25]] * 3] * 3}}),
+], ids=["theorem", "diagnose-tabulated", "kernel", "project-polar-grid"])
+def test_cli_runs_without_scipy(tmp_path, command, descriptor, symbol):
+    """The runtime needs numpy only: a CLI command leaves scipy unimported."""
+    weight = tmp_path / "w.json"
+    weight.write_text(json.dumps(descriptor))
+    args = [*command, "--weight", str(weight), "--n", "2", "--out", str(tmp_path / "r.json")]
+    if symbol is not None:
+        (tmp_path / "s.json").write_text(json.dumps(symbol))
+        args += ["--symbol", str(tmp_path / "s.json")]
+    src = Path(bergman_lab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

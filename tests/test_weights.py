@@ -627,3 +627,29 @@ class TestTabulated:
             RadialWeight.tabulated([[0.0, 1.0], [0.5, -1.0], [0.6, 1.0], [0.7, 1.0]])
         with pytest.raises(WeightDomainError):
             RadialWeight.tabulated([[0.0, 1.0], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("kind", ["one-minus-r2", "random", "flat-steps"])
+    def test_interpolant_matches_scipy_pchip(self, kind):
+        """The numpy monotone cubic equals scipy's PchipInterpolator to
+        1e-14 relative on a dense grid up to the last sample and past it to
+        r = 0.9999 (the last segment's cubic).  The weight evaluates it at 1 -
+        (1 - r), a rounding away from r."""
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(11)
+        if kind == "one-minus-r2":
+            r = np.array([*np.linspace(0.0, 0.98, 12), 0.99, 0.995, 0.999])
+            v = 1.0 - r * r
+        elif kind == "random":  # secants of both signs, uneven spacing
+            r = np.sort(rng.uniform(0.0, 0.99, 15))
+            v = rng.uniform(0.1, 2.0, 15)
+        else:  # zero secants and sign changes at both ends
+            r = np.linspace(0.05, 0.9, 8)
+            v = np.array([1.0, 3.0, 3.0, 2.0, 2.0, 2.5, 0.5, 0.6])
+        w = RadialWeight.tabulated(np.stack([r, v], axis=1))
+        x = np.concatenate([np.linspace(r[0], r[-1], 4001), np.linspace(r[-1], 0.9999, 400)])
+        expected = PchipInterpolator(r, v, extrapolate=True)(x)
+        got = w._pchip(x)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+        inside = x <= r[-1]
+        assert_allclose(w(x[inside]), expected[inside], rtol=1e-12)
