@@ -107,10 +107,24 @@ def inner(z: BallPoint, w: BallPoint) -> complex:
     return complex(np.dot(a, c) + np.dot(b, d), np.dot(b, c) - np.dot(a, d))
 
 
-# Embedded Gauss pair: the low rule's deviation from the high rule is the
-# per-segment error estimate (conservative for the high rule).
-_GAUSS_LO = np.polynomial.legendre.leggauss(7)
-_GAUSS_HI = np.polynomial.legendre.leggauss(15)
+# QUADPACK's qk15 (Piessens et al., 1983): the 15-node Kronrod rule K15 and
+# the 7-node Gauss rule G7 whose nodes are K15's odd-indexed ones (in
+# ascending order).  |K15 - G7| is the per-segment error estimate
+# (conservative for K15).  numpy has no Kronrod routine, so the half rules
+# are written out on [0, 1] and mirrored.
+_XK_HALF = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                     0.207784955007898467600689403773245, 0.0])
+_WK_HALF = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                     0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG_HALF = np.array([0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                     0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+_KRONROD_X = np.concatenate([-_XK_HALF, _XK_HALF[-2::-1]])
+_KRONROD_W = np.concatenate([_WK_HALF, _WK_HALF[-2::-1]])
+_GAUSS_W = np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 
 
 def _initial_mesh(length, spec: QuadSpec):
@@ -127,21 +141,19 @@ def _initial_mesh(length, spec: QuadSpec):
 
 
 def _segment_estimates(fs, s_lo, s_hi):
-    """High-rule value and raw error estimate of the segments (s_lo, s_hi).
+    """K15 value and raw error estimate |K15 - G7| of the segments
+    (s_lo, s_hi), from one call of fs on the 15 Kronrod nodes.
 
     The bounds may be arrays; fs then receives the nodes of every segment at
     once, along a new trailing axis.
     """
     half = 0.5 * (np.asarray(s_hi) - s_lo)
     mid = 0.5 * (np.asarray(s_lo) + s_hi)
-    x_hi, w_hi = _GAUSS_HI
-    x_lo, w_lo = _GAUSS_LO
-    f_hi = np.asarray(fs(mid[..., None] + half[..., None] * x_hi))
-    f_lo = np.asarray(fs(mid[..., None] + half[..., None] * x_lo))
-    i_hi = half * np.sum(w_hi * f_hi, axis=-1)
-    i_lo = half * np.sum(w_lo * f_lo, axis=-1)
+    f = np.asarray(fs(mid[..., None] + half[..., None] * _KRONROD_X))
+    i_k = half * np.sum(_KRONROD_W * f, axis=-1)
+    i_g = half * np.sum(_GAUSS_W * f[..., 1::2], axis=-1)
     # roundoff floor keeps the estimate honest when both rules are exact
-    return i_hi, abs(i_hi - i_lo) + 1e-15 * abs(i_hi)
+    return i_k, abs(i_k - i_g) + 1e-15 * abs(i_k)
 
 
 def _end_segment_error(raw, reference):
@@ -220,8 +232,11 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     Returns (value, error_estimate).  Internally the variable is the
     distance s = b - t from the end b, so the mesh can refine
     geometrically toward an integrable endpoint singularity without losing
-    the endpoint offset to rounding.  Segments are bisected worst first
-    until the summed error estimate drops below
+    the endpoint offset to rounding.  Each segment takes one call of the
+    integrand on the 15 nodes of the Gauss-Kronrod rule K15: K15 gives the
+    segment's value, and its difference from the 7-node Gauss rule on the
+    embedded nodes is the raw error estimate.  Segments are bisected worst
+    first until the summed error estimate drops below
     max(tolerance, rel_tolerance * |value|).
 
     Integrands are supplied either as f(t) in the original coordinate or as
@@ -261,10 +276,11 @@ def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None):
     all lengths are evaluated in one pass.
 
     f_dist must be elementwise: it receives every initial-mesh node at once,
-    in an array of shape (lengths, segments, nodes).  Only lengths whose
-    initial estimate misses max(tolerance, rel_tolerance * |value|) go on
-    to integrate_radial's bisection, one at a time.  Returns arrays
-    (value, error_estimate) shaped like lengths.
+    in one array of shape (lengths, segments, 15), the K15 nodes of each
+    segment last.  Only lengths whose initial estimate misses
+    max(tolerance, rel_tolerance * |value|) go on to integrate_radial's
+    bisection, one at a time.  Returns arrays (value, error_estimate)
+    shaped like lengths.
     """
     spec = spec or DEFAULT_SPEC
     lengths = np.asarray(lengths, dtype=float)
@@ -336,11 +352,9 @@ def integrate_disk(h, m: int = 0, spec: QuadSpec | None = None):
 
     def radial_part(r):
         r = np.atleast_1d(r)
-        out = np.empty(r.shape, dtype=complex)
-        for i, ri in enumerate(r):
-            out[i] = angular_mean(h, float(ri), spec)
-        out = out * 2.0 * r * (1.0 - r * r) ** m
-        return out if np.iscomplexobj(np.asarray(h(np.array([0.1 + 0j])))) else out.real
+        # the means are complex exactly when h's values are
+        means = np.array([angular_mean(h, float(ri), spec) for ri in r])
+        return means * 2.0 * r * (1.0 - r * r) ** m
 
     value, _ = integrate_radial(radial_part, spec)
     return value
@@ -361,6 +375,9 @@ def sphere_slice_average(h, z: BallPoint, spec: QuadSpec | None = None):
     return (z.n - 1) * integrate_disk(lambda lam: h(a * lam), z.n - 2, spec)
 
 
+_SLICE_GAUSS = np.polynomial.legendre.leggauss(15)
+
+
 def _slice_rule(n: int):
     """Fixed rule for the slice identity of sphere_slice_average: nodes u in
     the slice-disk radius and their weights.  u = 1 for n = 1; for n >= 2
@@ -368,7 +385,7 @@ def _slice_rule(n: int):
     toward the rim (where kernel factors peak)."""
     if n == 1:
         return np.ones(1), np.ones(1)
-    x, wq = _GAUSS_HI
+    x, wq = _SLICE_GAUSS
     breaks = np.array([0.0] + [1.0 - 2.0 ** (-j) for j in range(1, 10)] + [1.0])
     half = 0.5 * np.diff(breaks)[:, None]
     u = (0.5 * (breaks[:-1] + breaks[1:])[:, None] + half * x).ravel()

@@ -10,7 +10,7 @@ from scipy.special import gammaln
 from bergman_lab import (BallPoint, QuadSpec, QuadratureError, RadialWeight,
                          integrate_ball_radial, integrate_disk,
                          integrate_radial, sphere_slice_average)
-from bergman_lab.quadrature import integrate_to_end
+from bergman_lab.quadrature import _GAUSS_W, _KRONROD_W, _KRONROD_X, integrate_to_end
 
 
 class TestTypes:
@@ -57,6 +57,91 @@ def test_quadspec_rejects_mesh_without_room_to_bisect(kwargs):
 def test_quadspec_mesh_just_below_subdivision_budget():
     QuadSpec(initial_levels=510)
     QuadSpec(grading=1.0, max_subdivisions=9)
+
+
+class TestKronrodRule:
+    """QUADPACK's K15 and its embedded G7, behind every adaptive integral."""
+
+    def test_k15_exact_through_degree_22(self):
+        import mpmath
+        with mpmath.workdps(30):
+            nodes = [mpmath.mpf(float(x)) for x in _KRONROD_X]
+            weights = [mpmath.mpf(float(w)) for w in _KRONROD_W]
+            for k in range(23):
+                exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                rule = mpmath.fsum(w * x ** k for x, w in zip(nodes, weights))
+                assert abs(rule - exact) < 5e-16, k
+
+    def test_embedded_rule_is_gauss_legendre_7(self):
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert_allclose(_KRONROD_X[1::2], x, rtol=0, atol=1e-15)
+        assert_allclose(_GAUSS_W, w, rtol=0, atol=1e-15)
+
+    def test_symmetric(self):
+        assert np.all(np.diff(_KRONROD_X) > 0) and _KRONROD_X[7] == 0.0
+        assert np.array_equal(_KRONROD_X, -_KRONROD_X[::-1])
+        assert np.array_equal(_KRONROD_W, _KRONROD_W[::-1])
+        assert np.array_equal(_GAUSS_W, _GAUSS_W[::-1])
+
+
+def _recording(f_dist):
+    """f_dist, and the list of node arrays it is called with."""
+    calls = []
+
+    def recorded(s):
+        calls.append(np.array(s))
+        return f_dist(s)
+
+    return recorded, calls
+
+
+def _call_segments(nodes):
+    """(mid, half) of each segment whose K15 nodes fill the last axis."""
+    nodes = nodes.reshape(-1, _KRONROD_X.size)
+    mid, half = nodes[:, 7], (nodes[:, -1] - nodes[:, 7]) / _KRONROD_X[-1]
+    assert_allclose(nodes, mid[:, None] + half[:, None] * _KRONROD_X, rtol=1e-13)
+    return list(zip(mid, half))
+
+
+class TestOneCallPerSegment:
+    """Each segment costs one integrand call on its 15 K15 nodes."""
+
+    SPEC = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
+    LENGTHS = np.array([1.0, 2.0 ** -30, 0.9])
+
+    @staticmethod
+    def f_dist(s):
+        return 1.0 + np.cos(40.0 * s)
+
+    def _radial_calls(self, length):
+        fs, calls = _recording(self.f_dist)
+        integrate_radial(f_dist=fs, spec=self.SPEC, b=length)
+        return calls
+
+    def test_integrate_radial(self):
+        segments = self.SPEC.initial_levels + 1
+        counts = []
+        for length in self.LENGTHS:
+            calls = self._radial_calls(float(length))
+            assert all(c.shape == (15,) for c in calls)
+            segs = [seg for c in calls for seg in _call_segments(c)]
+            assert len(set(segs)) == len(segs)
+            counts.append(len(calls))
+        # the initial mesh, then two halves per bisection, which some length needs
+        assert all(c >= segments and (c - segments) % 2 == 0 for c in counts)
+        assert max(counts) > segments
+
+    def test_integrate_to_end(self):
+        """One call on every initial segment of every length, then one per
+        bisected half, as many as integrate_radial makes past its mesh."""
+        segments = self.SPEC.initial_levels + 1
+        fs, calls = _recording(self.f_dist)
+        integrate_to_end(fs, self.LENGTHS, self.SPEC)
+        assert calls[0].shape == (self.LENGTHS.size, segments, 15)
+        assert all(c.shape == (15,) for c in calls[1:])
+        assert len(set(_call_segments(calls[0]))) == self.LENGTHS.size * segments
+        bisected = sum(len(self._radial_calls(float(b))) - segments for b in self.LENGTHS)
+        assert len(calls) - 1 == bisected > 0
 
 
 class TestIntegrateToEnd:
@@ -152,6 +237,19 @@ class TestIntegrateDisk:
         # int lam dA = 0 by symmetry
         val = integrate_disk(lambda lam: lam)
         assert abs(val) < 1e-10
+
+    def test_integrand_called_on_circles_only(self):
+        """h is evaluated only by the circle means, never probed for its
+        dtype; a real h gives a real value, a complex one a complex value."""
+        sizes = []
+
+        def h(lam):
+            sizes.append(lam.size)
+            return np.abs(lam) ** 2
+
+        assert isinstance(integrate_disk(h), float)
+        assert min(sizes) >= 256
+        assert isinstance(integrate_disk(lambda lam: lam * lam), complex)
 
 
 def _sphere_monomial_oracle(a: int, n: int) -> float:

@@ -32,8 +32,28 @@ def test_largest_relative_change_per_field():
     change = _changed(rows=[[0.5, 2.0 * (1 + 1e-15), None], [0.75, 4.0 * (1 - 3e-12), 1.0]])
     got = report_bytes.field_changes(REPORT, change)
     assert list(got) == ["results.rows"]
-    assert math.isclose(got["results.rows"], 3e-12, rel_tol=1e-3)
-    assert report_bytes.describe(got) == "results.rows 3e-12"
+    assert math.isclose(got["results.rows"].rel, 3e-12, rel_tol=1e-3)
+    assert report_bytes.describe(got) == ("results.rows 3e-12 at results.rows[1][1] "
+                                          "(4.0 -> 3.999999999988)")
+
+
+def test_leaf_of_the_largest_change():
+    """The leaf path keeps its list indices and carries both values, so a
+    move of a tiny number shows where it happened."""
+    change = _changed(rows=[[0.5, 2.0, None], [0.75, 4.0, 1.0]],
+                      aux={"projection_im": [0.0, 4.41e-18]})
+    parent = _changed(aux={"projection_im": [0.0, 4.06e-18]})
+    got = report_bytes.field_changes(parent, change)
+    assert got == {"results.aux.projection_im": report_bytes.Change(
+        (4.41e-18 - 4.06e-18) / 4.06e-18, "results.aux.projection_im[1]", 4.06e-18, 4.41e-18)}
+    assert report_bytes.describe(got) == ("results.aux.projection_im 0.0862 at "
+                                          "results.aux.projection_im[1] (4.06e-18 -> 4.41e-18)")
+    # equal largest changes report the first leaf in path order; a
+    # non-numeric difference anywhere in the field wins over any number
+    ties = report_bytes.field_changes({"v": [1.0, 2.0, "a"]}, {"v": [2.0, 4.0, "a"]})
+    assert ties == {"v": report_bytes.Change(1.0, "v[0]", 1.0, 2.0)}
+    assert report_bytes.field_changes({"v": [1.0, "a"]}, {"v": [2.0, "b"]}) == {"v": None}
+    assert report_bytes.field_changes({"v": ["a", 1.0]}, {"v": ["b", 2.0]}) == {"v": None}
 
 
 def test_non_numeric_and_shape_changes():

@@ -13,7 +13,7 @@ from bergman_lab import (MomentTable, QuadSpec, QuadratureError, RadialWeight,
                          integrate_radial, is_dhat_moments, is_dhat_tail,
                          is_regular, moment_tail_ratio, tail)
 from bergman_lab.analysis import PROFILE_SPEC
-from bergman_lab.quadrature import DEFAULT_SPEC
+from bergman_lab.quadrature import DEFAULT_SPEC, _initial_mesh
 from bergman_lab.utils import dyadic_radii, last_quartile_slice
 
 
@@ -100,9 +100,15 @@ ARRAY_WEIGHTS = {
 }
 
 
+def _initial_segments(spec):
+    """Segments of spec's initial mesh: each takes one integrand call."""
+    return _initial_mesh(1.0, spec).size - 1
+
+
 def _integrand_calls(w, r, spec):
-    """Integrand calls of the per-point tail quadrature at r: 26 means the
-    initial mesh met the error budget, more means bisection ran."""
+    """Integrand calls of the per-point tail quadrature at r:
+    _initial_segments(spec) means the initial mesh met the error budget,
+    more means bisection ran."""
     calls = [0]
 
     def f_dist(s):
@@ -134,10 +140,11 @@ class TestTailArray:
             w = ARRAY_WEIGHTS[key]()
             return [_integrand_calls(w, float(r), spec) for r in ARRAY_RADII]
 
-        assert min(calls("std-0.9", DEFAULT_SPEC)) > 26
-        assert min(calls("std-0.9", PROFILE_SPEC)) > 26
+        assert _initial_segments(DEFAULT_SPEC) == _initial_segments(PROFILE_SPEC) == 13
+        assert min(calls("std-0.9", DEFAULT_SPEC)) > _initial_segments(DEFAULT_SPEC)
+        assert min(calls("std-0.9", PROFILE_SPEC)) > _initial_segments(PROFILE_SPEC)
         log0 = calls("log0", DEFAULT_SPEC)
-        assert min(log0) == 26 < max(log0)
+        assert min(log0) == _initial_segments(DEFAULT_SPEC) < max(log0)
         exp11 = tail(ARRAY_WEIGHTS["exp11"](), ARRAY_RADII)
         assert np.any(exp11 == 0.0) and np.any(exp11 > 0.0)
 

@@ -18,7 +18,9 @@ weight and symbol descriptors it writes to a temporary directory:
 The two sides of a report run at the same time.  It prints one line per
 report: `identical`, or each field that differs (a JSON path with its list
 indices dropped, such as `results.rows`) with the largest relative change
-of its numbers, or `changed` where a string, null or the shape differs.
+of its numbers, the leaf where it occurs and that leaf's two values, as in
+`results.rows 0.0862 at results.rows[3][2] (4.06e-18 -> 4.41e-18)`, or
+`changed` where a string, null or the shape differs.
 Exit status 0 only when every report is identical.  Standard library only;
 the package is never imported.
 """
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 _TABULATED_R = [0.98 * i / 11 for i in range(12)] + [0.99, 0.995, 0.999]
 
@@ -110,11 +113,21 @@ def relative_change(a: float, b: float) -> float:
     return abs(b - a) / abs(a)
 
 
+class Change(NamedTuple):
+    """A field's largest relative change: its leaf and that leaf's values."""
+
+    rel: float
+    path: str
+    parent: float
+    change: float
+
+
 def field_changes(parent, change) -> dict:
-    """field -> the largest relative change of its numbers from parent to
-    change, None where a leaf that is not a number differs or is present on
-    one side only.  A field is a leaf's path without list indices; fields
-    with no difference are left out."""
+    """field -> the Change of its number with the largest relative change
+    from parent to change (the first such leaf in path order), None where a
+    leaf that is not a number differs or is present on one side only.  A
+    field is a leaf's path without list indices; fields with no difference
+    are left out."""
     old, new = _leaves(parent), _leaves(change)
     out = {}
     for path in sorted(old.keys() | new.keys()):
@@ -122,10 +135,10 @@ def field_changes(parent, change) -> dict:
         a, b = old.get(path, _MISSING), new.get(path, _MISSING)
         if _is_number(a) and _is_number(b):
             rel = relative_change(float(a), float(b))
-            if rel == 0.0:
+            if rel == 0.0 or out.get(field, _MISSING) is None:
                 continue
-            if out.get(field, 0.0) is not None:
-                out[field] = max(out.get(field, 0.0), rel)
+            if field not in out or rel > out[field].rel:
+                out[field] = Change(rel, path, a, b)
         elif a != b or type(a) is not type(b):
             out[field] = None
     return out
@@ -135,8 +148,9 @@ def describe(changes: dict) -> str:
     """One line for field_changes' result."""
     if not changes:
         return "identical"
-    return "; ".join(f"{field} changed" if rel is None else f"{field} {rel:.3g}"
-                     for field, rel in changes.items())
+    return "; ".join(f"{field} changed" if c is None
+                     else f"{field} {c.rel:.3g} at {c.path} ({c.parent!r} -> {c.change!r})"
+                     for field, c in changes.items())
 
 
 def _start(checkout: Path, args: list, out: Path):
