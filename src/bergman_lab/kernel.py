@@ -99,8 +99,9 @@ _TINY = 1.0e-290
 #: a coefficient table holds _FIRST_SIZE 2^k coefficients, or d_max + 1
 _FIRST_SIZE = 257
 #: elements in one (rows x degrees) or (rows x angles) block when many |t|
-#: are certified or circle means taken at once; a single row may exceed it
-#: when circle means are taken
+#: are certified or circle means taken at once, and in one (degrees x
+#: points) block of a many-point series; a single row may exceed it when
+#: circle means are taken
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -575,7 +576,11 @@ def _power_sums(k: KernelCoeffs, flat: np.ndarray, tol: float, degree_weight: in
     x^{d-1} x: D cheap multiplies instead of complex exps or cosines of a
     rounded angle times d.  Divide componentwise: complex division
     multiplies by a rounded 1/amax, and that one-ulp error compounds over D
-    powers.  Many points step the degree over the whole array; one point
+    powers.  Many points take a block of degrees at a time: the rows of a
+    (degrees x points) array are the powers, each the previous row times x,
+    then the terms gamma_d x^d; one reduce down the degree axis, seeded
+    with the running sums as row 0, adds them one degree after another, so
+    the values are bit for bit those of one degree at a time.  One point
     runs the same recurrence along the degrees with np.multiply.accumulate
     and sums its terms with math.fsum, the real and imaginary parts each
     exactly rounded.  Where the series cancels, any rounded running sum
@@ -594,9 +599,17 @@ def _power_sums(k: KernelCoeffs, flat: np.ndarray, tol: float, degree_weight: in
     else:
         vals = np.full(x.shape, gamma[0], dtype=complex)
         p = np.ones(x.shape, dtype=complex)
-        for g in gamma[1:]:
-            p = p * x
-            vals += g * p
+        rows = max(1, min(gamma.size - 1, _BLOCK_ELEMENTS // x.size))
+        buf = np.empty((rows + 1, x.size), dtype=complex)
+        for d in range(1, gamma.size, rows):
+            g = gamma[d:d + rows, None]
+            block = buf[:g.size + 1]
+            for r in range(1, g.size + 1):
+                p = np.multiply(p, x, out=block[r])
+            p = p.copy()
+            np.multiply(block[1:], g, out=block[1:])
+            block[0] = vals
+            np.add.reduce(block, axis=0, out=vals)
     return _unscale(vals, scale, "series value"), D, tail_rel
 
 

@@ -80,18 +80,20 @@ class RadialWeight:
         self._r_last = None
 
         if kind == "standard":
-            if alpha is None or alpha <= -1:
-                raise WeightDomainError("standard weight needs alpha > -1")
+            if not _finite_above(alpha, -1.0):
+                raise WeightDomainError("standard weight needs finite alpha > -1")
         elif kind == "exponential":
-            if c is None or c <= 0 or beta is None or beta <= 0:
-                raise WeightDomainError("exponential weight needs c > 0 and beta > 0")
+            if not (_finite_above(c, 0.0) and _finite_above(beta, 0.0)):
+                raise WeightDomainError("exponential weight needs finite c > 0 and beta > 0")
         elif kind == "logarithmic":
-            if gamma is None or gamma <= -1:
-                raise WeightDomainError("logarithmic weight needs gamma > -1")
+            if not _finite_above(gamma, -1.0):
+                raise WeightDomainError("logarithmic weight needs finite gamma > -1")
         elif kind == "tabulated":
             pts = np.asarray(samples, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
                 raise WeightDomainError("tabulated weight needs >= 4 (r, value) samples")
+            if not np.all(np.isfinite(pts)):
+                raise WeightDomainError("tabulated weight samples must be finite")
             r, v = pts[:, 0], pts[:, 1]
             if np.any(r < 0) or np.any(r >= 1) or np.any(np.diff(r) <= 0):
                 raise WeightDomainError("sample radii must be strictly increasing in [0,1)")
@@ -176,6 +178,11 @@ class RadialWeight:
         else:
             d["samples"] = [[float(r), float(v)] for r, v in self.samples]
         return d
+
+
+def _finite_above(x, floor: float) -> bool:
+    """x is given, finite and above floor."""
+    return x is not None and math.isfinite(x) and x > floor
 
 
 class _Pchip:
@@ -266,11 +273,13 @@ _BEYOND_DEPTH = 1008
 #: _COMPACT_EVERY terms
 _REFRESH = 16384
 _COMPACT_EVERY = 256
-#: elements in one (degrees x live nodes) block of log_moments_arith
+#: elements in log_moments_arith's table of step-factor powers, and so in
+#: one (degrees x live nodes) window
 _ARITH_BLOCK = 1 << 16
-#: live nodes up to which a block's rows come from one multiply.accumulate
-#: down the block; wider blocks multiply row by row, which is faster there
-_ACCUMULATE_WIDTH = 256
+#: nodes with x |log t| <= _FOLD_RADIUS over a whole refresh block enter
+#: the moments through their Taylor polynomial of degree _FOLD_DEGREE in x
+_FOLD_RADIUS = 2.0 ** -8
+_FOLD_DEGREE = 6
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -281,6 +290,24 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
         out = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
     out[top == -np.inf] = -np.inf
     return out
+
+
+def _rim_fold(logt: np.ndarray, logw: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """log sum_j exp(logw_j + x logt_j) at each x of xs, for nodes with
+    x |logt_j| <= _FOLD_RADIUS at every x: the polynomial
+    sum_{k <= _FOLD_DEGREE} A_k x^k / k!, A_k = sum_j w_j (logt_j)^k taken
+    about the largest log-weight.  The terms of e^y past y^6/6! add up to
+    at most |y|^7/7! for y <= 0, so the remainder is below
+    _FOLD_RADIUS^7 e^_FOLD_RADIUS / 7! < 2.8e-21 of the folded mass.
+    -inf everywhere when there is no node."""
+    top = logw.max(initial=-np.inf)
+    if top == -np.inf:
+        return np.full(xs.shape, -np.inf)
+    w = np.exp(logw - top)
+    poly = np.zeros(xs.shape)
+    for k in range(_FOLD_DEGREE, -1, -1):
+        poly = poly * xs + np.dot(w, logt ** k) / math.factorial(k)
+    return top + np.log(poly)
 
 
 class MomentTable:
@@ -301,6 +328,11 @@ class MomentTable:
     continued as a geometric series, which is exact for a power-law rim
     (1-r)^alpha and leaves about 1e-7 of a moment of (1-r)^-0.99 /
     log(e/(1-r))^2 out.
+
+    Along an arithmetic progression of exponents (log_moments_arith) the
+    nodes near the rim, where x |log t| <= 2^-8 over a block of exponents,
+    enter as one Taylor polynomial in x, and the others advance in windows
+    of degrees by a table of step-factor powers.
     """
 
     def __init__(self, weight: RadialWeight):
@@ -370,26 +402,25 @@ class MomentTable:
     def log_moments_arith(self, x0: float, step: float, count: int) -> np.ndarray:
         """log rho_x along the arithmetic progression x0, x0+step, ...
 
-        Uses the recurrence t^{x+step} = t^x * t^step on the shared grid,
-        refreshed exactly every _REFRESH terms so rounding never
-        accumulates.  This is what makes deep kernel coefficient tables
-        (hundreds of thousands of degrees) affordable.  Every
-        _COMPACT_EVERY terms the grid nodes whose scaled value is exactly 0
-        are dropped: step_factor <= 1 and the rescale divides, so they stay
-        0 until the next refresh, and deep exponents leave few nodes.
+        Works in refresh blocks of _REFRESH terms [x_a, x_b], each started
+        from exact grid values, so rounding never accumulates past one
+        block.  This is what makes deep kernel coefficient tables (hundreds
+        of thousands of degrees) affordable.  In each block:
 
-        The scaled vector v advances a block of degrees per array call: the
-        rows of a (degrees x live nodes) block are v, v f, v f f, ... for
-        the step factor f, each row the previous one times f, as a
-        per-degree loop would form them.  Up to _ACCUMULATE_WIDTH live
-        nodes one np.multiply.accumulate down the block forms all rows;
-        wider, one multiply per row is faster.  Each row is summed along
-        the contiguous node axis (the pairwise sum of a 1-D reduce) and
-        its log taken with math.log, which rounds differently from np.log
-        on some inputs.  Where a sum falls below 1e-120 the block ends at
-        that degree and the next starts from (v / sum) f.  Blocks hold at
-        most _ARITH_BLOCK elements and end at every compaction, so the
-        values are bit for bit those of one degree at a time.
+        - Rim fold.  The grid nodes with x_b |log t| <= 2^-8 enter as one
+          Taylor polynomial in x (_rim_fold), added by logaddexp as the
+          mass past the grid is; its remainder is below
+          (2^-8)^7 e^(2^-8) / 7! < 2.8e-21 of the folded mass.
+        - Power windows.  The other nodes advance by t^(x+step) = t^x f,
+          f = t^step.  A table f, f^2, ..., f^R (R x live nodes <=
+          _ARITH_BLOCK) comes from one np.multiply.accumulate; a window of
+          up to R degrees is then one broadcast product v f^r, one sum
+          along the node axis and one np.log.  Every _COMPACT_EVERY terms
+          the nodes whose scaled value is exactly 0 are dropped, from v and
+          from the table's columns: f <= 1 and the rescale divides, so they
+          stay 0 until the next refresh, and deep exponents leave few
+          nodes.  Where a sum falls below 1e-120 the window ends at that
+          degree and the next one starts from v divided by that sum.
         """
         if not (math.isfinite(x0) and math.isfinite(step)) or x0 < 1.0 or step < 0.0:
             raise WeightDomainError("moment progression needs finite x0 >= 1 and step >= 0")
@@ -397,52 +428,48 @@ class MomentTable:
             return np.empty(0)
         g = self._g()
         logt, logw = g["logt_f"], g["logw_f"]
-        with np.errstate(under="ignore"):
-            full_step_factor = np.exp(step * logt)
         out = np.empty(count)
-        # one buffer for every block: a fresh one per block pays its page faults
-        buf = np.empty(max(_ARITH_BLOCK, logt.size))
-        j = 0
-        while j < count:
-            base = (x0 + j * step) * logt + logw
-            scale = base.max()
-            f = full_step_factor
+        # one buffer for every window: a fresh one per window pays its page faults
+        buf = np.empty(_ARITH_BLOCK)
+        for j in range(0, count, _REFRESH):
             n = min(_REFRESH, count - j)
-            i = 0
+            xs = x0 + (j + np.arange(n)) * step
+            fold = xs[-1] * logt >= -_FOLD_RADIUS
+            lt, lw = logt[~fold], logw[~fold]
+            base = xs[0] * lt + lw
+            scale = base.max()
+            logs = out[j:j + n]
             with np.errstate(under="ignore"):
                 v = np.exp(base - scale)
+                live = v != 0.0
+                v, lt = v[live], lt[live]
+                rows = max(1, min(_COMPACT_EVERY, _ARITH_BLOCK // v.size))
+                powers = np.multiply.accumulate(
+                    np.broadcast_to(np.exp(step * lt), (rows, v.size)), axis=0)
+                logs[0] = scale + math.log(np.add.reduce(v))
+                i = 1
                 while i < n:
                     if i % _COMPACT_EVERY == 0:
                         live = v != 0.0
                         if not live.all():
-                            v, f = v[live], f[live]
-                    rows = min(_COMPACT_EVERY - i % _COMPACT_EVERY, n - i,
-                               max(1, _ARITH_BLOCK // v.size))
-                    block = buf[:rows * v.size].reshape(rows, v.size)
-                    block[0] = v
-                    if v.size <= _ACCUMULATE_WIDTH:
-                        block[1:] = f
-                        np.multiply.accumulate(block, axis=0, out=block)
-                    else:
-                        for r in range(1, rows):
-                            np.multiply(block[r - 1], f, out=block[r])
-                    sums = np.add.reduce(block, axis=1)
-                    # the first degree whose sum needs a rescale ends the block
+                            v, powers = v[live], powers[:, live]
+                    rows = min(_COMPACT_EVERY - i % _COMPACT_EVERY, n - i, powers.shape[0])
+                    window = np.multiply(v, powers[:rows],
+                                         out=buf[:rows * v.size].reshape(rows, v.size))
+                    sums = np.add.reduce(window, axis=1)
+                    # the first degree whose sum needs a rescale ends the window
                     last = int(np.argmax(sums < 1.0e-120))
-                    rescale = sums[last] < 1.0e-120
-                    if not rescale:
+                    if sums[last] >= 1.0e-120:
                         last = rows - 1
-                    logs = [math.log(s) for s in sums[:last + 1].tolist()]
-                    done = out[j + i:j + i + last + 1]
-                    done[:] = logs
-                    done += scale
-                    v = block[last]
-                    if rescale:
-                        v = v / sums[last]
-                        scale += logs[-1]
-                    v = v * f
+                    np.log(sums[:last + 1], out=logs[i:i + last + 1])
+                    logs[i:i + last + 1] += scale
+                    if sums[last] < 1.0e-120:
+                        v = window[last] / sums[last]
+                        scale = logs[i + last]  # scale + log of that sum
+                    else:
+                        v = window[last].copy()
                     i += last + 1
-            j += n
+            np.logaddexp(logs, _rim_fold(logt[fold], logw[fold], xs), out=logs)
         return np.logaddexp(out, g["beyond"], out=out)
 
     # -- scalar API -------------------------------------------------------

@@ -376,6 +376,49 @@ class TestValuesManyRange:
         assert abs(vals[1] - refs[1]) <= 1e-12 * abs(refs[0])
 
 
+def _oracle_power_sums(k, flat, tol, m):
+    """The many-point series one degree at a time: one power, one term and
+    one running sum per degree."""
+    amax = float(np.max(np.abs(flat)))
+    D, scale, gamma, _ = _terms(k, amax, tol, m)
+    x = flat.real / amax + 1j * (flat.imag / amax)
+    vals = np.full(x.shape, gamma[0], dtype=complex)
+    p = np.ones(x.shape, dtype=complex)
+    for g in gamma[1:]:
+        p = p * x
+        vals += g * p
+    return vals * math.exp(scale), D
+
+
+class TestPowerSumsBlocked:
+    """Many points take a block of degrees per array call, bit for bit the
+    per-degree loop."""
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("key, amax", [("std0", 0.9), ("exp11", 0.97)])
+    @pytest.mark.parametrize("size", [2, 7, 1000])
+    def test_bitwise_equal_per_degree(self, tables, rng, key, amax, m, size):
+        """Sizes whose blocks hold many degrees, with a shorter last block
+        (1000 points: 131 degrees a block)."""
+        k = build_coeffs(tables[key], 2, d_max=1 << 19)
+        flat = amax * rng.uniform(0.0, 1.0, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+        flat[0] = amax * 1j
+        flat[-1] = 0.0
+        want, D = _oracle_power_sums(k, flat, 1e-12, m)
+        vals, got_D, _ = kernel._power_sums(k, flat, 1e-12, m)
+        assert got_D == D and D > _BLOCK_ELEMENTS // 1000
+        assert vals.tobytes() == want.tobytes()
+
+    def test_one_degree_per_block_past_the_block_size(self, tables, rng):
+        """More points than _BLOCK_ELEMENTS: each block is one degree."""
+        k = build_coeffs(tables["std0"], 2, d_max=1 << 19)
+        size = _BLOCK_ELEMENTS + 3
+        flat = 0.3 * rng.uniform(-1.0, 1.0, size) + 0.3j * rng.uniform(-1.0, 1.0, size)
+        want, D = _oracle_power_sums(k, flat, 1e-10, 1)
+        assert D > 2
+        assert kernel._power_sums(k, flat, 1e-10, 1)[0].tobytes() == want.tobytes()
+
+
 class TestSeriesAtCancellation:
     @pytest.mark.parametrize("m", [0, 1])
     def test_one_point_against_exact_phase_sum(self, tables, m):

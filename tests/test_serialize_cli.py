@@ -302,6 +302,27 @@ class TestCliBadInput:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("descriptor", [
+        '{"kind": "standard", "alpha": NaN}',
+        '{"kind": "standard", "alpha": 1e400}',
+        '{"kind": "exponential", "c": Infinity, "beta": 1.0}',
+        '{"kind": "exponential", "c": 1.0, "beta": NaN}',
+        '{"kind": "logarithmic", "gamma": Infinity}',
+        '{"kind": "tabulated", "samples": [[0.0, 1.0], [0.25, NaN], [0.5, 0.7], [0.75, 0.4]]}',
+        '{"kind": "tabulated", "samples": [[0.0, 1.0], [0.25, 0.9], [0.5, 0.7], [0.75, Infinity]]}',
+    ], ids=["alpha-nan", "alpha-overflow", "c-inf", "beta-nan", "gamma-inf",
+            "sample-nan", "sample-inf"])
+    def test_non_finite_weight_parameter(self, tmp_path, descriptor):
+        """Python's json reads NaN, Infinity and 1e400 as floats; the
+        weight refuses them as bad input."""
+        weight = tmp_path / "w.json"
+        weight.write_text(descriptor)
+        proc = _run_cli(["diagnose", "--weight", str(weight), "--kmax", "2"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("missing", ["weight", "symbol", "samples-csv"])
     def test_missing_file_error_line(self, weight_file, tmp_path, missing):
         """A descriptor or samples file that cannot be read is bad input:

@@ -53,6 +53,21 @@ class TestEvalWeight:
         with pytest.raises(WeightDomainError):
             RadialWeight.logarithmic(-1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, bad):
+        """NaN fails every comparison, so a test like alpha <= -1 let it
+        through; infinities are no parameters either."""
+        samples = [[0.0, 1.0], [0.25, 0.9], [0.5, 0.7], [0.75, 0.4]]
+        makers = [lambda: RadialWeight.standard(bad),
+                  lambda: RadialWeight.exponential(bad, 1.0),
+                  lambda: RadialWeight.exponential(1.0, bad),
+                  lambda: RadialWeight.logarithmic(bad),
+                  lambda: RadialWeight.tabulated([*samples[:3], [0.75, bad]]),
+                  lambda: RadialWeight.tabulated([*samples[:3], [bad, 0.4]])]
+        for make in makers:
+            with pytest.raises(WeightDomainError):
+                make()
+
 
 class TestTail:
     def test_constant(self, weights):
@@ -377,19 +392,23 @@ ARITH_WEIGHTS = {
 
 
 class TestMomentRecurrenceBlocks:
-    """log_moments_arith advances blocks of degrees per array call; its
-    values are bit for bit those of the per-degree loop."""
+    """log_moments_arith folds the rim into a Taylor polynomial and
+    advances the other nodes in windows of step-factor powers; its values
+    agree with the per-degree loop to 1e-13 + 1e-15 |log rho|."""
 
     @pytest.mark.parametrize("step", [1.0, 2.0])
     @pytest.mark.parametrize("key", ["std0", "std2", "log0", "exp11", "exp21",
                                      "std-0.5", "tabulated"])
     def test_bitwise_equal_per_degree(self, tables, key, step):
         """Counts at and around a compaction (256 degrees) and a refresh
-        (16,384); exp11 drops nodes and, at step 2, rescales its sum."""
+        (16,384); exp11 drops nodes and, at step 2, rescales its sum.  The
+        values once matched the loop bit for bit, hence the name; the fold
+        and the windows round differently."""
         t = tables[key] if key in tables else MomentTable(ARITH_WEIGHTS[key]())
         for count in (1, 255, 256, 257, 16384, 16385, 40000):
             want, rescaled, dropped = _oracle_log_moments_arith(t, 3.0, step, count)
-            assert t.log_moments_arith(3.0, step, count).tobytes() == want.tobytes()
+            assert_allclose(t.log_moments_arith(3.0, step, count), want,
+                            rtol=1e-15, atol=1e-13)
         if key == "exp11":
             assert dropped > 0
             assert rescaled or step == 1.0
@@ -399,17 +418,67 @@ class TestMomentRecurrenceBlocks:
     def test_rescale_at_block_ends(self, width, first):
         """A hand-built grid whose width - 2 dominant nodes sit at log t =
         -1, so the sum is about (width - 2) e^(-step d): the step puts its
-        first rescale on degree 255, the last of a block, or 256, the
-        first after a compaction.  Two nodes underflow and are dropped in
-        each of the two refresh spans.  Width 3 takes the accumulate path,
-        width 300 the row by row one."""
+        first rescale on degree 255, the last before a compaction, or 256,
+        the first after one.  Two nodes underflow and are dropped in each
+        of the two refresh spans.  Width 3 takes windows of 256 degrees,
+        width 300 windows of 218, which end between compactions."""
         logt = np.r_[np.full(width - 2, -1.0), -50.0, -400.0]
         step = (math.log(width - 2) - math.log(1.0e-120)) / (first - 0.5)
         t = MomentTable(RadialWeight.standard(0.0))
         t._grid = {"logt_f": logt, "logw_f": np.zeros(width), "beyond": -math.inf}
         want, rescaled, dropped = _oracle_log_moments_arith(t, 1.0, step, 20000)
         assert rescaled[0] == first and len(rescaled) > 60 and dropped == 4
-        assert t.log_moments_arith(1.0, step, 20000).tobytes() == want.tobytes()
+        assert_allclose(t.log_moments_arith(1.0, step, 20000), want, rtol=1e-15, atol=1e-13)
+
+    @pytest.mark.parametrize("make", [lambda: RadialWeight.standard(-0.99),
+                                      lambda: RadialWeight.logarithmic(-0.99)],
+                             ids=["std-0.99", "log-0.99"])
+    def test_rim_heavy_weights(self, make):
+        """Up to x = 2^20 on weights whose grid mass at x = 2^20 lies mostly
+        in the fold, against log_moments, which sums every node directly."""
+        t = MomentTable(make())
+        count = (1 << 19) + 1
+        la = t.log_moments_arith(1.0, 2.0, count)
+        idx = np.r_[np.arange(0, count, 1021), count - 1]
+        x = 1.0 + 2.0 * idx
+        assert_allclose(la[idx], t.log_moments(x), rtol=1e-15, atol=1e-13)
+        g = t._g()
+        terms = x[-1] * g["logt_f"] + g["logw_f"]
+        fold = x[-1] * g["logt_f"] >= -2.0 ** -8
+        assert np.logaddexp.reduce(terms[fold]) > np.logaddexp.reduce(terms[~fold])
+
+    def test_fold_set_changes_between_blocks(self):
+        """Each refresh block folds the nodes that stay within the radius
+        up to its own last exponent, so deeper blocks fold fewer; the
+        values run on across the block ends as the per-degree loop's."""
+        t = MomentTable(RadialWeight.standard(-0.5))
+        count = 3 * 16384 + 1
+        want, _, _ = _oracle_log_moments_arith(t, 1.0, 2.0, count)
+        assert_allclose(t.log_moments_arith(1.0, 2.0, count), want, rtol=1e-15, atol=1e-13)
+        logt = t._g()["logt_f"]
+        x_last = 1.0 + 2.0 * (np.array([1, 2, 3, 3]) * 16384 - [1, 1, 1, 0])
+        folded = [np.count_nonzero(x * logt >= -2.0 ** -8) for x in x_last]
+        assert folded[0] > folded[1] > folded[2] >= folded[3] > 0
+
+    def test_constant_weight_closed_form(self, tables):
+        """rho_x = 1/(x+1) for the constant weight, to 1e-12 relative over
+        the 131,584 degrees a theorem call at n = 2 takes."""
+        x = 3.0 + 2.0 * np.arange(131584)
+        la = tables["std0"].log_moments_arith(3.0, 2.0, x.size)
+        assert_allclose(np.exp(la), 1.0 / (x + 1.0), rtol=1e-12)
+
+    def test_rim_fold_against_direct_sum(self, rng):
+        """The fold polynomial against exactly rounded sums of the terms,
+        for nodes at the fold radius and well inside it."""
+        from bergman_lab.weights import _rim_fold
+
+        xs = np.array([1.0, 777.0, 2.0 ** 20])
+        logt = -rng.uniform(0.0, 2.0 ** -8 / xs[-1], size=500)
+        logt[:2] = -2.0 ** -8 / xs[-1]
+        logw = rng.uniform(-30.0, 0.0, size=500)
+        want = [math.log(math.fsum(np.exp(logw + x * logt))) for x in xs]
+        assert_allclose(_rim_fold(logt, logw, xs), want, rtol=0, atol=1e-14)
+        assert np.all(_rim_fold(logt[:0], logw[:0], xs) == -np.inf)
 
     @pytest.mark.parametrize("x0,step", [(0.5, 2.0), (-3.0, 2.0), (math.nan, 2.0),
                                          (math.inf, 2.0), (3.0, -2.0), (3.0, math.inf),

@@ -6,10 +6,10 @@ Runs a fixed set of reports in both checkouts, each as
 `PYTHONPATH=<checkout>/src python3 -m bergman_lab.cli ... --out FILE`, from
 weight and symbol descriptors it writes to a temporary directory:
 
-    theorem   std0 and exp11 (n = 2) at --threads 1 and 2, and exp11 at
-              --kmax 8 --dmax 4096
+    theorem   std0 and exp11 (n = 2) at --threads 1 and 2, and exp11 and
+              standard(-0.9) at --kmax 8 --dmax 4096
     pr-check  std0 and exp11
-    kernel    std0 and exp11
+    kernel    std0, exp11 and standard(-0.9)
     diagnose  std0, std2, log0, exp11, a tabulated 1 - r^2 and standard(-0.9),
               which keeps more than half of its rho_1 past the moment grid's end
     project   the monomial w1^2 w2, and a 9 x 9 x 16 polar-grid symbol of
@@ -71,9 +71,10 @@ SYMBOLS = {
 REPORTS = [
     *[(f"theorem {w} --threads {t}", w, None, ["theorem", "--threads", str(t)])
       for w in ("std0", "exp11") for t in (1, 2)],
-    ("theorem exp11 --kmax 8 --dmax 4096", "exp11", None,
-     ["theorem", "--kmax", "8", "--dmax", "4096"]),
+    *[(f"theorem {w} --kmax 8 --dmax 4096", w, None,
+       ["theorem", "--kmax", "8", "--dmax", "4096"]) for w in ("exp11", "std-0.9")],
     *[(f"{c} {w}", w, None, [c]) for c in ("pr-check", "kernel") for w in ("std0", "exp11")],
+    ("kernel std-0.9", "std-0.9", None, ["kernel"]),
     *[(f"diagnose {w}", w, None, ["diagnose"])
       for w in ("std0", "std2", "log0", "exp11", "tab", "std-0.9")],
     ("project monomial w1^2 w2", "std0", "monomial", ["project"]),
