@@ -50,11 +50,13 @@ One point and arrays of points alike take their powers by the recursion
 x^d = x^{d-1} x (one point's terms are summed exactly rounded, by
 math.fsum); each result is multiplied back by e^scale, so only one beyond
 double range fails.  Circle means take an array of radii at once:
-the radii are certified together, in order.  Each mean takes one real FFT
-per angle level on the half circle (|p| is even in the angle, the terms
-being real), first level from D: the grid starts at no fewer than (D+1)/2
-nodes.  The radii whose mean has not settled at a level share that level's
-FFT, in blocks of at most _BLOCK_ELEMENTS.
+the radii are certified together, in order.  Each mean climbs nested angle
+grids, first level from D: the grid starts at no fewer than (D+1)/2 nodes.
+The first level takes one real FFT on the half circle (|p| is even in the
+angle, the terms being real); each later level adds only the previous
+grid's midpoints to the node sum, by one complex FFT of half the previous
+node count.  The radii whose mean has not settled at a level share that
+level's FFT, in blocks of at most _BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -736,49 +738,103 @@ def _first_level(D: int, start_nodes: int, max_nodes: int) -> int:
     return n_nodes
 
 
-def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
-    """Trapezoid means of |sum_d gamma_d e^{i d theta}| for each term table in
-    gammas, on angle grids doubled from first[i] nodes until two levels
-    agree to tol (the first levels share one doubling sequence).
+def _folded(gammas, rows: list, period: int, width: int, alternate: bool) -> np.ndarray:
+    """(len(rows), width) array whose row r folds gammas[rows[r]] onto period
+    degrees: sum_m s^m gamma_{k + m period} at k < width, zero past the
+    table, with s = -1 if alternate else 1 (width is period where a table
+    is longer)."""
+    out = np.zeros((len(rows), width))
+    for o, i in zip(out, rows):
+        gamma = gammas[i]
+        o[:min(period, gamma.size)] = gamma[:period]
+        # degrees d and d + period alias, with a sign flip if alternate
+        for m, lo in enumerate(range(period, gamma.size, period), 1):
+            chunk = gamma[lo:lo + period]
+            fold = np.subtract if alternate and m % 2 else np.add
+            fold(o[:chunk.size], chunk, out=o[:chunk.size])
+    return out
 
-    The terms are real, so |p(-theta)| = |p(theta)|, and one real FFT of the
-    folded terms gives the half circle: on N nodes the mean is (|R_0| +
-    |R_{N/2}| + 2 sum_{0<j<N/2} |R_j|) / N.  The tables unsettled at a level
-    share one real FFT per block of rows under _BLOCK_ELEMENTS.  Returns
-    (means, prev): a row's mean, or None with its last level's value in
-    prev if max_nodes passed.
+
+def _midpoint_twiddles(prev_nodes: int) -> np.ndarray:
+    """e^{-i pi k / N} for k < N/2, N = prev_nodes a power of two >= 2: the
+    outer product of a coarse and a fine table of about sqrt(N/2) exps."""
+    half = prev_nodes // 2
+    fine = 1 << ((half.bit_length() - 1) // 2)
+    angle = -math.pi / prev_nodes
+    return np.multiply.outer(np.exp(1j * angle * np.arange(0, half, fine)),
+                             np.exp(1j * angle * np.arange(fine))).ravel()
+
+
+def _node_sums(gammas, rows: list, n_nodes: int) -> np.ndarray:
+    """sum_{j<N} |p(2 pi j / N)| for the tables gammas[rows], N = n_nodes
+    even, by one real FFT of the folded terms on the half circle."""
+    # rows only as wide as the longest table: rfft pads them to n_nodes
+    width = min(n_nodes, max(gammas[i].size for i in rows))
+    spectrum = np.abs(np.fft.rfft(_folded(gammas, rows, n_nodes, width, False),
+                                  n=n_nodes, axis=1))
+    # |R_j| for 0 < j < N/2 stands for the nodes j and N - j
+    half = n_nodes // 2
+    return spectrum[:, 0] + 2.0 * np.add.reduce(spectrum[:, 1:half], axis=1) + spectrum[:, half]
+
+
+def _midpoint_sums(gammas, rows: list, prev_nodes: int, twiddles: np.ndarray) -> np.ndarray:
+    """sum_{j<N} |p((2j+1) pi / N)| for the tables gammas[rows], N =
+    prev_nodes, by one complex FFT of length N/2; twiddles is
+    _midpoint_twiddles(N)."""
+    half = prev_nodes // 2
+    folded = _folded(gammas, rows, prev_nodes, prev_nodes, True)
+    u = np.empty((len(rows), half), dtype=complex)
+    u.real = folded[:, :half]
+    np.negative(folded[:, half:], out=u.imag)
+    u *= twiddles
+    return 2.0 * np.add.reduce(np.abs(np.fft.fft(u, axis=1)), axis=1)
+
+
+def _fft_levels(gammas, first: list, tol: float, max_nodes: int):
+    """Trapezoid means of |p(theta)| = |sum_d gamma_d e^{i d theta}| for each
+    term table in gammas, on nested angle grids doubled from first[i] nodes
+    (a power of two >= 2) until two levels agree to tol (the first levels
+    share one doubling sequence).
+
+    A row keeps its node sum S_N = sum_{j<N} |p(2 pi j / N)|; its mean on N
+    nodes is S_N / N.  At its first level the terms are real, so |p(-theta)|
+    = |p(theta)|, and one real FFT of the folded terms a_k = sum_m
+    gamma_{k+mN} gives the half circle: S_N = |R_0| + |R_{N/2}| + 2
+    sum_{0<j<N/2} |R_j|.  Each later level only adds the N midpoints,
+    S_2N = S_N + sum_{j<N} |p((2j+1) pi / N)|.  With the alternating fold
+    b_k = sum_m (-1)^m gamma_{k+mN} (degree d + N picks up e^{i pi (2j+1)}
+    = -1), the midpoint values are conj p((2j+1) pi / N) = sum_{k<N} b_k
+    e^{-i pi k (2j+1) / N}.  Midpoints j and N-1-j are complex conjugates,
+    so the even j = 2l suffice, and splitting k at N/2 makes them one
+    complex FFT of length N/2: z = fft(u), u_k = (b_k - i b_{k+N/2})
+    e^{-i pi k / N}, and the midpoint sum is 2 sum_l |z_l|.  The tables
+    at a level share one FFT per block of rows under _BLOCK_ELEMENTS, the
+    rows at their first level apart from the others.  Returns (means,
+    prev): a row's mean, or None with its last level's value in prev if
+    max_nodes passed.
     """
     means = [None] * len(gammas)
     prev = [None] * len(gammas)
+    sums = [0.0] * len(gammas)
     pending = list(range(len(gammas)))
     n_nodes = min(first)
     while pending and n_nodes <= max_nodes:
-        live = [i for i in pending if first[i] <= n_nodes]
         step = max(1, _BLOCK_ELEMENTS // n_nodes)
-        for b in range(0, len(live), step):
-            rows = live[b:b + step]
-            # rows only as wide as the longest table: rfft pads them to n_nodes
-            wrapped = np.zeros((len(rows), min(n_nodes, max(gammas[i].size for i in rows))))
-            for out, i in zip(wrapped, rows):
-                gamma = gammas[i]
-                if gamma.size <= n_nodes:
-                    out[:gamma.size] = gamma
-                else:  # fold the terms onto the grid: degrees d and d + n_nodes alias
-                    folds = -(-gamma.size // n_nodes)
-                    padded = np.zeros(folds * n_nodes)
-                    padded[:gamma.size] = gamma
-                    out[:] = padded.reshape(folds, n_nodes).sum(axis=0)
-            half = np.abs(np.fft.rfft(wrapped, n=n_nodes, axis=1))
-            # |R_j| for 0 < j < N/2 stands for the nodes j and N - j
-            total = half[:, 0] + 2.0 * np.add.reduce(half[:, 1:(n_nodes + 1) // 2], axis=1)
-            if n_nodes % 2 == 0:
-                total += half[:, n_nodes // 2]
-            cur = total / n_nodes
-            for c, i in zip(cur.tolist(), rows):
-                if prev[i] is not None and abs(c - prev[i]) <= tol * abs(c):
-                    means[i] = c
-                else:
-                    prev[i] = c
+        fresh = [i for i in pending if first[i] == n_nodes]
+        older = [i for i in pending if first[i] < n_nodes]
+        twiddles = _midpoint_twiddles(n_nodes // 2) if older else None
+        for live in (fresh, older):
+            for b in range(0, len(live), step):
+                rows = live[b:b + step]
+                added = (_node_sums(gammas, rows, n_nodes) if live is fresh
+                         else _midpoint_sums(gammas, rows, n_nodes // 2, twiddles))
+                for a, i in zip(added.tolist(), rows):
+                    sums[i] += a
+                    c = sums[i] / n_nodes
+                    if prev[i] is not None and abs(c - prev[i]) <= tol * abs(c):
+                        means[i] = c
+                    else:
+                        prev[i] = c
         pending = [i for i in pending if means[i] is None]
         n_nodes *= 2
     return means, prev
@@ -817,13 +873,16 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
 
         (1/2 pi) int |sum_d d c_d (xi e^{i theta})^d| d theta.
 
-    The polynomial is evaluated on uniform angle grids by one real FFT per
-    level (exactly the trapezoid values, on the half circle since the terms
-    are real), and the grid is doubled until two levels agree.  It starts
-    at start_nodes doubled up to at least (D+1)/2 nodes for the certified
-    degree D (never past max_nodes): a coarser grid only aliases the terms.
-    The node count must resolve the angular peak of width ~(1 - xi), so
-    deep radii climb to large FFTs; these stay cheap.
+    The trapezoid means are taken on nested uniform angle grids, doubled
+    until two levels agree.  The first level takes one real FFT (exactly
+    the trapezoid values, on the half circle since the terms are real);
+    each later level keeps the previous node sum and adds only the new
+    midpoints, which one complex FFT of half the previous node count gives
+    (see _fft_levels).  The grid starts at start_nodes, a power of two >=
+    2, doubled up to at least (D+1)/2 nodes for the certified degree D
+    (never past max_nodes): a coarser grid only aliases the terms.  The
+    node count must resolve the angular peak of width ~(1 - xi), so deep
+    radii climb to large FFTs; these stay cheap.
 
     xi is a float or an array of radii.  An array gives, bit for bit, the
     values of one call per radius in C order, grows the table as those
@@ -836,6 +895,8 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
     xs = np.asarray(xi, dtype=float)
     if not np.all((xs >= 0.0) & (xs < 1.0)):
         raise ValueError("xi must be in [0, 1)")
+    if start_nodes < 2 or start_nodes & (start_nodes - 1):
+        raise ValueError("start_nodes must be a power of two >= 2")
     flat = xs.ravel()
     nz = np.flatnonzero(flat)
     out = np.zeros(flat.size)

@@ -160,7 +160,8 @@ class RadialWeight:
         if self.kind == "standard":
             return self.alpha * (np.log(u) + np.log(2.0 - u))
         if self.kind == "exponential":
-            return -self.c * u ** (-self.beta)
+            with np.errstate(over="ignore"):  # rho underflows: log rho = -inf
+                return -self.c * u ** (-self.beta)
         if self.kind == "logarithmic":
             return self.gamma * np.log(u) - 2.0 * np.log(1.0 - np.log(u))
         return np.log(self.eval_at_one_minus(u))
@@ -373,9 +374,11 @@ class MomentTable:
         with np.errstate(under="ignore", over="ignore", divide="ignore", invalid="ignore"):
             masses = _row_logsumexp(np.log(width * wg) - s
                                     + self.weight.log_eval_at_one_minus(np.exp(-s)))
-        step = masses[-1] - masses[-2]
-        if math.isfinite(masses[-1]) and step < 0.0:
-            masses[-1] = np.logaddexp(masses[-1], masses[-1] + step - math.log1p(-math.exp(step)))
+        if math.isfinite(masses[-1]):
+            step = masses[-1] - masses[-2]
+            if step < 0.0:
+                masses[-1] = np.logaddexp(masses[-1],
+                                          masses[-1] + step - math.log1p(-math.exp(step)))
         return float(_row_logsumexp(masses[None, :])[0])
 
     def _g(self):

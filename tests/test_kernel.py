@@ -340,6 +340,117 @@ class TestCircleMean:
         assert abs(value - cur * math.exp(scale)) <= tol * value
 
 
+def _oracle_fft_levels(gammas, first, tol, max_nodes):
+    """The full-level loop: every level takes the real FFT of the terms
+    folded onto all of its nodes, none reuses the previous level."""
+    means = [None] * len(gammas)
+    prev = [None] * len(gammas)
+    pending = list(range(len(gammas)))
+    n_nodes = min(first)
+    while pending and n_nodes <= max_nodes:
+        live = [i for i in pending if first[i] <= n_nodes]
+        step = max(1, _BLOCK_ELEMENTS // n_nodes)
+        for b in range(0, len(live), step):
+            rows = live[b:b + step]
+            wrapped = np.zeros((len(rows), min(n_nodes, max(gammas[i].size for i in rows))))
+            for out, i in zip(wrapped, rows):
+                gamma = gammas[i]
+                if gamma.size <= n_nodes:
+                    out[:gamma.size] = gamma
+                else:
+                    folds = -(-gamma.size // n_nodes)
+                    padded = np.zeros(folds * n_nodes)
+                    padded[:gamma.size] = gamma
+                    out[:] = padded.reshape(folds, n_nodes).sum(axis=0)
+            half = np.abs(np.fft.rfft(wrapped, n=n_nodes, axis=1))
+            total = half[:, 0] + 2.0 * np.add.reduce(half[:, 1:(n_nodes + 1) // 2], axis=1)
+            if n_nodes % 2 == 0:
+                total += half[:, n_nodes // 2]
+            cur = total / n_nodes
+            for c, i in zip(cur.tolist(), rows):
+                if prev[i] is not None and abs(c - prev[i]) <= tol * abs(c):
+                    means[i] = c
+                else:
+                    prev[i] = c
+        pending = [i for i in pending if means[i] is None]
+        n_nodes *= 2
+    return means, prev
+
+
+def _assert_same_levels(got, expected, rtol):
+    """Rows settle or fail alike, and their means (or last values) agree."""
+    for (m, p), (m_oracle, p_oracle) in zip(zip(*got), zip(*expected)):
+        assert (m is None) == (m_oracle is None)
+        value, oracle = (m, m_oracle) if m is not None else (p, p_oracle)
+        assert (value is None) == (oracle is None)
+        if oracle is not None:
+            assert abs(value - oracle) <= rtol * abs(oracle)
+
+
+class TestNestedLevels:
+    """Each level after a row's first adds only the midpoints of the
+    previous grid to its node sum; an independent route takes every level's
+    full real FFT."""
+
+    @pytest.mark.parametrize("key, deepest", [("std0", 12), ("exp11", 8)])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-10])
+    def test_rows_settle_at_the_oracle_level(self, tables, key, deepest, tol):
+        """From r = 0.5 to the deepest radius the table certifies (1 - 2^-12
+        for std0, 1 - 2^-8 for exp11 at d_max = 2^19): capped at each level
+        where a row settles, the same rows settle, within 1e-13."""
+        k = build_coeffs(tables[key], 2, d_max=1 << 19)
+        radii = 1.0 - 2.0 ** -np.linspace(1.0, deepest, 25)
+        terms = [_terms(k, float(x), tol, 1) for x in radii]
+        gammas = [gamma for _, _, gamma, _ in terms]
+        first = [kernel._first_level(D, 256, 1 << 20) for D, _, _, _ in terms]
+        expected = _oracle_fft_levels(gammas, first, tol, 1 << 20)
+        assert all(m is not None for m in expected[0])
+        levels = {n for n in (min(first) << j for j in range(13)) if n <= 1 << 20}
+        for cap in sorted(levels):
+            _assert_same_levels(kernel._fft_levels(gammas, first, tol, cap),
+                                _oracle_fft_levels(gammas, first, tol, cap), 1e-13)
+
+    def test_unsettled_row_keeps_its_last_level(self, tables):
+        """std0 at 1 - 2^-10 on 256, 512 and 1024 nodes (max_nodes = 1024):
+        grids that fold the terms many times do not settle, and the last
+        level's value agrees with the oracle's."""
+        k = build_coeffs(tables["std0"], 2, d_max=1 << 19)
+        D, _, gamma, _ = _terms(k, 1.0 - 2.0 ** -10, 1e-7, 1)
+        assert D > 8 * 1024
+        got = kernel._fft_levels([gamma], [256], 1e-7, 1024)
+        expected = _oracle_fft_levels([gamma], [256], 1e-7, 1024)
+        assert got[0] == expected[0] == [None]
+        _assert_same_levels(got, expected, 1e-13)
+
+    @pytest.mark.parametrize("prev_nodes", [2, 8, 64])
+    def test_midpoint_sum_against_polyval(self, rng, prev_nodes):
+        """The midpoint sum of N nodes is sum_j |p((2j+1) pi / N)| for a table
+        that folds an odd number of times onto N degrees, and the node sum
+        the same over the nodes 2 pi j / N."""
+        gamma = rng.standard_normal(3 * prev_nodes + 5)
+        j = np.arange(prev_nodes)
+        for sums, angles in [
+                (kernel._midpoint_sums([gamma], [0], prev_nodes,
+                                       kernel._midpoint_twiddles(prev_nodes)),
+                 (2 * j + 1) * np.pi / prev_nodes),
+                (kernel._node_sums([gamma], [0], prev_nodes), 2 * j * np.pi / prev_nodes)]:
+            direct = np.sum(np.abs(np.polynomial.polynomial.polyval(np.exp(1j * angles),
+                                                                    gamma)))
+            assert sums.shape == (1,)
+            assert abs(sums[0] - direct) <= 1e-13 * direct
+
+    @pytest.mark.parametrize("start", [0, 1, 3, 384, -256])
+    def test_start_nodes_power_of_two(self, tables, start):
+        """The midpoint step halves the previous level, so every level must
+        be even: start_nodes is a power of two >= 2, checked before the
+        table grows."""
+        k = build_coeffs(tables["std0"], 2, d_max=4096)
+        built = k.built
+        with pytest.raises(ValueError, match="start_nodes"):
+            rk_circle_mean(k, 0.99, start_nodes=start)
+        assert k.built == built
+
+
 class TestCircleMeanSingularWeight:
     @pytest.mark.parametrize("xi", [0.1, 0.2, 0.3, 0.4, 0.5])
     def test_n1_against_closed_form(self, xi):

@@ -267,12 +267,12 @@ class TestCli:
         assert "symbol" in capsys.readouterr().err
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, capture=True):
     src = Path(bergman_lab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "bergman_lab.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
+                          cwd=cwd, env=env, capture_output=capture, text=True,
                           timeout=120)
 
 
@@ -379,6 +379,20 @@ def test_diagnose_steep_exponential_reports_nulls(tmp_path):
     mt = results["moment_tail"]
     assert mt["ratio"] == [] and mt["last_quartile_window"] == [None, None]
     assert mt["window_spread"] is None and mt["notes"]
+
+
+def test_diagnose_steep_exponential_writes_nothing_to_stderr(tmp_path, capfd):
+    """exp(-1/(1-r)^20) underflows on the moment grid's deepest octaves and
+    past them (log rho = -inf, u^-20 overflows): those nodes add nothing,
+    and the CLI, run as its own process, writes no warning to stderr."""
+    p = tmp_path / "steep.json"
+    p.write_text(json.dumps({"kind": "exponential", "c": 1.0, "beta": 20.0}))
+    out = tmp_path / "rep.json"
+    proc = _run_cli(["diagnose", "--weight", str(p), "--kmax", "6", "--out", str(out)],
+                    tmp_path, capture=False)
+    assert proc.returncode in (0, 2)
+    assert capfd.readouterr().err == ""
+    assert json.loads(out.read_text())["results"]["diagnostics"]
 
 
 _SCIPY_MODULES = """\

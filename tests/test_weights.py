@@ -1,6 +1,7 @@
 """Weight evaluation, tails, moments, and the class diagnostics."""
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -67,6 +68,17 @@ class TestEvalWeight:
         for make in makers:
             with pytest.raises(WeightDomainError):
                 make()
+
+    def test_steep_exponential_underflows_without_warning(self):
+        """Where u^-beta overflows, log rho is -inf, and the moment grid and
+        its beyond mass take such nodes as zero mass, with no warning."""
+        w = RadialWeight.exponential(1.0, 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs = w.log_eval_at_one_minus(np.array([0.5, 2.0 ** -60]))
+            grid = MomentTable(w)._g()
+        assert logs[0] == -2.0 ** 20 and logs[1] == -math.inf
+        assert np.isneginf(grid["logw_f"]).any() and grid["beyond"] == -math.inf
 
 
 class TestTail:

@@ -6,8 +6,8 @@ Runs a fixed set of reports in both checkouts, each as
 `PYTHONPATH=<checkout>/src python3 -m bergman_lab.cli ... --out FILE`, from
 weight and symbol descriptors it writes to a temporary directory:
 
-    theorem   std0 and exp11 (n = 2) at --threads 1 and 2, and exp11 and
-              standard(-0.9) at --kmax 8 --dmax 4096
+    theorem   std0 and exp11 at --threads 1 and 2, std0 at --n 3, and exp11
+              and standard(-0.9) at --kmax 8 --dmax 4096
     pr-check  std0 and exp11
     kernel    std0, exp11 and standard(-0.9)
     diagnose  std0, std2, log0, exp11, a tabulated 1 - r^2 and standard(-0.9),
@@ -15,6 +15,7 @@ weight and symbol descriptors it writes to a temporary directory:
     project   the monomial w1^2 w2, and a 9 x 9 x 16 polar-grid symbol of
               1 + Re(lam)/2 at --kmax 4
 
+Each runs at --n 2 unless its arguments name another --n.
 The two sides of a report run at the same time.  It prints one line per
 report: `identical`, or each field that differs (a JSON path with its list
 indices dropped, such as `results.rows`) with the largest relative change
@@ -71,6 +72,7 @@ SYMBOLS = {
 REPORTS = [
     *[(f"theorem {w} --threads {t}", w, None, ["theorem", "--threads", str(t)])
       for w in ("std0", "exp11") for t in (1, 2)],
+    ("theorem std0 --n 3", "std0", None, ["theorem", "--n", "3"]),
     *[(f"theorem {w} --kmax 8 --dmax 4096", w, None,
        ["theorem", "--kmax", "8", "--dmax", "4096"]) for w in ("exp11", "std-0.9")],
     *[(f"{c} {w}", w, None, [c]) for c in ("pr-check", "kernel") for w in ("std0", "exp11")],
@@ -174,7 +176,9 @@ def main(argv=None) -> int:
         for name, doc in {**WEIGHTS, **SYMBOLS}.items():
             (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
         for i, (label, weight, symbol, extra) in enumerate(REPORTS):
-            cli = [*extra, "--weight", str(tmp / f"{weight}.json"), "--n", "2"]
+            cli = [*extra, "--weight", str(tmp / f"{weight}.json")]
+            if "--n" not in extra:
+                cli += ["--n", "2"]
             if symbol:
                 cli += ["--symbol", str(tmp / f"{symbol}.json")]
             outs = {side: tmp / side / f"{i}.json" for side in sides}
