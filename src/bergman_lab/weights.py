@@ -311,6 +311,18 @@ def _rim_fold(logt: np.ndarray, logw: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return top + np.log(poly)
 
 
+def _arith_start(logv: np.ndarray, logt: np.ndarray, step: float):
+    """(v, powers) that start log_moments_arith's windows: v = e^logv at
+    the nodes where it does not underflow to 0, and the table of their step
+    factors f^1, ..., f^R, f = t^step, R x nodes <= _ARITH_BLOCK."""
+    v = np.exp(logv)
+    live = v != 0.0
+    v, logt = v[live], logt[live]
+    rows = max(1, min(_COMPACT_EVERY, _ARITH_BLOCK // v.size))
+    return v, np.multiply.accumulate(
+        np.broadcast_to(np.exp(step * logt), (rows, v.size)), axis=0)
+
+
 class MomentTable:
     """Moments rho_x with a shared graded quadrature grid.
 
@@ -420,10 +432,17 @@ class MomentTable:
           up to R degrees is then one broadcast product v f^r, one sum
           along the node axis and one np.log.  Every _COMPACT_EVERY terms
           the nodes whose scaled value is exactly 0 are dropped, from v and
-          from the table's columns: f <= 1 and the rescale divides, so they
-          stay 0 until the next refresh, and deep exponents leave few
-          nodes.  Where a sum falls below 1e-120 the window ends at that
-          degree and the next one starts from v divided by that sum.
+          from the table's columns, and deep exponents leave few nodes.
+        - Restarts.  Where a sum falls below 1e-120 the window ends at that
+          degree, and the next one restarts v from the exact grid values of
+          every non-folded node, scaled by that sum, with a fresh table.
+          A node is dropped only once its scaled value underflows, below
+          e^-745; it never grows (f <= 1), and the sum stays above 1e-120 =
+          e^-276 until the next restart, so a dropped node stays below
+          e^-469 of the sum.  Carrying v over
+          (v divided by the sum) instead would lose for good a node that
+          underflowed early but dominates later in the block, as happens
+          for steep weights such as exp(-1/(1-t)^20).
         """
         if not (math.isfinite(x0) and math.isfinite(step)) or x0 < 1.0 or step < 0.0:
             raise WeightDomainError("moment progression needs finite x0 >= 1 and step >= 0")
@@ -443,12 +462,7 @@ class MomentTable:
             scale = base.max()
             logs = out[j:j + n]
             with np.errstate(under="ignore"):
-                v = np.exp(base - scale)
-                live = v != 0.0
-                v, lt = v[live], lt[live]
-                rows = max(1, min(_COMPACT_EVERY, _ARITH_BLOCK // v.size))
-                powers = np.multiply.accumulate(
-                    np.broadcast_to(np.exp(step * lt), (rows, v.size)), axis=0)
+                v, powers = _arith_start(base - scale, lt, step)
                 logs[0] = scale + math.log(np.add.reduce(v))
                 i = 1
                 while i < n:
@@ -467,8 +481,9 @@ class MomentTable:
                     np.log(sums[:last + 1], out=logs[i:i + last + 1])
                     logs[i:i + last + 1] += scale
                     if sums[last] < 1.0e-120:
-                        v = window[last] / sums[last]
                         scale = logs[i + last]  # scale + log of that sum
+                        v, powers = _arith_start(xs[i + last] * lt + lw - scale,
+                                                 lt, step)
                     else:
                         v = window[last].copy()
                     i += last + 1

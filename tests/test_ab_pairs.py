@@ -49,3 +49,27 @@ def test_worse_and_unresolved():
                                              ([1.0, 2.0, 3.0, 4.0, 5.0], (2.0, 3.0, 4.0))])
 def test_quartiles(values, expected):
     assert ab_pairs.quartiles(values) == expected
+
+
+def test_run_bench_records_the_runs_page_faults(tmp_path):
+    """A stand-in bench/run.py that writes 40 MB takes at least one minor
+    page fault per 4 KB page of it, and each run is counted apart."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "pages = b'x' * (40 << 20)\n"
+        "print(json.dumps({'metrics': {}, 'failed': 0, 'attempted': 1,"
+        " 'seed': int(sys.argv[sys.argv.index('--seed') + 1])}))\n")
+    first = ab_pairs.run_bench(tmp_path, "any", 3)
+    second = ab_pairs.run_bench(tmp_path, "any", 4)
+    assert first["seed"] == 3 and second["seed"] == 4
+    for result in (first, second):
+        assert 10_000 <= result["rusage"]["minflt"] < 100_000
+        assert result["rusage"]["sys_s"] >= 0.0
+
+
+def test_rusage_summary():
+    runs = [{"rusage": {"minflt": f, "sys_s": s}}
+            for f, s in [(100, 0.5), (300, 0.1), (200, 0.2), (400, 0.4), (500, 0.3)]]
+    assert ab_pairs.rusage_summary(runs) == \
+        "minor faults 300 [200, 400], system 0.300 s [0.200, 0.400]"

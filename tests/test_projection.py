@@ -9,8 +9,59 @@ from numpy.testing import assert_allclose
 from bergman_lab import (BallPoint, BoundedSymbol, QuadSpec, SymbolFormError,
                          boundedness_functional, build_coeffs, project,
                          project_bloch_image, verify_star)
+from bergman_lab.errors import QuadratureError
+from bergman_lab.kernel import _terms, _unscale
+from bergman_lab.projection import _fft_sphere_mean
+from bergman_lab.quadrature import DEFAULT_SPEC, _slice_rule
 
 TIGHT = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
+
+
+def _oracle_sphere_mean(slice_fn, s, mods, terms, scale, spec):
+    """(sphere mean, N) of a callable symbol by fresh arrays at every level:
+    the FFT divided by N, and the modes -d and N/2 - d gathered by index."""
+    D = terms.shape[1] - 1
+    degrees = np.arange(D + 1)
+
+    def pair(modes):
+        return _unscale(np.sum(terms * modes), scale, "series value")
+
+    n_theta = 2 << max(7, (2 * D + 1).bit_length())
+    while n_theta <= spec.max_angular_nodes:
+        circle = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+        dft = np.fft.fft(slice_fn(s, mods[:, None] * circle), axis=-1) / n_theta
+        cur = pair(dft[:, -degrees % n_theta])
+        coarse = pair(dft[:, -degrees % n_theta]
+                      + dft[:, (n_theta // 2 - degrees) % n_theta])
+        if abs(cur - coarse) <= max(spec.tolerance, 10 * spec.rel_tolerance * abs(cur)):
+            return cur, n_theta
+        n_theta *= 2
+    raise QuadratureError("oracle sphere mean did not stabilize in angle")
+
+
+def _unit(lam):
+    return np.conj(lam) / np.abs(lam)
+
+
+def _conj_in_place(r, lam):
+    """Overwrites lam with its conjugate and returns lam itself."""
+    return np.conjugate(lam, out=lam)
+
+
+SLICE_SYMBOLS = {
+    "phase": lambda r, lam: _unit(lam),
+    "poly": lambda r, lam: 2.0 * np.conj(lam) - 3.5 * np.conj(lam) ** 3,
+    # mode -133 folds onto a kept degree at 256 angles, so this one needs 512
+    "phase133": lambda r, lam: _unit(lam) + 0.3 * _unit(lam) ** 133,
+    # mode -128 folds onto degree 0, the first column of the N/2 - d slice
+    "phase128": lambda r, lam: _unit(lam) + 0.3 * _unit(lam) ** 128,
+    "returns-lam": lambda r, lam: lam,
+    "conj-in-place": _conj_in_place,
+    "real": lambda r, lam: np.abs(lam) ** 2 + lam.real,
+}
+#: radii of the sphere means, out of order as a radial quadrature meets
+#: them, all on one working set
+SPHERE_RADII = (0.3, 0.05, 0.6, 0.999, 0.8, 0.45, 0.95)
 
 
 class TestSymbolConstruction:
@@ -279,3 +330,71 @@ class TestBlochImage:
         for (r, density) in prof:
             m = boundedness_functional(coeffs_std0_n2, weights["std0"], r)
             assert density <= m * (1 + 1e-6)
+
+
+class TestSphereMeanWorkingSet:
+    """The sphere means of a callable symbol, taken on one working set per
+    angle level and read from the unnormalised FFT by slices, against the
+    loop with fresh arrays, division by N and index gathers."""
+
+    @pytest.mark.parametrize("a", [0.45, 0.7])
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("name", list(SLICE_SYMBOLS))
+    def test_against_fresh_arrays(self, coeffs_std0_n2, name, m, a):
+        fn = SLICE_SYMBOLS[name]
+        spec = DEFAULT_SPEC
+        D, scale, gamma, _ = _terms(coeffs_std0_n2, a,
+                                    max(spec.rel_tolerance * 10, 1.0e-11), m)
+        u, u_weights = _slice_rule(2)
+        levels, settled = {}, set()
+        for s in SPHERE_RADII:
+            mods = s * u
+            terms = u_weights[:, None] * mods[:, None] ** np.arange(D + 1) * gamma
+            want, n_want = _oracle_sphere_mean(fn, s, mods, terms, scale, spec)
+            got, n_got = _fft_sphere_mean(fn, s, mods, terms, scale, spec, levels)
+            assert n_got == n_want
+            if name == "returns-lam":
+                # lam has no mode -d with d >= 0: both sides are round-off
+                assert abs(got - want) <= 1e-14 * _unscale(np.sum(terms), scale, "")
+            else:
+                assert abs(got - want) <= 1e-14 * abs(want)
+            settled.add(n_got)
+        if name == "phase133" or (name == "phase128" and m == 0):
+            assert 512 in settled  # R K has no degree-0 term, so m = 1 misses -128
+
+    def test_one_buffer_per_angle_count(self, coeffs_std0_n2, weights):
+        """Every radial node of a call is handed the same lam array at a
+        given angle count."""
+        seen = []
+
+        def fn(r, lam):
+            seen.append(lam)
+            return _unit(lam) + 0.3 * _unit(lam) ** 133
+
+        project(coeffs_std0_n2, weights["std0"], BoundedSymbol.custom(fn, 1.3),
+                BallPoint.radial(0.45, 2))
+        shapes = {lam.shape for lam in seen}
+        assert len(seen) > 100 and len(shapes) == 2
+        assert len({id(lam) for lam in seen}) == len(shapes)
+
+    def test_projection_of_in_place_symbol(self, coeffs_std0_n2, weights):
+        """A symbol that overwrites lam with conj(lam) and returns it
+        projects as w1 does, to z1."""
+        z = BallPoint.radial(0.45, 2)
+        val = project(coeffs_std0_n2, weights["std0"],
+                      BoundedSymbol.custom(_conj_in_place, 1.0), z)
+        assert_allclose(complex(val), 0.45, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [lambda r, lam: 1.0,
+                                     lambda r, lam: np.ones((lam.shape[0], 1)),
+                                     lambda r, lam: [1.0] * lam.shape[0]],
+                             ids=["scalar", "column", "list"])
+    def test_bad_slice_result(self, coeffs_std0_n2, weights, bad):
+        """A slice function whose result does not have lam's shape is a
+        symbol error that names the expected shape."""
+        phi = BoundedSymbol.custom(bad, 1.0)
+        expected = rf"shape \({_slice_rule(2)[0].size}, 256\)"
+        with pytest.raises(SymbolFormError, match=expected):
+            project(coeffs_std0_n2, weights["std0"], phi, BallPoint.radial(0.45, 2))
+        with pytest.raises(SymbolFormError, match=expected):
+            project_bloch_image(coeffs_std0_n2, weights["std0"], phi, [0.45])

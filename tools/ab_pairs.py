@@ -21,14 +21,19 @@ relative change of the median, and a verdict:
                 more than the bound
     within      otherwise
 
-The failed share of operations is printed for each side.  Standard library
-only; the benchmark's files are neither changed nor imported.
+The failed share of operations is printed for each side, and so are each
+run's minor page faults and system seconds with their medians per side.
+These two are read as RUSAGE_CHILDREN deltas around the run, so they
+include the fresh interpreters that bench/run.py starts to time setup_s;
+no verdict is drawn from them.  Standard library only (resource is
+Unix-only); the benchmark's files are neither changed nor imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,16 +41,30 @@ from pathlib import Path
 
 
 def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in checkout; its final JSON line."""
+    """One untraced benchmark run in checkout: its final JSON line, with the
+    run's minor page faults and system seconds added under "rusage"."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py failed in {checkout} (seed {seed}, exit "
                            f"{proc.returncode}):\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["rusage"] = {"minflt": after.ru_minflt - before.ru_minflt,
+                        "sys_s": after.ru_stime - before.ru_stime}
+    return result
+
+
+def rusage_summary(runs: list) -> str:
+    """Medians and quartiles of the runs' minor page faults and system seconds."""
+    faults = quartiles([r["rusage"]["minflt"] for r in runs])
+    sys_s = quartiles([r["rusage"]["sys_s"] for r in runs])
+    return (f"minor faults {faults[1]:.0f} [{faults[0]:.0f}, {faults[2]:.0f}], "
+            f"system {sys_s[1]:.3f} s [{sys_s[0]:.3f}, {sys_s[2]:.3f}]")
 
 
 def quartiles(values: list) -> tuple:
@@ -107,8 +126,10 @@ def main(argv=None) -> int:
             result = run_bench(sides[side], args.workload, seed)
             runs[side].append(result)
             values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
+            usage = result["rusage"]
             print(f"pair {i} seed {seed} {side}: {values} failed "
-                  f"{result['failed']}/{result['attempted']}", flush=True)
+                  f"{result['failed']}/{result['attempted']} minflt={usage['minflt']} "
+                  f"sys_s={usage['sys_s']:.3f}", flush=True)
 
     last_seed = args.seed + args.pairs - 1
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed}-{last_seed}")
@@ -124,7 +145,8 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
-        print(f"{side} failed {failed} of {attempted} operations")
+        print(f"{side} failed {failed} of {attempted} operations; "
+              f"{rusage_summary(runs[side])}")
     return 0
 
 
