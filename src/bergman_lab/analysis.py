@@ -103,11 +103,8 @@ def bloch_seminorm(rf, grid) -> float:
     return best
 
 
-def _slice_weight_profile(w: RadialWeight, n: int, v: float, spec: QuadSpec) -> float:
-    """W(v) = v int_v^1 s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) ds  (n >= 2)."""
-    if v >= 1.0:
-        return 0.0
-
+def _slice_integrand(w: RadialWeight, n: int, v: float):
+    """s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) in the distance u = 1 - s."""
     def f_dist(u):
         u = np.atleast_1d(u)
         s = 1.0 - u
@@ -116,8 +113,25 @@ def _slice_weight_profile(w: RadialWeight, n: int, v: float, spec: QuadSpec) -> 
             base = base * (1.0 - (v / s) ** 2) ** (n - 2)
         return base
 
-    val, _ = integrate_radial(spec=spec, a=v, b=1.0, f_dist=f_dist)
+    return f_dist
+
+
+def _slice_weight_profile(w: RadialWeight, n: int, v: float, spec: QuadSpec) -> float:
+    """W(v) = v int_v^1 s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) ds  (n >= 2)."""
+    if v >= 1.0:
+        return 0.0
+    val, _ = integrate_radial(spec=spec, a=v, b=1.0, f_dist=_slice_integrand(w, n, v))
     return v * val
+
+
+def _slice_weight_profiles_n2(w: RadialWeight, vs: list, spec: QuadSpec) -> list:
+    """W(v) at n = 2 for every v < 1 in vs at once.  The integrand s rho(s)
+    does not depend on v there, so one integrate_to_end over the lengths 1 -
+    v gives, bit for bit, what _slice_weight_profile gives node by node.
+    (For n > 2 the factor (1 - v^2/s^2)^{n-2} depends on v.)"""
+    v = np.array(vs)
+    vals, _ = integrate_to_end(_slice_integrand(w, 2, None), 1.0 - v, spec)
+    return (v * vals).tolist()
 
 
 def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
@@ -166,6 +180,14 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     def f_dist(u):
         v = 1.0 - u
         profile = np.empty(v.shape)
+        if n == 2:
+            missing = [vi for vi in dict.fromkeys(v.ravel().tolist())
+                       if vi not in w_cache and vi < 1.0]
+            if missing:
+                try:
+                    w_cache.update(zip(missing, _slice_weight_profiles_n2(w, missing, q)))
+                except Exception:
+                    pass  # the loop below meets the failure at its node
         for i, vi in enumerate(v.ravel().tolist()):
             if vi not in w_cache:
                 try:

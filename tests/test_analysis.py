@@ -181,7 +181,8 @@ class TestFunctionalPerNode:
     def test_failing_profile_after_earlier_means(self, weights, tables, monkeypatch):
         """W(v) failing at the sixth node raises its error after the circle
         means of the five nodes before it, which grow the table, as node by
-        node."""
+        node.  At n = 2 every missing W(v) is first tried in one batch; made
+        to fail too, it leaves the failure to the per-node route."""
         def failing_at(count):
             calls = []
 
@@ -200,6 +201,7 @@ class TestFunctionalPerNode:
                 call = lambda: _per_node_functional(k, weights["std0"], r, failing_at(6))
             else:
                 monkeypatch.setattr(analysis, "_slice_weight_profile", failing_at(6))
+                monkeypatch.setattr(analysis, "_slice_weight_profiles_n2", failing_at(1))
                 call = lambda: boundedness_functional(k, weights["std0"], r)
             with pytest.raises(QuadratureError, match="W fails here"):
                 call()
