@@ -331,9 +331,22 @@ def cesaro_lower(t: MomentTable, n: int, N: int) -> float:
     """(1/N) sum_{d=1}^N rho_{d+2n-1} / rho_{2d+2n-1}."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    lm1 = t.log_moments_arith(2 * n, 1.0, N)
-    lm2 = t.log_moments_arith(2 * n + 1, 2.0, N)
-    return float(np.mean(np.exp(lm1 - lm2)))
+    return _cesaro_profile(t, n, [N])[0][1]
+
+
+def _cesaro_profile(t: MomentTable, n: int, ns) -> list[tuple[int, float]]:
+    """(N, cesaro_lower(t, n, N)) for each N of ns, from one pair of
+    progressions of length max(ns): each mean is that of a prefix of the
+    ratios.  A progression's refresh blocks fold the rim up to their own
+    last exponent, so a prefix's moments match a shorter call's to
+    rounding, not bit for bit.  A ratio past double range is inf, and so
+    is every mean that takes it."""
+    count = max(ns)
+    lm1 = t.log_moments_arith(2 * n, 1.0, count)
+    lm2 = t.log_moments_arith(2 * n + 1, 2.0, count)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(lm1 - lm2)
+        return [(N, float(np.mean(ratios[:N]))) for N in ns]
 
 
 def moment_doubling_chain(t: MomentTable, N_list):
@@ -480,10 +493,7 @@ def theorem_check(w: RadialWeight, n: int, config: AnalysisConfig | None = None,
         radii, notes, "functional", config.threads)
     maj = _sweep(lambda r: majorant(w, r, config.quad),
                  radii, notes, "majorant", config.threads)
-    ns = geometric_ints(*config.cesaro_exponents)
-    cesaro = _sweep(lambda N: cesaro_lower(table, n, int(N)),
-                    np.asarray(ns, dtype=float), notes, "cesaro", config.threads)
-    cesaro = [(int(p), v) for p, v in cesaro]
+    cesaro = _cesaro_profile(table, n, geometric_ints(*config.cesaro_exponents))
 
     aux: dict = {}
     func_slope = None

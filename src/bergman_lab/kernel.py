@@ -172,7 +172,8 @@ class KernelCoeffs:
             at = first + 1 + int(rises.argmax())
             raise NumericRangeError(
                 f"kernel coefficient steps rise at degree {at} of {size}: the "
-                f"moment recurrence lost log-convexity to rounding")
+                f"moments are not log-convex there to rounding (the moment grid "
+                f"does not resolve the peak of t^x rho(t))")
         with np.errstate(divide="ignore"):  # log 0 = -inf
             log_d = np.concatenate([old.log_d, np.log(d, out=d)])
         del d
@@ -698,7 +699,7 @@ def _fft_levels(gammas, first: list, tol: float, max_nodes: int, work=None):
 
 
 def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
-                   start_nodes: int = 256, max_nodes: int = 1 << 20):
+                   start_nodes: int = 256, max_nodes: int | None = None):
     """Angular mean of |R K| on the circle of radius xi:
 
         (1/2 pi) int |sum_d d c_d (xi e^{i theta})^d| d theta.
@@ -708,6 +709,8 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
     start_nodes, a power of two >= 2, doubled up to at least (D+1)/2 nodes
     for the certified degree D (never past max_nodes): a coarser grid only
     aliases the terms.  Deep radii climb to large FFTs; these stay cheap.
+    max_nodes defaults to max(2^20, 2 k.d_max), so a table deeper than
+    2^19 degrees gets a grid that can resolve its terms.
 
     xi is a float or an array of radii.  An array gives, bit for bit, the
     values of one call per radius in C order, grows the table as those
@@ -722,6 +725,8 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
         raise ValueError("xi must be in [0, 1)")
     if start_nodes < 2 or start_nodes & (start_nodes - 1):
         raise ValueError("start_nodes must be a power of two >= 2")
+    if max_nodes is None:
+        max_nodes = max(1 << 20, 2 * k.d_max)
     log_tol = _log_tol(tol)
     flat = xs.ravel()
     out = np.zeros(flat.size)

@@ -33,7 +33,8 @@ def log_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log(y) against x over all points.
 
     y must be strictly positive; x is already on the scale of interest
-    (log(1/(1-r)), log n, or sqrt(N) depending on the diagnostic).
+    (log(1/(1-r)), log n, or sqrt(N) depending on the diagnostic).  An
+    infinite y gives a NaN slope.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -41,7 +42,8 @@ def log_slope(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("need at least two points for a slope")
     ly = np.log(y)
     xm = x - x.mean()
-    return float(np.dot(xm, ly - ly.mean()) / np.dot(xm, xm))
+    with np.errstate(invalid="ignore"):  # y = inf: inf - inf, a NaN slope
+        return float(np.dot(xm, ly - ly.mean()) / np.dot(xm, xm))
 
 
 def last_quartile_log_slope(x, y) -> float:

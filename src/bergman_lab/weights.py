@@ -270,10 +270,14 @@ _HEAD_DEPTH = 32
 _BEYOND_PANEL = 16
 _BEYOND_DEPTH = 1008
 #: log_moments_arith recomputes its grid values exactly once per this many
-#: terms, and drops the grid nodes that have underflowed to 0 once per
-#: _COMPACT_EVERY terms
+#: terms, and retires the grid nodes whose scaled value has fallen below
+#: _RETIRE, the smallest normal double, once per _COMPACT_EVERY terms
 _REFRESH = 16384
 _COMPACT_EVERY = 256
+_RETIRE = np.finfo(float).tiny
+#: exp(y) is exactly 0 for y below this: a log-space term this far under
+#: another cannot change it through logaddexp
+_LOG_UNDERFLOW = -746.0
 #: elements in log_moments_arith's table of step-factor powers, and so in
 #: one (degrees x live nodes) window
 _ARITH_BLOCK = 1 << 16
@@ -313,10 +317,10 @@ def _rim_fold(logt: np.ndarray, logw: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _arith_start(logv: np.ndarray, logt: np.ndarray, step: float):
     """(v, powers) that start log_moments_arith's windows: v = e^logv at
-    the nodes where it does not underflow to 0, and the table of their step
+    the nodes where it is at least _RETIRE, and the table of their step
     factors f^1, ..., f^R, f = t^step, R x nodes <= _ARITH_BLOCK."""
     v = np.exp(logv)
-    live = v != 0.0
+    live = v >= _RETIRE
     v, logt = v[live], logt[live]
     rows = max(1, min(_COMPACT_EVERY, _ARITH_BLOCK // v.size))
     return v, np.multiply.accumulate(
@@ -327,12 +331,17 @@ class MomentTable:
     """Moments rho_x with a shared graded quadrature grid.
 
     The grid is a dyadic composite Gauss rule in u = 1-t, 24 points per
-    octave down to u = 2^-80.  Because each octave resolves e^{-x u}-type
-    boundary layers at its own scale, one grid serves every exponent from
-    x = 1 up to roughly 2^40, far past what the kernel series
-    needs at desk scale.  All sums are done in log space, so moments of
-    rapidly decaying weights come out with full relative accuracy even when
-    their linear value underflows.
+    octave down to u = 2^-80.  Each octave resolves e^{-x u}-type boundary
+    layers at its own scale: standard weights with alpha up to 200 match
+    the Beta closed form within 1.3e-9 in log rho_x up to x = 1,048,579,
+    the size of lgamma's own rounding there.  A peak of t^x rho(t) narrower
+    than the node spacing inside an octave is not resolved, and exponential
+    weights have one: against peak-located references, log rho_x of
+    exp(-1/(1-t)) is off by 6e-14 at x = 1e4, 7.9e-8 at 1e5 and 1.9e-3 at
+    524,291; of exp(-1/(1-t)^3) by 1.16 at 1e5; of exp(-1/(1-t)^20) by 6.4
+    at 1e4.  All sums are done in log space, so moments of rapidly
+    decaying weights keep their exponent even when their linear value
+    underflows.
 
     The mass past u = 2^-80, where t^x = 1 to within x 2^-80, enters every
     moment as one number: a weight singular at the rim, such as
@@ -425,24 +434,32 @@ class MomentTable:
         - Rim fold.  The grid nodes with x_b |log t| <= 2^-8 enter as one
           Taylor polynomial in x (_rim_fold), added by logaddexp as the
           mass past the grid is; its remainder is below
-          (2^-8)^7 e^(2^-8) / 7! < 2.8e-21 of the folded mass.
+          (2^-8)^7 e^(2^-8) / 7! < 2.8e-21 of the folded mass.  The fold
+          is at most log sum_j w_j; where that lies more than 746 below
+          the block's smallest value, exp of the difference is 0 and
+          logaddexp would return that value, so the fold is skipped.
         - Power windows.  The other nodes advance by t^(x+step) = t^x f,
           f = t^step.  A table f, f^2, ..., f^R (R x live nodes <=
           _ARITH_BLOCK) comes from one np.multiply.accumulate; a window of
-          up to R degrees is then one broadcast product v f^r, one sum
-          along the node axis and one np.log.  Every _COMPACT_EVERY terms
-          the nodes whose scaled value is exactly 0 are dropped, from v and
-          from the table's columns, and deep exponents leave few nodes.
+          up to R degrees is then one matrix-vector product (f^r) v, a
+          BLAS dgemv that gives each degree's sum as one dot product, and
+          one np.log.  The carried vector is v f^r at the window's last
+          degree.  Every _COMPACT_EVERY terms the nodes whose scaled value
+          has fallen below the smallest normal double, 2^-1022, retire
+          from v and from the table's columns: a product in subnormals
+          costs several normal ones, and deep exponents leave few nodes.
         - Restarts.  Where a sum falls below 1e-120 the window ends at that
           degree, and the next one restarts v from the exact grid values of
           every non-folded node, scaled by that sum, with a fresh table.
-          A node is dropped only once its scaled value underflows, below
-          e^-745; it never grows (f <= 1), and the sum stays above 1e-120 =
-          e^-276 until the next restart, so a dropped node stays below
-          e^-469 of the sum.  Carrying v over
-          (v divided by the sum) instead would lose for good a node that
-          underflowed early but dominates later in the block, as happens
-          for steep weights such as exp(-1/(1-t)^20).
+          A node retires only below 2^-1022 = e^-708.4; it never grows
+          (f <= 1), and the sum stays above 1e-120 = e^-276 until the next
+          restart, so a retired node stays below e^-432 of the sum.
+          Carrying v over (v divided by the sum) instead would lose for
+          good a node that underflowed early but dominates later in the
+          block, as happens for steep weights such as exp(-1/(1-t)^20).
+
+        The dgemv kernel is chosen for the CPU at run time, so the bits
+        are fixed for one host and BLAS build, not across them.
         """
         if not (math.isfinite(x0) and math.isfinite(step)) or x0 < 1.0 or step < 0.0:
             raise WeightDomainError("moment progression needs finite x0 >= 1 and step >= 0")
@@ -451,8 +468,7 @@ class MomentTable:
         g = self._g()
         logt, logw = g["logt_f"], g["logw_f"]
         out = np.empty(count)
-        # one buffer for every window: a fresh one per window pays its page faults
-        buf = np.empty(_ARITH_BLOCK)
+        sums_buf = np.empty(_COMPACT_EVERY)
         for j in range(0, count, _REFRESH):
             n = min(_REFRESH, count - j)
             xs = x0 + (j + np.arange(n)) * step
@@ -467,13 +483,11 @@ class MomentTable:
                 i = 1
                 while i < n:
                     if i % _COMPACT_EVERY == 0:
-                        live = v != 0.0
+                        live = v >= _RETIRE
                         if not live.all():
                             v, powers = v[live], powers[:, live]
                     rows = min(_COMPACT_EVERY - i % _COMPACT_EVERY, n - i, powers.shape[0])
-                    window = np.multiply(v, powers[:rows],
-                                         out=buf[:rows * v.size].reshape(rows, v.size))
-                    sums = np.add.reduce(window, axis=1)
+                    sums = np.matmul(powers[:rows], v, out=sums_buf[:rows])
                     # the first degree whose sum needs a rescale ends the window
                     last = int(np.argmax(sums < 1.0e-120))
                     if sums[last] >= 1.0e-120:
@@ -485,9 +499,13 @@ class MomentTable:
                         v, powers = _arith_start(xs[i + last] * lt + lw - scale,
                                                  lt, step)
                     else:
-                        v = window[last].copy()
+                        v = v * powers[last]
                     i += last + 1
-            np.logaddexp(logs, _rim_fold(logt[fold], logw[fold], xs), out=logs)
+            # t^x <= 1: the fold is at most log sum_j w_j <= max log w + log(count)
+            folded = logw[fold]
+            if (folded.size and folded.max() + math.log(folded.size)
+                    >= logs.min() + _LOG_UNDERFLOW):
+                np.logaddexp(logs, _rim_fold(logt[fold], folded, xs), out=logs)
         return np.logaddexp(out, g["beyond"], out=out)
 
     # -- scalar API -------------------------------------------------------

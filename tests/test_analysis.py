@@ -336,6 +336,18 @@ class TestCesaro:
         assert vals[64] < vals[256] < vals[1024]
         assert vals[1024] / vals[64] > 5
 
+    @pytest.mark.parametrize("key", ["std0", "exp11"])
+    def test_profile_prefixes_match_per_n_means(self, tables, key):
+        """theorem_check reads its profile from one pair of progressions of
+        length 4096; each value is the mean of a prefix of the ratios, and
+        matches a call of its own length to 1e-14 relative (the refresh
+        blocks fold the rim up to their own last exponent)."""
+        ns = [1, 2, 16, 32, 64, 128, 255, 256, 257, 512, 1000, 1024, 2048, 4095, 4096]
+        got = analysis._cesaro_profile(tables[key], 2, ns)
+        assert [N for N, _ in got] == ns
+        assert_allclose([v for _, v in got],
+                        [cesaro_lower(tables[key], 2, N) for N in ns], rtol=1e-14)
+
 
 class TestMomentDoubling:
     def test_constant_weight_closed_form(self, tables):

@@ -793,6 +793,22 @@ class TestCircleMeanArray:
             assert "|t|=0.97" in outcomes[0][0][1]
             assert outcomes[0][0][4] == 4096 and 0.0 < outcomes[0][0][5] < math.inf
 
+    @pytest.mark.parametrize("d_max, cap", [
+        (4096, 1 << 20), (1 << 19, 1 << 20), ((1 << 19) + 1, (1 << 20) + 2),
+        (1 << 21, 1 << 22)])
+    def test_node_cap_follows_d_max(self, tables, monkeypatch, d_max, cap):
+        """The default node cap is max(2^20, 2 d_max): every d_max up to
+        2^19 keeps 2^20, and a deeper table gets a grid that resolves its
+        terms.  An explicit cap is passed through."""
+        seen = []
+        real = kernel._fft_levels
+        monkeypatch.setattr(kernel, "_fft_levels",
+                            lambda *a: seen.append(a[3]) or real(*a))
+        k = build_coeffs(tables["std0"], 2, d_max=d_max)
+        rk_circle_mean(k, 0.5, 1e-7)
+        rk_circle_mean(k, 0.5, 1e-7, max_nodes=512)
+        assert seen == [cap, 512]
+
     @pytest.mark.parametrize("bad", [math.nan, 1.0, -0.25], ids=["nan", "one", "negative"])
     def test_radius_outside_domain(self, coeffs_std0_n2, bad):
         radii = np.array([[0.5, 0.2], [bad, 0.1]])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,23 @@ class TestCli:
         assert outs[0] == outs[1]
         if descriptor["kind"] == "exponential":
             assert b"TruncationError" in outs[0]
+
+    @pytest.mark.parametrize("c, beta", [(1000.0, 1.0), (1.0, 20.0)],
+                             ids=["exp(1000,1)", "exp(1,20)"])
+    def test_theorem_steep_weight_writes_no_warning(self, tmp_path, c, beta):
+        """Cesaro ratios past double range and the NaN slope they leave
+        raise no warning; the profile keeps its null entries."""
+        weight_file = tmp_path / "weight.json"
+        weight_file.write_text(json.dumps({"kind": "exponential", "c": c, "beta": beta}))
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["theorem", "--weight", str(weight_file), "--n", "2",
+                           "--kmax", "8", "--dmax", "4096", "--out", str(out)])
+        assert status == 2
+        profile = json.loads(out.read_text())["results"]["cesaro_profile"]
+        assert [N for N, _ in profile] == [2 ** k for k in range(4, 13)]
+        assert profile[-1][1] is None
 
     def test_missing_symbol_for_project(self, weight_file, capsys):
         status = main(["project", "--weight", str(weight_file), "--n", "2"])
