@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DescriptorError, SymbolFormError
+from .errors import DescriptorError, SymbolFormError, WeightDomainError
 from .projection import BoundedSymbol
-from .weights import RadialWeight
+from .weights import _KINDS, RadialWeight
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +119,7 @@ def write_csv(path, header: list[str], rows) -> None:
 # Descriptor parsing
 # ----------------------------------------------------------------------
 
-def _require(doc: dict, field: str, typ, where: str):
+def _require(doc: dict, field: str, typ, where: str, item=None):
     if field not in doc:
         raise DescriptorError(f"{where}: missing field {field!r}", field=field)
     val = doc[field]
@@ -129,6 +129,9 @@ def _require(doc: dict, field: str, typ, where: str):
         raise DescriptorError(
             f"{where}: field {field!r} must be {typ.__name__}, got "
             f"{type(val).__name__}", field=field)
+    if item is not None and not all(type(x) is item for x in val):
+        raise DescriptorError(f"{where}: field {field!r} must be a list of "
+                              f"{item.__name__}", field=field)
     return val
 
 
@@ -156,31 +159,18 @@ def parse_weight(doc: dict, base_dir: Path | None = None) -> RadialWeight:
     if not isinstance(label, str):
         raise DescriptorError("weight descriptor: field 'label' must be a string",
                               field="label")
+    entry = _KINDS.get(kind)
+    if entry is None:
+        raise DescriptorError(f"weight descriptor: unknown kind {kind!r}", field="kind")
+    where = f"{kind} weight"
+    if "samples_csv" in doc and "samples" in entry.bounds:
+        path = (base_dir or Path()) / _require(doc, "samples_csv", str, where)
+        doc = {**doc, "samples": load_samples_csv(path)}
+    values = {name: _require(doc, name, entry.param_type, where) for name in entry.bounds}
     try:
-        if kind == "standard":
-            return RadialWeight.standard(_require(doc, "alpha", float,
-                                                   "standard weight"), label)
-        if kind == "exponential":
-            return RadialWeight.exponential(
-                _require(doc, "c", float, "exponential weight"),
-                _require(doc, "beta", float, "exponential weight"), label)
-        if kind == "logarithmic":
-            return RadialWeight.logarithmic(
-                _require(doc, "gamma", float, "logarithmic weight"), label)
-        if kind == "tabulated":
-            if "samples_csv" in doc:
-                path = Path(doc["samples_csv"])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                samples = load_samples_csv(path)
-            else:
-                samples = _require(doc, "samples", list, "tabulated weight")
-            return RadialWeight.tabulated(samples, label or "tabulated")
-    except DescriptorError:
-        raise
-    except ValueError as exc:
-        raise DescriptorError(f"weight descriptor: {exc}", field="kind") from exc
-    raise DescriptorError(f"weight descriptor: unknown kind {kind!r}", field="kind")
+        return RadialWeight(kind, label, **values)
+    except WeightDomainError as exc:  # the kind's check names the parameter
+        raise DescriptorError(f"weight descriptor: {exc}", field=entry.admit(values)[0]) from exc
 
 
 def _read_text(path: Path) -> str:
@@ -194,23 +184,23 @@ def _read_text(path: Path) -> str:
         raise DescriptorError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_json(path: Path):
-    """The JSON document in the file at path; DescriptorError if the file
-    cannot be read or is not valid JSON."""
+def _read_json(path: Path) -> dict:
+    """The JSON object in the file at path; DescriptorError if the file
+    cannot be read, is not valid JSON or holds no object."""
     text = _read_text(path)
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"{path}: line {exc.lineno}: not valid JSON "
                               f"({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise DescriptorError(f"{path}: descriptor must be a JSON object")
+    return doc
 
 
 def load_weight_file(path) -> RadialWeight:
     path = Path(path)
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise DescriptorError(f"{path}: descriptor must be a JSON object")
-    return parse_weight(doc, base_dir=path.parent)
+    return parse_weight(_read_json(path), base_dir=path.parent)
 
 
 def parse_symbol(doc: dict) -> BoundedSymbol:
@@ -218,18 +208,18 @@ def parse_symbol(doc: dict) -> BoundedSymbol:
     try:
         if kind == "monomial":
             return BoundedSymbol.monomial(_require(doc, "multi_index", list,
-                                                    "monomial symbol"))
+                                                    "monomial symbol", item=int))
         if kind == "conj_monomial":
             return BoundedSymbol.conj_monomial(_require(doc, "multi_index", list,
-                                                         "conjugate monomial symbol"))
+                                                         "conjugate monomial symbol", item=int))
         if kind == "radial_indicator":
             return BoundedSymbol.radial_indicator(
                 _require(doc, "r_lo", float, "radial indicator"),
                 _require(doc, "r_hi", float, "radial indicator"))
         if kind == "unimodular_phase":
             return BoundedSymbol.unimodular_phase(
-                _require(doc, "multi_index", list, "unimodular phase"),
-                _require(doc, "multi_index_2", list, "unimodular phase"))
+                _require(doc, "multi_index", list, "unimodular phase", item=int),
+                _require(doc, "multi_index_2", list, "unimodular phase", item=int))
         if kind == "custom":
             grid = doc.get("polar_grid")
             if not isinstance(grid, dict):
@@ -255,8 +245,4 @@ def parse_symbol(doc: dict) -> BoundedSymbol:
 
 
 def load_symbol_file(path) -> BoundedSymbol:
-    path = Path(path)
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise DescriptorError(f"{path}: descriptor must be a JSON object")
-    return parse_symbol(doc)
+    return parse_symbol(_read_json(Path(path)))

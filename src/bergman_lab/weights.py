@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,14 +54,15 @@ VERDICT_UNDECIDED = "INCONCLUSIVE"
 class RadialWeight:
     """A positive integrable radial weight on [0,1).
 
-    Supported kinds:
+    Supported kinds, each one entry of the kind table _KINDS:
 
       standard     rho(r) = (1-r^2)^alpha,                     alpha > -1
       exponential  rho(r) = exp(-c/(1-r)^beta),                c, beta > 0
       logarithmic  rho(r) = (1-r)^gamma log(e/(1-r))^{-2},     gamma > -1
-      tabulated    monotone-cubic interpolant of (r, value) samples
+      tabulated    monotone-cubic interpolant of >= 4 (r, value) samples
 
-    The tabulated interpolant is PCHIP (Fritsch-Carlson slopes as scipy's
+    Parameters are finite, and the label defaults to `kind(p=v,...)`.  The
+    tabulated interpolant is PCHIP (Fritsch-Carlson slopes as scipy's
     PchipInterpolator takes them).  Tabulated weights extrapolate past the
     last sample by the last interpolant segment; any such evaluation sets
     `extrapolation_used`, which downstream reports surface as a note.
@@ -68,57 +70,30 @@ class RadialWeight:
 
     def __init__(self, kind, label="", *, alpha=None, c=None, beta=None,
                  gamma=None, samples=None):
-        self.kind = kind
-        self.label = label or kind
-        self.alpha = alpha
-        self.c = c
-        self.beta = beta
-        self.gamma = gamma
-        self.samples = None
-        self.extrapolation_used = False
-        self._pchip = None
-        self._r_last = None
-
-        if kind == "standard":
-            if not _finite_above(alpha, -1.0):
-                raise WeightDomainError("standard weight needs finite alpha > -1")
-        elif kind == "exponential":
-            if not (_finite_above(c, 0.0) and _finite_above(beta, 0.0)):
-                raise WeightDomainError("exponential weight needs finite c > 0 and beta > 0")
-        elif kind == "logarithmic":
-            if not _finite_above(gamma, -1.0):
-                raise WeightDomainError("logarithmic weight needs finite gamma > -1")
-        elif kind == "tabulated":
-            pts = np.asarray(samples, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
-                raise WeightDomainError("tabulated weight needs >= 4 (r, value) samples")
-            if not np.all(np.isfinite(pts)):
-                raise WeightDomainError("tabulated weight samples must be finite")
-            r, v = pts[:, 0], pts[:, 1]
-            if np.any(r < 0) or np.any(r >= 1) or np.any(np.diff(r) <= 0):
-                raise WeightDomainError("sample radii must be strictly increasing in [0,1)")
-            if np.any(v <= 0):
-                raise WeightDomainError("sample values must be positive")
-            self.samples = pts
-            self._pchip = _Pchip(r, v)
-            self._r_last = float(r[-1])
-        else:
+        self._kind = _KINDS.get(kind)
+        if self._kind is None:
             raise WeightDomainError(f"unknown weight kind {kind!r}")
+        vars(self).update(alpha=alpha, c=c, beta=beta, gamma=gamma, samples=samples)
+        bad = self._kind.admit(vars(self))
+        if bad is not None:
+            raise WeightDomainError(bad[1])
+        self.kind = kind
+        self.label = label or self._kind.label.format(**vars(self))
+        self.extrapolation_used = False
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def standard(cls, alpha, label=""):
-        return cls("standard", label or f"standard(alpha={alpha:g})", alpha=alpha)
+        return cls("standard", label, alpha=alpha)
 
     @classmethod
     def exponential(cls, c, beta, label=""):
-        return cls("exponential", label or f"exponential(c={c:g},beta={beta:g})",
-                   c=c, beta=beta)
+        return cls("exponential", label, c=c, beta=beta)
 
     @classmethod
     def logarithmic(cls, gamma, label=""):
-        return cls("logarithmic", label or f"logarithmic(gamma={gamma:g})", gamma=gamma)
+        return cls("logarithmic", label, gamma=gamma)
 
     @classmethod
     def tabulated(cls, samples, label="tabulated"):
@@ -126,64 +101,102 @@ class RadialWeight:
 
     # -- evaluation -----------------------------------------------------
 
-    def _check_domain(self, r):
-        if np.any(r < 0.0) or np.any(r >= 1.0):
-            raise WeightDomainError("radius outside [0, 1)")
-
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        self._check_domain(r)
+        if np.any(r < 0.0) or np.any(r >= 1.0):
+            raise WeightDomainError("radius outside [0, 1)")
         return self.eval_at_one_minus(1.0 - r)
 
     def eval_at_one_minus(self, u):
         """rho(1-u) from u = 1-r directly, avoiding cancellation near the boundary."""
-        u = np.asarray(u, dtype=float)
         with np.errstate(under="ignore"):
-            if self.kind == "standard":
-                return (u * (2.0 - u)) ** self.alpha
-            if self.kind == "exponential":
-                return np.exp(-self.c * u ** (-self.beta))
-            if self.kind == "logarithmic":
-                return u ** self.gamma * (1.0 - np.log(u)) ** -2.0
-            vals = self._pchip(1.0 - u)
-            if np.any(1.0 - u > self._r_last):
-                self.extrapolation_used = True
-            if np.any(vals <= 0.0):
-                raise WeightDomainError(
-                    f"tabulated weight {self.label!r} is nonpositive "
-                    "(extrapolated segment left the positive range)")
-            return vals
+            return self._kind.rho(self, np.asarray(u, dtype=float))
 
     def log_eval_at_one_minus(self, u):
         """log rho(1-u), exact in the exponent even where rho underflows."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "standard":
-            return self.alpha * (np.log(u) + np.log(2.0 - u))
-        if self.kind == "exponential":
-            with np.errstate(over="ignore"):  # rho underflows: log rho = -inf
-                return -self.c * u ** (-self.beta)
-        if self.kind == "logarithmic":
-            return self.gamma * np.log(u) - 2.0 * np.log(1.0 - np.log(u))
-        return np.log(self.eval_at_one_minus(u))
+        return self._kind.log_rho(self, np.asarray(u, dtype=float))
 
     def descriptor(self) -> dict:
         """Round-trippable plain-dict form, mirroring the weight file format."""
         d = {"kind": self.kind, "label": self.label}
-        if self.kind == "standard":
-            d["alpha"] = self.alpha
-        elif self.kind == "exponential":
-            d["c"] = self.c
-            d["beta"] = self.beta
-        elif self.kind == "logarithmic":
-            d["gamma"] = self.gamma
-        else:
-            d["samples"] = [[float(r), float(v)] for r, v in self.samples]
+        for name in self._kind.bounds:  # the samples array as nested lists
+            d[name] = np.asarray(getattr(self, name)).tolist()
         return d
 
 
-def _finite_above(x, floor: float) -> bool:
-    """x is given, finite and above floor."""
-    return x is not None and math.isfinite(x) and x > floor
+class _Kind(NamedTuple):
+    """A weight kind: each parameter in descriptor order, with the exclusive
+    lower bound of its domain and its type in a descriptor; the message for
+    one outside it; the default label's format; rho(1-u), log rho(1-u)."""
+
+    bounds: dict
+    domain: str
+    label: str
+    rho: Callable
+    log_rho: Callable
+    param_type: type = float
+
+    def admit(self, values):
+        """(name, message) for the first parameter in values (a weight's
+        attribute dict, or a descriptor's fields) outside its domain, or None."""
+        for name, floor in self.bounds.items():
+            x = values[name]
+            if x is None or not math.isfinite(x) or x <= floor:
+                return name, self.domain
+        return None
+
+
+class _Tabulated(_Kind):
+    """The tabulated kind: admit turns the samples into an array, adding their _pchip."""
+
+    def admit(self, values):
+        try:
+            pts = np.asarray(values["samples"], dtype=float)
+        except (TypeError, ValueError) as exc:  # not a table of numbers
+            return "samples", str(exc)
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
+            return "samples", "tabulated weight needs >= 4 (r, value) samples"
+        if not np.all(np.isfinite(pts)):
+            return "samples", "tabulated weight samples must be finite"
+        r, v = pts.T
+        if np.any(r < 0) or np.any(r >= 1) or np.any(np.diff(r) <= 0):
+            return "samples", "sample radii must be strictly increasing in [0,1)"
+        if np.any(v <= 0):
+            return "samples", "sample values must be positive"
+        values["samples"], values["_pchip"] = pts, _Pchip(r, v)
+        return None
+
+
+def _tabulated_rho(w, u):
+    vals = w._pchip(1.0 - u)
+    if np.any(1.0 - u > w._pchip.x[-1]):
+        w.extrapolation_used = True
+    if np.any(vals <= 0.0):
+        raise WeightDomainError(
+            f"tabulated weight {w.label!r} is nonpositive "
+            "(extrapolated segment left the positive range)")
+    return vals
+
+
+#: every weight kind, under the name its descriptors give
+_KINDS = {
+    "standard": _Kind(
+        {"alpha": -1.0}, "standard weight needs finite alpha > -1",
+        "standard(alpha={alpha:g})", lambda w, u: (u * (2.0 - u)) ** w.alpha,
+        lambda w, u: w.alpha * (np.log(u) + np.log(2.0 - u))),
+    "exponential": _Kind(
+        {"c": 0.0, "beta": 0.0}, "exponential weight needs finite c > 0 and beta > 0",
+        "exponential(c={c:g},beta={beta:g})", lambda w, u: np.exp(-w.c * u ** (-w.beta)),
+        # log rho = -inf where rho underflows
+        np.errstate(over="ignore")(lambda w, u: -w.c * u ** (-w.beta))),
+    "logarithmic": _Kind(
+        {"gamma": -1.0}, "logarithmic weight needs finite gamma > -1",
+        "logarithmic(gamma={gamma:g})", lambda w, u: u ** w.gamma * (1.0 - np.log(u)) ** -2.0,
+        lambda w, u: w.gamma * np.log(u) - 2.0 * np.log(1.0 - np.log(u))),
+    "tabulated": _Tabulated(
+        {"samples": None}, "", "tabulated", _tabulated_rho,
+        lambda w, u: np.log(w.eval_at_one_minus(u)), list),
+}
 
 
 class _Pchip:
@@ -585,7 +598,7 @@ def _ratio_verdict(params, ratios, scale, threshold, criterion_id, notes, aux=No
 
 
 def _extrapolation_note(w: RadialWeight, notes: list[str]):
-    if w.kind == "tabulated" and w.extrapolation_used:
+    if w.extrapolation_used:
         notes.append("tabulated weight extrapolated beyond last sample")
 
 

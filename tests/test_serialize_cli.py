@@ -13,10 +13,11 @@ import pytest
 
 import bergman_lab
 from bergman_lab.cli import main
-from bergman_lab.errors import DescriptorError, SymbolFormError
+from bergman_lab.errors import DescriptorError, SymbolFormError, WeightDomainError
 from bergman_lab.serialize import (dumps_report, fmt_float, load_weight_file,
                                    load_symbol_file, parse_symbol, parse_weight,
                                    report_envelope, validate_report, write_csv)
+from bergman_lab.weights import RadialWeight
 
 
 class TestFloatFormat:
@@ -94,6 +95,86 @@ class TestWeightDescriptors:
         assert "line 3" in str(excinfo.value)
 
 
+_SAMPLES = [[0.0, 1.0], [0.25, 0.9], [0.5, 0.7], [0.75, 0.4]]
+_STD_DOMAIN = "weight descriptor: standard weight needs finite alpha > -1"
+_EXP_DOMAIN = "weight descriptor: exponential weight needs finite c > 0 and beta > 0"
+_LOG_DOMAIN = "weight descriptor: logarithmic weight needs finite gamma > -1"
+
+
+class TestBadWeightDescriptors:
+    """The exact message and field of each refused weight descriptor, and
+    of each parameter the Python constructors refuse."""
+
+    @pytest.mark.parametrize("doc, message, field", [
+        ({}, "weight descriptor: missing field 'kind'", "kind"),
+        ({"kind": "standard"}, "standard weight: missing field 'alpha'", "alpha"),
+        ({"kind": "exponential", "beta": 1.0}, "exponential weight: missing field 'c'", "c"),
+        ({"kind": "exponential", "c": 1.0}, "exponential weight: missing field 'beta'", "beta"),
+        ({"kind": "logarithmic"}, "logarithmic weight: missing field 'gamma'", "gamma"),
+        ({"kind": "tabulated"}, "tabulated weight: missing field 'samples'", "samples"),
+        ({"kind": "standard", "alpha": "1"},
+         "standard weight: field 'alpha' must be float, got str", "alpha"),
+        ({"kind": "standard", "alpha": True},
+         "standard weight: field 'alpha' must be float, got bool", "alpha"),
+        ({"kind": "exponential", "c": None, "beta": 1.0},
+         "exponential weight: field 'c' must be float, got NoneType", "c"),
+        ({"kind": "exponential", "c": 1.0, "beta": False},
+         "exponential weight: field 'beta' must be float, got bool", "beta"),
+        ({"kind": "logarithmic", "gamma": [0.0]},
+         "logarithmic weight: field 'gamma' must be float, got list", "gamma"),
+        ({"kind": "tabulated", "samples": "s.csv"},
+         "tabulated weight: field 'samples' must be list, got str", "samples"),
+        ({"kind": "standard", "alpha": -1}, _STD_DOMAIN, "alpha"),
+        ({"kind": "standard", "alpha": math.inf}, _STD_DOMAIN, "alpha"),
+        ({"kind": "exponential", "c": 0.0, "beta": 1.0}, _EXP_DOMAIN, "c"),
+        ({"kind": "exponential", "c": 1.0, "beta": -1.0}, _EXP_DOMAIN, "beta"),
+        ({"kind": "exponential", "c": -1.0, "beta": math.nan}, _EXP_DOMAIN, "c"),
+        ({"kind": "logarithmic", "gamma": -1.5}, _LOG_DOMAIN, "gamma"),
+        ({"kind": "gaussian"}, "weight descriptor: unknown kind 'gaussian'", "kind"),
+        ({"kind": 3}, "weight descriptor: field 'kind' must be str, got int", "kind"),
+        ({"kind": "standard", "alpha": 0.0, "label": 3},
+         "weight descriptor: field 'label' must be a string", "label"),
+        ({"kind": "tabulated", "samples": _SAMPLES[:3]},
+         "weight descriptor: tabulated weight needs >= 4 (r, value) samples", "samples"),
+        ({"kind": "tabulated", "samples": [*_SAMPLES[:3], [0.5, 0.4]]},
+         "weight descriptor: sample radii must be strictly increasing in [0,1)", "samples"),
+        ({"kind": "tabulated", "samples": [*_SAMPLES[:3], [1.0, 0.4]]},
+         "weight descriptor: sample radii must be strictly increasing in [0,1)", "samples"),
+        ({"kind": "tabulated", "samples": [*_SAMPLES[:3], [0.75, 0.0]]},
+         "weight descriptor: sample values must be positive", "samples"),
+        ({"kind": "tabulated", "samples": [*_SAMPLES[:3], [0.75, math.nan]]},
+         "weight descriptor: tabulated weight samples must be finite", "samples"),
+    ], ids=["no-kind", "no-alpha", "no-c", "no-beta", "no-gamma", "no-samples",
+            "alpha-str", "alpha-bool", "c-null", "beta-bool", "gamma-list", "samples-str",
+            "alpha-minus-one", "alpha-inf", "c-zero", "beta-negative", "c-and-beta-bad",
+            "gamma-below", "unknown-kind", "kind-int", "label-int", "three-samples",
+            "radii-repeat", "radius-one", "value-zero", "value-nan"])
+    def test_message_and_field(self, doc, message, field):
+        with pytest.raises(DescriptorError) as excinfo:
+            parse_weight(doc)
+        assert str(excinfo.value) == message
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, message", [
+        (lambda x: RadialWeight.standard(x), _STD_DOMAIN),
+        (lambda x: RadialWeight.exponential(x, 1.0), _EXP_DOMAIN),
+        (lambda x: RadialWeight.exponential(1.0, x), _EXP_DOMAIN),
+        (lambda x: RadialWeight.logarithmic(x), _LOG_DOMAIN),
+        (lambda x: RadialWeight.tabulated([*_SAMPLES[:3], [0.75, x]]),
+         "weight descriptor: tabulated weight samples must be finite"),
+    ], ids=["alpha", "c", "beta", "gamma", "sample"])
+    def test_python_constructors(self, make, message, bad):
+        with pytest.raises(WeightDomainError) as excinfo:
+            make(bad)
+        assert str(excinfo.value) == message.removeprefix("weight descriptor: ")
+
+    def test_unknown_kind_in_python(self):
+        with pytest.raises(WeightDomainError) as excinfo:
+            RadialWeight("gaussian")
+        assert str(excinfo.value) == "unknown weight kind 'gaussian'"
+
+
 class TestSymbolDescriptors:
     def test_variants(self, tmp_path):
         for doc, kind in [
@@ -107,6 +188,21 @@ class TestSymbolDescriptors:
             p = tmp_path / "s.json"
             p.write_text(json.dumps(doc))
             assert load_symbol_file(p).kind == kind
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "monomial", "multi_index": [[1], 0]}, "multi_index"),
+        ({"kind": "monomial", "multi_index": [None, 0]}, "multi_index"),
+        ({"kind": "conj_monomial", "multi_index": [1.5, 0]}, "multi_index"),
+        ({"kind": "unimodular_phase", "multi_index": [1, 0], "multi_index_2": [True, 0]},
+         "multi_index_2"),
+    ], ids=["nested-list", "null", "float", "bool"])
+    def test_multi_index_entries_are_integers(self, doc, field):
+        """An entry that is no integer is refused by name; int() would have
+        raised TypeError on a list or null and truncated 1.5 to 1."""
+        with pytest.raises(DescriptorError) as excinfo:
+            parse_symbol(doc)
+        assert excinfo.value.field == field
+        assert str(excinfo.value).endswith(f"field {field!r} must be a list of int")
 
     def test_custom_needs_polar_grid(self):
         with pytest.raises(SymbolFormError):
@@ -339,6 +435,27 @@ class TestCliBadInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("weight, symbol", [
+        ({"kind": "tabulated", "samples_csv": 5}, None),
+        ({"kind": "tabulated", "samples": [[0.0, {}]] * 4}, None),
+        (None, {"kind": "monomial", "multi_index": [[1], 0]}),
+        (None, {"kind": "monomial", "multi_index": [None, 0]}),
+    ], ids=["samples-csv-int", "sample-object", "multi-index-list", "multi-index-null"])
+    def test_wrongly_typed_field_error_line(self, weight_file, tmp_path, weight, symbol):
+        """A field of the wrong type inside a list or path is one error:
+        line and exit 1, not a TypeError traceback."""
+        if weight is not None:
+            weight_file = tmp_path / "w.json"
+            weight_file.write_text(json.dumps(weight))
+        args = ["project", "--weight", str(weight_file), "--kmax", "2"]
+        if symbol is not None:
+            (tmp_path / "sym.json").write_text(json.dumps(symbol))
+            args += ["--symbol", str(tmp_path / "sym.json")]
+        proc = _run_cli(args, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("missing", ["weight", "symbol", "samples-csv"])

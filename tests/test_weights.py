@@ -15,6 +15,7 @@ from bergman_lab import (MomentTable, QuadSpec, QuadratureError, RadialWeight,
                          is_regular, moment_tail_ratio, tail)
 from bergman_lab.analysis import PROFILE_SPEC
 from bergman_lab.quadrature import DEFAULT_SPEC, _initial_mesh
+from bergman_lab.serialize import parse_weight
 from bergman_lab.utils import dyadic_radii, last_quartile_slice
 
 
@@ -79,6 +80,82 @@ class TestEvalWeight:
             grid = MomentTable(w)._g()
         assert logs[0] == -2.0 ** 20 and logs[1] == -math.inf
         assert np.isneginf(grid["logw_f"]).any() and grid["beyond"] == -math.inf
+
+
+def _frozen_rho(w, u):
+    """rho(1-u) as the per-kind branches wrote it before the kinds became
+    one table: the reference the table's entries are held to, bit for bit."""
+    with np.errstate(under="ignore"):
+        if w.kind == "standard":
+            return (u * (2.0 - u)) ** w.alpha
+        if w.kind == "exponential":
+            return np.exp(-w.c * u ** (-w.beta))
+        if w.kind == "logarithmic":
+            return u ** w.gamma * (1.0 - np.log(u)) ** -2.0
+        return w._pchip(1.0 - u)
+
+
+def _frozen_log_rho(w, u):
+    if w.kind == "standard":
+        return w.alpha * (np.log(u) + np.log(2.0 - u))
+    if w.kind == "exponential":
+        with np.errstate(over="ignore"):
+            return -w.c * u ** (-w.beta)
+    if w.kind == "logarithmic":
+        return w.gamma * np.log(u) - 2.0 * np.log(1.0 - np.log(u))
+    return np.log(_frozen_rho(w, u))
+
+
+#: r = 0, 0.1, ..., 0.9 of e^-r: the last cubic stays positive up to r = 1
+_EXP_DECAY = [[r / 10, math.exp(-r / 10)] for r in range(10)]
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("make", [
+        lambda: RadialWeight.standard(1.5),
+        lambda: RadialWeight.standard(-0.9, "std-0.9"),
+        lambda: RadialWeight.exponential(1.0, 1.0),
+        lambda: RadialWeight.exponential(0.5, 2.0),
+        lambda: RadialWeight.exponential(1.0, 20.0, "steep"),
+        lambda: RadialWeight.logarithmic(0.0),
+        lambda: RadialWeight.logarithmic(-0.99),
+        lambda: RadialWeight.tabulated(_EXP_DECAY),
+        lambda: RadialWeight.tabulated(_EXP_DECAY, "decay"),
+    ], ids=["std1.5", "std-0.9", "exp11", "exp0.5-2", "exp1-20", "log0", "log-0.99",
+            "tabulated", "tabulated-labelled"])
+    def test_bit_identical_to_frozen_formulas(self, make):
+        """u runs from 2^-1008 to 1: exponential u^-beta overflows there
+        (log rho = -inf, rho = 0), and the tabulated weight extrapolates."""
+        u = np.concatenate([2.0 ** -np.arange(1008.0, 0.0, -1.0), np.linspace(0.5, 1.0, 257)])
+        w = make()
+        with np.errstate(over="ignore"):  # rho(1-u) of a steep weight: u^-beta = inf
+            assert w.eval_at_one_minus(u).tobytes() == _frozen_rho(w, u).tobytes()
+            assert w.log_eval_at_one_minus(u).tobytes() == _frozen_log_rho(w, u).tobytes()
+        assert w.extrapolation_used == (w.kind == "tabulated")
+        if w.kind == "exponential" and w.beta == 20.0:
+            assert np.isneginf(w.log_eval_at_one_minus(u)).any()
+
+    @pytest.mark.parametrize("make", [
+        lambda: RadialWeight.standard(1.5),
+        lambda: RadialWeight.exponential(0.5, 2.0, "e"),
+        lambda: RadialWeight.logarithmic(-0.5),
+        lambda: RadialWeight.tabulated(_EXP_DECAY),
+    ], ids=["standard", "exponential", "logarithmic", "tabulated"])
+    def test_descriptor_round_trip(self, make):
+        d = make().descriptor()
+        assert parse_weight(d).descriptor() == d
+
+    def test_default_labels(self):
+        for w, label in [(RadialWeight.standard(1.5), "standard(alpha=1.5)"),
+                         (RadialWeight.exponential(1.0, 1.0), "exponential(c=1,beta=1)"),
+                         (RadialWeight("exponential", c=1.0, beta=1.0), "exponential(c=1,beta=1)"),
+                         (RadialWeight.logarithmic(0.0), "logarithmic(gamma=0)"),
+                         (RadialWeight.tabulated(_EXP_DECAY), "tabulated")]:
+            assert w.label == label
+            d = w.descriptor()
+            assert d["label"] == label
+            del d["label"]
+            assert parse_weight(d).label == label
 
 
 class TestTail:

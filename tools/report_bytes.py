@@ -9,7 +9,8 @@ weight and symbol descriptors it writes to a temporary directory:
     theorem   std0 and exp11 at --threads 1 and 2, std0 at --n 3, and exp11
               and standard(-0.9) at --kmax 8 --dmax 4096
     pr-check  std0 and exp11
-    kernel    std0, exp11 and standard(-0.9)
+    kernel    std0, exp11 and standard(-0.9), and exp11 with no label, whose
+              report carries the default label exponential(c=1,beta=1)
     diagnose  std0, std2, log0, exp11, a tabulated 1 - r^2 and standard(-0.9),
               which keeps more than half of its rho_1 past the moment grid's end
     project   the monomial w1^2 w2, and a 9 x 9 x 16 polar-grid symbol of
@@ -47,6 +48,7 @@ WEIGHTS = {
     "std-0.9": {"kind": "standard", "alpha": -0.9, "label": "std-0.9"},
     "log0": {"kind": "logarithmic", "gamma": 0.0, "label": "log0"},
     "exp11": {"kind": "exponential", "c": 1.0, "beta": 1.0, "label": "exp11"},
+    "exp11-unlabelled": {"kind": "exponential", "c": 1.0, "beta": 1.0},
     "tab": {"kind": "tabulated", "label": "tabulated 1 - r^2",
             "samples": [[r, 1.0 - r * r] for r in _TABULATED_R]},
 }
@@ -77,6 +79,7 @@ REPORTS = [
        ["theorem", "--kmax", "8", "--dmax", "4096"]) for w in ("exp11", "std-0.9")],
     *[(f"{c} {w}", w, None, [c]) for c in ("pr-check", "kernel") for w in ("std0", "exp11")],
     ("kernel std-0.9", "std-0.9", None, ["kernel"]),
+    ("kernel exp11 unlabelled", "exp11-unlabelled", None, ["kernel"]),
     *[(f"diagnose {w}", w, None, ["diagnose"])
       for w in ("std0", "std2", "log0", "exp11", "tab", "std-0.9")],
     ("project monomial w1^2 w2", "std0", "monomial", ["project"]),
