@@ -35,25 +35,27 @@ a predicate monotone in D that reads degrees <= D + 1 only, so D does
 not depend on how far the table has grown.  Each published table
 carries its steps, and a table whose steps rise anywhere is refused.
 
-A row is certified in one pass that also yields its terms: galloping
-searches over single degrees find where the ratio first falls below
-e^_DECAY and a degree D_hi that certifies against a lower bound on S_D;
-the terms through D_hi are formed once, and D is where the tail bound
-crosses tol times their sum (S_D lies within the tail bound of it),
-confirmed against the exact partial sum.
+Rows (one |t| each) are certified together, one snapshot of the table
+for all, by array passes that also yield their terms: numpy searches over
+all rows at once find where each ratio first falls below e^_DECAY and a
+degree D_hi that certifies against a lower bound on S_D; each block of
+rows forms its terms through D_hi in one buffer, and D is where the tail
+bound crosses tol times their sum (S_D lies within the tail bound of
+it), confirmed against the exact partial sum, in math wherever numpy's
+rounding could decide.  One |t| is a block of one row.
 
 One point and arrays of points alike take their powers by the recursion
 x^d = x^{d-1} x (one point's terms are summed exactly rounded, by
-math.fsum); each result is multiplied back by e^scale, so only one beyond
-double range fails.  Circle means take an array of radii at once: the
-radii are certified in order, their terms written into one buffer that
-feeds the FFT levels block by block.  Each mean climbs nested angle
-grids, first level from D: the grid starts at no fewer than (D+1)/2 nodes.
-The first level takes one real FFT on the half circle (|p| is even in the
-angle, the terms being real); each later level adds only the previous
-grid's midpoints to the node sum, by one complex FFT of half the previous
-node count.  The radii whose mean has not settled at a level share that
-level's FFT, in blocks of at most _BLOCK_ELEMENTS.
+math.fsum); each result is multiplied back by e^scale, so only one
+beyond double range fails.  Circle means take an array of radii at once:
+each block of certified radii feeds the FFT levels from the block's
+buffer.  Each mean climbs nested angle grids, first level from D: the
+grid starts at no fewer than (D+1)/2 nodes.  The first level takes one
+real FFT on the half circle (|p| is even in the angle, the terms being
+real); each later level adds only the previous grid's midpoints to the
+node sum, by one complex FFT of half the previous node count.  The radii
+whose mean has not settled at a level share that level's FFT, in blocks
+of at most _BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ _FIRST_SIZE = 257
 #: block of a many-point series; a single row may exceed it when circle
 #: means are taken
 _BLOCK_ELEMENTS = 1 << 17
+#: degrees at which one round of a row search evaluates its predicate; the
+#: search on the tail bound, dearer per degree, takes a quarter of them
+_SEARCH_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -215,146 +220,157 @@ def build_coeffs(t: MomentTable, n: int, d_max: int = 4096,
 # Truncation: the row rule
 # ----------------------------------------------------------------------
 
-def _log_terms(table: _Table, log_t: float, degree_weight: int, size: int,
-               degrees=None, out=None) -> np.ndarray:
-    """log |term_d| = d log|t| + log c_d + m log d for d < size, the degree
-    weight m 0 for the kernel itself or 1 for the radial-derivative series
-    sum d c_d t^d (degree 0 of that series is -inf).  degrees, if given,
-    holds 0, 1, ... past size; out receives the result."""
-    d = degrees[:size] if degrees is not None else np.arange(size, dtype=float)
-    out = np.multiply(d, log_t, out=out)
-    out += table.log_c[:size]
-    if degree_weight:
-        out += table.log_d[:size]
-    return out
+def _rho(table: _Table, log_t, m: int, D):
+    """rho_D = sigma_D (+ log((D+1)/D) for m = 1) + log|t|, the log of the
+    term ratio past degree D: the degree weight m is 0 for the kernel and 1
+    for sum d c_d t^d.  D is an int or an int array broadcasting against
+    log_t, and so are the arguments of _log_term and _tail."""
+    r = table.steps[D]
+    if m:
+        r = r + (table.log_d[D + 1] - table.log_d[D])
+    return r + log_t
 
 
-def _first(pred, lo: int, hi: int, guess: int) -> int:
-    """The least D in (lo, hi] where pred holds, for pred false then true
-    there and true at hi: galloping out from guess, then bisecting."""
-    guess = min(max(guess, lo + 1), hi)
-    step = 1
-    if pred(guess):
-        hi = guess
-        while hi - step > lo and pred(hi - step):
-            hi -= step
-            step *= 2
-        lo = max(lo, hi - step)
-    else:
-        lo = guess
-        while lo + step < hi and not pred(lo + step):
-            lo += step
-            step *= 2
-        hi = min(hi, lo + step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+def _log_term(table: _Table, log_t, m: int, D):
+    """log |term_D| = D log|t| + log c_D (+ log D for m = 1)."""
+    value = D * log_t + table.log_c[D]
+    return value + table.log_d[D] if m else value
+
+
+def _tail(table: _Table, log_t, m: int, D, log=math.log, expm1=math.expm1):
+    """log(term_D q_D / (1 - q_D)), q_D = e^rho_D, the tail bound past D, in
+    math, or with numpy's log and expm1 (which may differ by an ulp)."""
+    r = _rho(table, log_t, m, D)
+    return _log_term(table, log_t, m, D) + r - log(-expm1(r))
+
+
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray, budget: int = _SEARCH_ELEMENTS):
+    """Per row, the least D in (lo, hi] where pred holds, for pred false then
+    true there and true at hi.  Each round calls pred(D) once, D the (rows,
+    k) degrees spread evenly over each row's bracket, about budget of them
+    in all, and keeps the step where pred turns true: brackets of at most k
+    degrees take one round."""
+    rows, k = np.arange(lo.size), max(2, budget // max(lo.size, 1))
+    while lo.size and (most := int((hi - lo).max())) > 1:
+        step = 1 if most <= k else -((lo - hi) // k)[:, None]
+        D = np.minimum(lo[:, None] + step * np.arange(1, min(k, most) + 1), hi[:, None])
+        j = pred(D).argmax(axis=1)  # the last column is hi, where pred holds
+        if most <= k:
+            return D[rows, j]
+        lo, hi = np.where(j > 0, D[rows, j - 1], lo), D[rows, j]
     return hi
 
 
-class _Row:
-    """The row rule's quantities for one |t| on one published table, each
-    read at single degrees: log_term(D) and rho(D), the log of the term
-    ratio past D, sigma_D (+ log((D+1)/D) for m = 1) + log|t|, and
-    tail(D) = log(term_D q_D / (1 - q_D)), q_D = e^rho(D)."""
-
-    def __init__(self, table: _Table, log_t: float, degree_weight: int):
-        self.table, self.log_t, self.m = table, log_t, degree_weight
-        self.log_c, self.log_d, self.steps = table.log_c, table.log_d, table.steps
-        self.last = table.log_c.size - 2  # the deepest degree with a step
-
-    def log_term(self, D: int) -> float:
-        value = D * self.log_t + self.log_c.item(D)
-        if self.m:
-            value += self.log_d.item(D)
-        return value
-
-    def rho(self, D: int) -> float:
-        step = self.steps.item(D)
-        if self.m:
-            step += self.log_d.item(D + 1) - self.log_d.item(D)
-        return step + self.log_t
-
-    def tail(self, D: int) -> float:
-        r = self.rho(D)
-        return self.log_term(D) + r - math.log(-math.expm1(r))
-
-
-def _bracket(row: _Row, log_tol: float, guess=(0, 0)):
-    """(d0, hi): d0 the first degree whose ratio is below e^_DECAY, hi <=
-    row.last a degree where the rule surely holds, else row.last; None
-    where the table surely holds none.  guess, a nearby row's (d0, hi),
-    starts the gallops; D never depends on it (see _pass).  Past d0 the
-    ratios up to D are at least q_D, so S_D >= term_d0 (1 - q_D^(D-d0+1)) /
-    (1 - q_D).  No term before d0 exceeds term_d0 e^(1e-12 d0), so S_last
-    <= (last + 1) term_d0 e^(1e-12 last), with slack for rounding."""
-    last, m = row.last, row.m
-    if last < m or not row.rho(last) < _DECAY:
-        return None
-    d0 = _first(lambda D: row.rho(D) < _DECAY, m - 1, last, guess[0])
-    top = row.log_term(d0)
+def _bracket(table: _Table, log_t: np.ndarray, m: int, log_tol: float):
+    """(d0, hi) for the rows log_t (log|t| per row), stopping before the
+    first row that the table surely cannot certify.  d0 is
+    the first degree whose ratio is below e^_DECAY: + and < round alike in
+    numpy and math, so d0 is exact.  hi is the first degree where the rule
+    surely holds, else the last degree with a step.  Past d0 the ratios up
+    to D are at least q_D, so S_D >= term_d0 (1 - q_D^(D-d0+1)) / (1 - q_D).
+    No term before d0 exceeds term_d0 e^(1e-12 d0), so S_last <= (last + 1)
+    term_d0 e^(1e-12 last), with slack for rounding.  hi only bounds the
+    terms a pass forms: D never depends on it (see _pass)."""
+    last = table.log_c.size - 2
+    log_t = log_t[:np.append(_rho(table, log_t, m, last) < _DECAY, False).argmin()]
+    t, n = log_t[:, None], log_t.size
+    d0 = _first_true(lambda D: _rho(table, t, m, D) < _DECAY, np.full(n, m - 1),
+                     np.full(n, last))
+    line = log_tol + _log_term(table, log_t, m, d0)
 
     def sure(D):
-        r = row.rho(D)
-        return row.log_term(D) + r <= log_tol + top + math.log(-math.expm1((D - d0 + 1) * r))
+        r = _rho(table, t, m, D)
+        return (_log_term(table, t, m, D) + r
+                <= line[:, None] + np.log(-np.expm1((D - d0[:, None] + 1) * r)))
 
-    if sure(last):
-        return d0, _first(sure, d0 - 1, last, max(guess[1], d0))
-    if row.tail(last) > log_tol + top + math.log(last + 1) + 1.0e-12 * last + 1.0e-9:
-        return None
-    return d0, last
-
-
-def _pass(row: _Row, log_tol: float, d0: int, hi: int, degrees=None, out=None):
-    """(D, scale, gamma, tail_log, sum_log) from the row's terms through
-    hi, or None where no degree through hi passes: gamma = exp(log term -
-    scale) for d <= D (in out, if given), scale the largest log term,
-    sum_log = scale + log S_D with S_D = np.add.reduce(gamma[:D + 1]).
-    The rule at D needs tail(D) <= log tol + log S_hi; the first such D'
-    is found from a Newton step (the tail bound falls by about -rho per
-    degree), and as S_hi - S_D is at most the tail bound at D, the rule
-    holds at D' or just past it.  Exact partial sums decide, so D does not
-    depend on hi."""
-    lt = _log_terms(row.table, row.log_t, row.m, hi + 1, degrees, out)
-    top = int(lt.argmax())
-    scale = float(lt[top])
-    lt -= scale
-    gamma = np.exp(lt, out=lt)
-    line, tail_hi = log_tol + scale + math.log(np.add.reduce(gamma)), row.tail(hi)
-    if not tail_hi <= line:
-        return None
-    D = _first(lambda D: row.tail(D) <= line, d0 - 1, hi,
-               hi - int((line - tail_hi) / -row.rho(hi)))
-    while True:
-        total = float(np.add.reduce(gamma[:D + 1]))
-        sum_log = scale + math.log(total) if total > 0.0 else -math.inf
-        tail_log = row.tail(D)
-        if tail_log <= log_tol + sum_log:
-            break
-        if D == hi:
-            return None
-        D += 1
-    if top > D:  # the largest term lies past D only by rounding: rescale
-        return _pass(row, log_tol, d0, D, degrees, out)
-    return D, scale, gamma[:D + 1], tail_log, sum_log
+    at_last = sure(np.full((n, 1), last))[:, 0]
+    hi = _first_true(sure, np.where(at_last, d0 - 1, last - 1), np.full(n, last))
+    if not at_last.all():  # stop at the first row no degree can certify
+        n = np.append(at_last | (_tail(table, log_t, m, last, np.log, np.expm1) <= line
+                                 + math.log(last + 1) + 1.0e-12 * last + 1.0e-9), False).argmin()
+    return d0[:n], hi[:n]
 
 
-def _certify_row(row: _Row, log_tol: float, guess=(0, 0), buffer=None):
-    """The row rule on the row's table: (_pass's tuple, (d0, hi)), or None
-    where no degree <= size - 2 passes.  buffer(n), if given, returns
-    (degrees, out) for the pass's n terms, else they are fresh arrays.
-    Where rounding fails a surely certified hi, the pass runs to the end."""
-    found = _bracket(row, log_tol, guess)
-    if found is None:
-        return None
-    for hi in sorted({found[1], row.last}):
-        got = _pass(row, log_tol, found[0], hi, *(buffer(hi + 1) if buffer else ()))
-        if got is not None:
-            return got, found
-    return None
+def _pass(table: _Table, log_t: np.ndarray, m: int, log_tol: float, d0: np.ndarray,
+          hi: np.ndarray, terms: np.ndarray) -> list:
+    """The row rule for each row from its terms through hi, formed back to
+    back in the flat buffer terms: per row (D, scale, gamma), or None where
+    no degree through hi passes.  gamma = exp(log term - scale) for d <= D
+    is a view of terms, scale the largest log term through D.
+
+    A search finds D', the first degree where the tail bound is at most
+    line = log tol + log S_hi.  As S_hi - S_D is at most the tail bound at
+    D, the rule holds at D' or just past it; D is the first degree from D'
+    where it holds against the exact partial sum S_D = np.add.reduce(gamma),
+    so D does not depend on hi.  The rule is read in numpy where it holds
+    or fails by more than 1e-9 (1 + |line|), else in math with the exact
+    sum: numpy's logs and segment sums differ from those by a few ulps."""
+    ends = np.cumsum(hi + 1)
+    starts, flat = ends - hi - 1, terms[:ends[-1]]
+    scale, top = np.empty(hi.size), np.empty(hi.size, dtype=int)
+    degrees = np.arange(hi.max() + 1, dtype=float)
+    for i, (lt, s, e) in enumerate(zip(log_t.tolist(), starts.tolist(), ends.tolist())):
+        row = np.multiply(degrees[:e - s], lt, out=terms[s:e])
+        row += table.log_c[:e - s]
+        if m:
+            row += table.log_d[:e - s]
+        top[i] = row.argmax()
+        scale[i] = row[top[i]]
+        row -= scale[i]
+    gamma = np.exp(flat, out=flat)
+    line = log_tol + scale + np.log(np.add.reduceat(gamma, starts))
+    t, live = log_t[:, None], _tail(table, log_t, m, hi, np.log, np.expm1) <= line
+    D = _first_true(lambda D: _tail(table, t, m, D, np.log, np.expm1) <= line[:, None],
+                    np.where(live, d0 - 1, hi - 1), hi, _SEARCH_ELEMENTS // 4)
+    # S_D per row: the even segments of reduceat, the last running to the end
+    cuts = np.column_stack([starts, starts + D + 1]).ravel()
+    S = np.add.reduceat(gamma, cuts[:-1] if cuts[-1] == gamma.size else cuts)[::2]
+    found = np.zeros(hi.size, dtype=bool)
+    while live.any():
+        gap = log_tol + scale + np.log(S) - _tail(table, log_t, m, D, np.log, np.expm1)
+        holds = gap >= 0.0
+        for i in np.flatnonzero(live & (np.abs(gap) <= 1.0e-9 * (1.0 + np.abs(line)))):
+            total = float(np.add.reduce(gamma[starts[i]:starts[i] + D[i] + 1]))
+            sum_log = float(scale[i]) + math.log(total) if total > 0.0 else -math.inf
+            holds[i] = _tail(table, float(log_t[i]), m, int(D[i])) <= log_tol + sum_log
+        found |= live & holds
+        live &= ~holds & (D < hi)
+        D[live] += 1
+        S[live] += gamma[starts[live] + D[live]]
+    out = [(d, sc, gamma[s:s + d + 1]) if ok else None for sc, s, d, ok in zip(
+        scale.tolist(), starts.tolist(), D.tolist(), found.tolist())]
+    for i in np.flatnonzero(found & (top > D)):  # the largest term lies past D by rounding
+        out[i] = _pass(table, log_t[i:i + 1], m, log_tol, d0[i:i + 1], D[i:i + 1],
+                       terms[starts[i]:starts[i] + D[i] + 1])[0]
+    return out
+
+
+def _certified(table: _Table, log_t: np.ndarray, m: int, log_tol: float, work: dict):
+    """Certify the rows log_t in order on one published table, in blocks
+    whose terms through hi fill at most _BLOCK_ELEMENTS of the working set
+    work (a single row may exceed it).  Yields each block's list of _pass
+    tuples, to be used before the next is asked for; stops before the first
+    row the table cannot certify.  Where rounding fails a surely certified
+    hi, that row's pass runs to the end."""
+    d0, hi = _bracket(table, log_t, m, log_tol)
+    last, i = table.log_c.size - 2, 0
+    while i < d0.size:
+        j, used = i + 1, hi[i] + 1
+        while j < d0.size and used + hi[j] + 1 <= _BLOCK_ELEMENTS:
+            used += hi[j] + 1
+            j += 1
+        rows = _pass(table, log_t[i:j], m, log_tol, d0[i:j], hi[i:j],
+                     _scratch(work, "terms", (used,)))
+        for r in range(len(rows)):
+            if rows[r] is None and hi[i + r] < last:
+                rows[r] = _pass(table, log_t[i + r:i + r + 1], m, log_tol, d0[i + r:i + r + 1],
+                                np.array([last]), np.empty(last + 1))[0]
+            if rows[r] is None:
+                if r:
+                    yield rows[:r]
+                return
+        yield rows
+        i = j
 
 
 def _log_tol(tol: float) -> float:
@@ -372,13 +388,16 @@ def _grow_or_raise(k: KernelCoeffs, table: _Table, abs_t: float, tol: float,
     size = table.log_c.size
     if size < k.d_max + 1:
         return k.ensure(size + 1)
-    row = _Row(table, math.log(abs_t), degree_weight)
+    log_t, last = math.log(abs_t), size - 2
     with np.errstate(under="ignore", over="ignore"):
-        lt = _log_terms(table, row.log_t, degree_weight, size)
+        lt = np.arange(size, dtype=float) * log_t  # in place: the table is at d_max
+        lt += table.log_c
+        if degree_weight:
+            lt += table.log_d
         scale = float(lt.max())
         partial = float(np.exp(scale) * np.sum(np.exp(lt - scale)))
-        below_1 = row.last >= 0 and row.rho(row.last) < 0.0
-        tail_bound = float(np.exp(row.tail(row.last))) if below_1 else None
+        below_1 = last >= 0 and _rho(table, log_t, degree_weight, last) < 0.0
+        tail_bound = float(np.exp(_tail(table, log_t, degree_weight, last))) if below_1 else None
     raise TruncationError(
         f"tail not certified below {tol:.1e} within d_max={k.d_max} at |t|={abs_t:.6g}",
         partial_sum=partial, degree_used=size - 1, tail_bound=tail_bound)
@@ -389,22 +408,24 @@ def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
 
     Returns (D, scale, gamma, tail_rel): the truncation degree, the rescaled
     terms gamma_d = d^m c_d amax^d / e^scale for d <= D (the largest is 1),
-    and the certified relative tail bound at |t| = amax.  The table grows
+    and the certified relative tail bound at |t| = amax.  The row goes
+    through the array passes of _certified as a single row; the table grows
     through its sizes until one certifies amax, else TruncationError.
     """
-    log_t, log_tol = math.log(amax), _log_tol(tol)
+    log_t, log_tol = np.array([math.log(amax)]), _log_tol(tol)
     while True:
         table = k._table  # one snapshot: another thread may publish a longer table
-        got = _certify_row(_Row(table, log_t, m), log_tol)
-        if got is not None:
-            (D, scale, gamma, tail_log, sum_log), _ = got
-            return D, scale, gamma, math.exp(tail_log - sum_log)
+        for rows in _certified(table, log_t, m, log_tol, {}):
+            D, scale, gamma = rows[0]
+            sum_log = scale + math.log(np.add.reduce(gamma))
+            return D, scale, gamma, math.exp(_tail(table, log_t[0], m, D) - sum_log)
         _grow_or_raise(k, table, amax, tol, m)
 
 
 def _unscale(value, scale: float, what: str):
-    """value * e^scale; NumericRangeError if that leaves double range."""
-    mag = float(np.max(np.abs(value)))
+    """value * e^scale; NumericRangeError if that leaves double range.  A
+    float is checked in math."""
+    mag = abs(value) if isinstance(value, float) else float(np.max(np.abs(value)))
     if mag > 0.0 and scale + math.log(mag) > _LOG_MAX:
         raise NumericRangeError(f"{what} exceeds double range")
     return value * math.exp(scale)
@@ -715,7 +736,8 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
     xi is a float or an array of radii.  An array gives, bit for bit, the
     values of one call per radius in C order, grows the table as those
     calls would, and raises what the first failing one would raise.  Its
-    radii certify in order into one term buffer and share FFT levels.
+    radii certify together (see _certified), block by block, and each
+    block's radii share FFT levels.
 
     Computed with an overall exponential scale factor, so the only failure
     mode is a result whose true magnitude exceeds double range.
@@ -730,42 +752,19 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
     log_tol = _log_tol(tol)
     flat = xs.ravel()
     out = np.zeros(flat.size)
-    block, used = [], 0  # rows (index, D, scale, gamma), their terms in terms[:used]
-    terms, degrees, work = np.empty(0), None, {}  # work: every block's FFT levels
-
-    def flush():  # the first radius in order that fails raises what it raises alone
-        nonlocal used
-        if block:
-            first = [_first_level(D, start_nodes, max_nodes) for _, D, _, _ in block]
-            means, prev = _fft_levels([row[3] for row in block], first, tol, max_nodes, work)
-            for (i, _, scale, _), mean, last in zip(block, means, prev):
-                if mean is None:
+    todo = np.flatnonzero(flat)
+    log_t = np.array([math.log(x) for x in flat[todo].tolist()])
+    work, done = {}, 0  # work: every block's terms and FFT levels
+    while done < todo.size:
+        table = k._table  # one snapshot: another thread may publish a longer table
+        for rows in _certified(table, log_t[done:], 1, log_tol, work):
+            first = [_first_level(row[0], start_nodes, max_nodes) for row in rows]
+            means, prev = _fft_levels([row[2] for row in rows], first, tol, max_nodes, work)
+            for i, row, mean, last in zip(todo[done:].tolist(), rows, means, prev):
+                if mean is None:  # the first radius in order that fails raises
                     raise QuadratureError("circle mean did not stabilize", partial_value=last)
-                out[i] = _unscale(mean, scale, "circle mean")
-        block.clear()
-        used = 0
-
-    def buffer(size):
-        nonlocal terms, degrees
-        if used and used + size > _BLOCK_ELEMENTS:
-            flush()
-        if terms.size < used + size:
-            terms = np.empty(max(_BLOCK_ELEMENTS, size))
-            degrees = np.arange(terms.size, dtype=float)
-        return degrees, terms[used:used + size]
-
-    guess = (0, 0)
-    for i in np.flatnonzero(flat).tolist():
-        x = float(flat[i])
-        while True:
-            table = k._table  # one snapshot: another thread may publish a longer table
-            got = _certify_row(_Row(table, math.log(x), 1), log_tol, guess, buffer)
-            if got is not None:
-                break
-            flush()  # the radii before this one go first, as one call per radius takes them
-            _grow_or_raise(k, table, x, tol, 1)
-        (D, scale, gamma, _, _), guess = got
-        block.append((i, D, scale, gamma))
-        used += D + 1
-    flush()
+                out[i] = _unscale(mean, row[1], "circle mean")
+            done += len(rows)
+        if done < todo.size:  # the radii before this one went first, as alone
+            _grow_or_raise(k, table, float(flat[todo[done]]), tol, 1)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -232,12 +232,12 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     Returns (value, error_estimate).  Internally the variable is the
     distance s = b - t from the end b, so the mesh can refine
     geometrically toward an integrable endpoint singularity without losing
-    the endpoint offset to rounding.  Each segment takes one call of the
-    integrand on the 15 nodes of the Gauss-Kronrod rule K15: K15 gives the
-    segment's value, and its difference from the 7-node Gauss rule on the
-    embedded nodes is the raw error estimate.  Segments are bisected worst
-    first until the summed error estimate drops below
-    max(tolerance, rel_tolerance * |value|).
+    the endpoint offset to rounding.  One integrand call takes the initial
+    mesh, the 15 Gauss-Kronrod K15 nodes of every segment in one flat array;
+    K15 gives a segment's value, and its difference from the 7-node Gauss
+    rule on the embedded nodes the raw error estimate.  Segments are then
+    bisected worst first, one call per half, until the summed error
+    estimate drops below max(tolerance, rel_tolerance * |value|).
 
     Integrands are supplied either as f(t) in the original coordinate or as
     f_dist(s) in the distance coordinate; the latter keeps full floating
@@ -246,8 +246,7 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     coordinate can no longer be distinguished from the endpoint are frozen
     rather than split; if the frozen error alone exceeds the budget, or the
     subdivision budget runs out, QuadratureError carries the partial value.
-
-    f and f_dist must accept numpy arrays.
+    f and f_dist must be elementwise on 1-d numpy arrays.
     """
     spec = spec or DEFAULT_SPEC
     if not (b > a):
@@ -265,7 +264,8 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     # below this scale, b - s is no longer distinguishable from b
     s_floor = 0.0 if f_dist is not None else 8.0 * np.finfo(float).eps * max(abs(b), 1.0)
     segs = list(zip(pts[:-1], pts[1:]))
-    vals, raws = map(np.array, zip(*(_segment_estimates(fs, lo, hi) for lo, hi in segs)))
+    vals, raws = _segment_estimates(lambda s: np.asarray(fs(s.ravel())).reshape(s.shape),
+                                    np.array(pts[:-1]), np.array(pts[1:]))
     return _bisect(fs, segs, vals, raws, spec, s_floor)
 
 

@@ -186,8 +186,8 @@ _KINDS = {
         lambda w, u: w.alpha * (np.log(u) + np.log(2.0 - u))),
     "exponential": _Kind(
         {"c": 0.0, "beta": 0.0}, "exponential weight needs finite c > 0 and beta > 0",
-        "exponential(c={c:g},beta={beta:g})", lambda w, u: np.exp(-w.c * u ** (-w.beta)),
-        # log rho = -inf where rho underflows
+        "exponential(c={c:g},beta={beta:g})",  # u^-beta = inf: rho = 0, log rho = -inf
+        np.errstate(over="ignore")(lambda w, u: np.exp(-w.c * u ** (-w.beta))),
         np.errstate(over="ignore")(lambda w, u: -w.c * u ** (-w.beta))),
     "logarithmic": _Kind(
         {"gamma": -1.0}, "logarithmic weight needs finite gamma > -1",

@@ -73,3 +73,26 @@ def test_rusage_summary():
             for f, s in [(100, 0.5), (300, 0.1), (200, 0.2), (400, 0.4), (500, 0.3)]]
     assert ab_pairs.rusage_summary(runs) == \
         "minor faults 300 [200, 400], system 0.300 s [0.200, 0.400]"
+
+
+def test_seconds_reach_the_bench(tmp_path):
+    """--seconds, 10 by default, is passed to bench/run.py for every run."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "seconds = float(sys.argv[sys.argv.index('--seconds') + 1])\n"
+        "print(json.dumps({'metrics': {'wall_s': {'value': seconds}}, 'failed': 0,"
+        " 'attempted': 1}))\n")
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}')
+    assert ab_pairs.run_bench(tmp_path, "any", 1)["metrics"]["wall_s"]["value"] == 10.0
+    assert ab_pairs.run_bench(tmp_path, "any", 1, 0.5)["metrics"]["wall_s"]["value"] == 0.5
+    seen = []
+    real = ab_pairs.run_bench
+    try:
+        ab_pairs.run_bench = lambda *a: seen.append(a[3]) or real(*a)
+        assert ab_pairs.main([str(tmp_path), str(tmp_path), "--workload", "any",
+                              "--pairs", "1", "--seed", "1", "--seconds", "2.5"]) == 0
+    finally:
+        ab_pairs.run_bench = real
+    assert seen == [2.5, 2.5]

@@ -1194,14 +1194,70 @@ def test_exact_partial_sums_decide_past_the_crossing():
     bracketed pass and in the oracle."""
     fake = _FakeMoments(np.zeros(1024))
     k = build_coeffs(fake, 1, d_max=1023, initial=1023)
-    row = kernel._Row(k._table, math.log(0.5), 0)
-    log_tol = math.log(0.3)
-    d0, hi = kernel._bracket(row, log_tol)
-    assert hi < row.last
-    got = kernel._pass(row, log_tol, d0, row.last)
-    assert got[0] == kernel._pass(row, log_tol, d0, hi)[0] == 2
-    assert got[3] <= log_tol + got[4]
+    table, log_t, log_tol = k._table, np.array([math.log(0.5)]), math.log(0.3)
+    last = table.log_c.size - 2
+    d0, hi = kernel._bracket(table, log_t, 0, log_tol)
+    assert hi[0] < last
+
+    def one_pass(end):
+        return kernel._pass(table, log_t, 0, log_tol, d0, np.array([end]),
+                            np.empty(end + 1))[0]
+
+    got = one_pass(last)
+    assert got[0] == one_pass(int(hi[0]))[0] == 2
+    sum_log = got[1] + math.log(np.add.reduce(got[2]))
+    assert kernel._tail(table, math.log(0.5), 0, 2) <= log_tol + sum_log
     assert _oracle_row(k.log_coeffs, math.log(0.5), log_tol, 0)[0] == 2
+
+
+def _array_certify(k, abs_ts, tol_rel, degree_weight):
+    """All rows through kernel._certified on the table as it stands, which
+    grows at the first row it cannot certify, as rk_circle_mean grows it:
+    lists (D, tail_rel, sum_log), and each row's (scale, term bytes)."""
+    log_t, log_tol = np.array([math.log(t) for t in abs_ts]), math.log(tol_rel)
+    got = []
+    while len(got) < len(abs_ts):
+        table = k._table
+        for rows in kernel._certified(table, log_t[len(got):], degree_weight, log_tol, {}):
+            for D, scale, gamma in rows:
+                sum_log = scale + math.log(np.add.reduce(gamma))
+                tail = kernel._tail(table, float(log_t[len(got)]), degree_weight, D)
+                got.append((D, math.exp(tail - sum_log), sum_log, (scale, gamma.tobytes())))
+        if len(got) < len(abs_ts):
+            kernel._grow_or_raise(k, table, abs_ts[len(got)], tol_rel, degree_weight)
+    return [[row[j] for row in got] for j in range(4)]
+
+
+class TestArrayCertification:
+    """Rows certified together, shallow and deep mixed so that deep rows
+    grow the table mid-array, certify as the log-space oracle certifies one
+    row at a time (D, tail bound, partial sum), give the scale and term
+    bytes of one _terms call per row, grow the table alike, and raise at
+    the first row, in order, that d_max cannot certify what a one-row call
+    raises there."""
+
+    TS = [0.3, 0.97, 0.05, 0.99, 1e-3, 0.9, 0.999, 0.6, 1.0 - 2.0 ** -12]
+
+    @pytest.mark.parametrize("d_max", [4096, 1 << 17])
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("key", ["std0", "exp11", "std-0.5"])
+    def test_against_oracle_and_single_rows(self, key, m, d_max):
+        moments = _MemoMoments(MomentTable(ORACLE_WEIGHTS[key]()))
+        tables = [build_coeffs(moments, 2, d_max=d_max) for _ in range(2)]
+        got = _certified(lambda: _array_certify(tables[0], self.TS, 1e-10, m))
+        expected = _certified(lambda: _oracle_certify(tables[1], self.TS, 1e-10, m))
+        _assert_same_certification(got[:3], expected)
+        assert tables[0].built == tables[1].built
+        if isinstance(got[0], str):
+            # the error names the first row in order that d_max cannot certify
+            failing = next(t for t in self.TS if got[0].endswith(f"|t|={t:.6g}"))
+            single = build_coeffs(moments, 2, d_max=d_max)
+            assert _certified(lambda: _terms(single, failing, 1e-10, m)) == got
+            assert d_max == 4096 or key == "exp11"
+            return
+        for t, scale_bytes in zip(self.TS, got[3]):
+            D, scale, gamma, _ = _terms(build_coeffs(moments, 2, d_max=d_max), t, 1e-10, m)
+            assert (scale, gamma.tobytes()) == scale_bytes, t
 
 
 def test_threads_certify_on_a_growing_table(tables):

@@ -10,7 +10,8 @@ from scipy.special import gammaln
 from bergman_lab import (BallPoint, QuadSpec, QuadratureError, RadialWeight,
                          integrate_ball_radial, integrate_disk,
                          integrate_radial, sphere_slice_average)
-from bergman_lab.quadrature import _GAUSS_W, _KRONROD_W, _KRONROD_X, integrate_to_end
+from bergman_lab.quadrature import (DEFAULT_SPEC, _GAUSS_W, _KRONROD_W, _KRONROD_X, _bisect,
+                                    _initial_mesh, _segment_estimates, integrate_to_end)
 
 
 class TestTypes:
@@ -104,7 +105,8 @@ def _call_segments(nodes):
 
 
 class TestOneCallPerSegment:
-    """Each segment costs one integrand call on its 15 K15 nodes."""
+    """The initial mesh costs one integrand call, then each bisected half
+    one call on its 15 K15 nodes."""
 
     SPEC = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
     LENGTHS = np.array([1.0, 2.0 ** -30, 0.9])
@@ -119,17 +121,20 @@ class TestOneCallPerSegment:
         return calls
 
     def test_integrate_radial(self):
+        """One flat call that sees every initial segment once, then two
+        calls per bisection, which some length needs."""
         segments = self.SPEC.initial_levels + 1
-        counts = []
+        bisected = []
         for length in self.LENGTHS:
             calls = self._radial_calls(float(length))
-            assert all(c.shape == (15,) for c in calls)
+            assert calls[0].shape == (segments * 15,)
+            assert len(set(_call_segments(calls[0]))) == segments
+            assert all(c.shape == (15,) for c in calls[1:])
             segs = [seg for c in calls for seg in _call_segments(c)]
             assert len(set(segs)) == len(segs)
-            counts.append(len(calls))
-        # the initial mesh, then two halves per bisection, which some length needs
-        assert all(c >= segments and (c - segments) % 2 == 0 for c in counts)
-        assert max(counts) > segments
+            assert (len(calls) - 1) % 2 == 0
+            bisected.append(len(calls) - 1)
+        assert max(bisected) > 0
 
     def test_integrate_to_end(self):
         """One call on every initial segment of every length, then one per
@@ -140,8 +145,67 @@ class TestOneCallPerSegment:
         assert calls[0].shape == (self.LENGTHS.size, segments, 15)
         assert all(c.shape == (15,) for c in calls[1:])
         assert len(set(_call_segments(calls[0]))) == self.LENGTHS.size * segments
-        bisected = sum(len(self._radial_calls(float(b))) - segments for b in self.LENGTHS)
+        bisected = sum(len(self._radial_calls(float(b))) - 1 for b in self.LENGTHS)
         assert len(calls) - 1 == bisected > 0
+
+
+def _per_segment_radial(f=None, spec=None, a=0.0, b=1.0, f_dist=None):
+    """integrate_radial with one integrand call per initial segment, on its
+    15 nodes: the loop the one-call initial pass replaced."""
+    spec = spec or DEFAULT_SPEC
+    fs = f_dist if f_dist is not None else (lambda s: f(b - s))
+    pts = sorted(set(_initial_mesh(b - a, spec).tolist()))
+    s_floor = 0.0 if f_dist is not None else 8.0 * np.finfo(float).eps * max(abs(b), 1.0)
+    segs = list(zip(pts[:-1], pts[1:]))
+    vals, raws = map(np.array, zip(*(_segment_estimates(fs, lo, hi) for lo, hi in segs)))
+    return _bisect(fs, segs, vals, raws, spec, s_floor)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except QuadratureError as exc:
+        return str(exc), exc.partial_value, exc.error_estimate
+
+
+class TestOneCallInitialPass:
+    """The initial mesh in one integrand call gives the (value, error) of
+    one call per segment, bit for bit, or the same QuadratureError."""
+
+    TIGHT = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
+    CASES = {
+        "f": dict(f=lambda t: 1.0 + np.cos(40.0 * t), spec=TIGHT),
+        "f-subinterval": dict(f=lambda t: np.exp(t) * np.sin(9.0 * t), a=0.25, b=0.75),
+        "f_dist": dict(f_dist=lambda s: 1.0 + np.cos(40.0 * s), spec=TIGHT, b=0.9),
+        "f_dist-singular": dict(f_dist=lambda s: s ** -0.5),
+        "f-frozen": dict(f=lambda t: (1.0 - t) ** -0.5, spec=QuadSpec(tolerance=1e-8)),
+        "budget": dict(f_dist=lambda s: s ** -0.9, spec=QuadSpec(
+            tolerance=1e-14, rel_tolerance=0.0, max_subdivisions=8, initial_levels=2)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bitwise_equal_to_per_segment_loop(self, case):
+        kwargs = self.CASES[case]
+        got = _outcome(lambda: integrate_radial(**kwargs))
+        assert got == _outcome(lambda: _per_segment_radial(**kwargs))
+        if case == "budget":
+            assert isinstance(got[0], str)
+
+    def test_cases_bisect_and_freeze(self):
+        """Every case but the subinterval bisects, and f-frozen refines to
+        segments below the floor where b - s stops resolving s."""
+        for case, kwargs in self.CASES.items():
+            name = "f_dist" if "f_dist" in kwargs else "f"
+            nodes = []
+
+            def recording(x, g=kwargs[name]):
+                nodes.append(np.array(x))
+                return g(x)
+
+            _outcome(lambda: integrate_radial(**{**kwargs, name: recording}))
+            assert (len(nodes) > 1) == (case != "f-subinterval"), case
+            if case == "f-frozen":
+                assert min(float(np.min(1.0 - t)) for t in nodes) < 8.0 * np.finfo(float).eps
 
 
 class TestIntegrateToEnd:

@@ -1,10 +1,11 @@
 """Alternating benchmark pairs between two checkouts of bergman-lab.
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload theorem-nonclass \\
-        --pairs 10 --seed 341
+        --pairs 10 --seed 341 [--seconds 10]
 
-Runs `python3 bench/run.py --workload W --seed S --trace 0` from the root of
-each checkout, pair i on seed S + i, the parent first in even pairs and the
+Runs `python3 bench/run.py --workload W --seed S --seconds T --trace 0` from
+the root of each checkout (T is --seconds, 10 by default, so shorter rounds
+can be asked for), pair i on seed S + i, the parent first in even pairs and the
 change first in odd ones.  It reads only the JSON line each run prints, and
 prints every run's metrics, then per end-to-end metric each side's median
 and quartiles, the pairs the change won (ties count for neither side), the
@@ -40,13 +41,14 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in checkout: its final JSON line, with the
-    run's minor page faults and system seconds added under "rusage"."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float = 10.0) -> dict:
+    """One untraced benchmark run of about `seconds` in checkout: its final
+    JSON line, with the run's minor page faults and system seconds added
+    under "rusage"."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
@@ -112,9 +114,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=10.0,
+                        help="run length passed to bench/run.py")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not args.seconds > 0.0:
+        parser.error("--seconds must be positive")
 
     rules = metric_rules(args.parent)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -123,7 +129,7 @@ def main(argv=None) -> int:
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_bench(sides[side], args.workload, seed)
+            result = run_bench(sides[side], args.workload, seed, args.seconds)
             runs[side].append(result)
             values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
             usage = result["rusage"]
