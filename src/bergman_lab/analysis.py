@@ -103,10 +103,10 @@ def bloch_seminorm(rf, grid) -> float:
     return best
 
 
-def _slice_integrand(w: RadialWeight, n: int, v: float):
-    """s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) in the distance u = 1 - s."""
-    def f_dist(u):
-        u = np.atleast_1d(u)
+def _slice_integrand(w: RadialWeight, n: int):
+    """s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) in the distance u = 1 - s, for
+    the parameter v."""
+    def f_dist(u, v):
         s = 1.0 - u
         base = s ** (2 * n - 3) * w.eval_at_one_minus(u)
         if n > 2:
@@ -116,21 +116,12 @@ def _slice_integrand(w: RadialWeight, n: int, v: float):
     return f_dist
 
 
-def _slice_weight_profile(w: RadialWeight, n: int, v: float, spec: QuadSpec) -> float:
-    """W(v) = v int_v^1 s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) ds  (n >= 2)."""
-    if v >= 1.0:
-        return 0.0
-    val, _ = integrate_radial(spec=spec, a=v, b=1.0, f_dist=_slice_integrand(w, n, v))
-    return v * val
-
-
-def _slice_weight_profiles_n2(w: RadialWeight, vs: list, spec: QuadSpec) -> list:
-    """W(v) at n = 2 for every v < 1 in vs at once.  The integrand s rho(s)
-    does not depend on v there, so one integrate_to_end over the lengths 1 -
-    v gives, bit for bit, what _slice_weight_profile gives node by node.
-    (For n > 2 the factor (1 - v^2/s^2)^{n-2} depends on v.)"""
-    v = np.array(vs)
-    vals, _ = integrate_to_end(_slice_integrand(w, 2, None), 1.0 - v, spec)
+def _slice_weight_profiles(w: RadialWeight, n: int, vs: list, spec: QuadSpec) -> list:
+    """W(v) = v int_v^1 s^{2n-3} (1 - v^2/s^2)^{n-2} rho(s) ds  (n >= 2)
+    for every v < 1 in vs: one integrate_to_end over the lengths 1 - v,
+    each integrand node carrying its own v."""
+    v = np.array(vs, dtype=float)
+    vals, _ = integrate_to_end(_slice_integrand(w, n), 1.0 - v, spec, v)
     return (v * vals).tolist()
 
 
@@ -148,8 +139,10 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
 
     where A is the angular mean of |R K| on a circle (rk_circle_mean, i.e.
     the slice average's trapezoid rule evaluated by FFT) and W folds the
-    weighted radial factors.  The nested form is checked against this one
-    in the tests.
+    weighted radial factors.  Each integrand call takes A at all its nodes
+    in one array and, at every n >= 2, W at the nodes it lacks in one
+    batch (_slice_weight_profiles).  The nested form is checked against
+    this one in the tests.
 
     Raises TruncationError or NumericRangeError when the kernel series at
     r cannot be certified within the table's d_max or leaves double range;
@@ -179,24 +172,20 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
 
     def f_dist(u):
         v = 1.0 - u
-        profile = np.empty(v.shape)
-        if n == 2:
-            missing = [vi for vi in dict.fromkeys(v.ravel().tolist())
-                       if vi not in w_cache and vi < 1.0]
+        nodes = v.tolist()
+        missing = [vi for vi in dict.fromkeys(nodes) if vi < 1.0 and vi not in w_cache]
+        try:
             if missing:
+                w_cache.update(zip(missing, _slice_weight_profiles(w, n, missing, q)))
+        except Exception:
+            for vi in missing:  # the first W(v) failing alone raises after the earlier means
                 try:
-                    w_cache.update(zip(missing, _slice_weight_profiles_n2(w, missing, q)))
+                    w_cache[vi], = _slice_weight_profiles(w, n, [vi], q)
                 except Exception:
-                    pass  # the loop below meets the failure at its node
-        for i, vi in enumerate(v.ravel().tolist()):
-            if vi not in w_cache:
-                try:
-                    w_cache[vi] = _slice_weight_profile(w, n, vi, q)
-                except Exception:
-                    # node by node, the circle means before node i come first
-                    rk_circle_mean(k, r * v.ravel()[:i], a_tol)
+                    rk_circle_mean(k, r * v[:nodes.index(vi)], a_tol)
                     raise
-            profile.flat[i] = w_cache[vi]
+            raise
+        profile = np.array([w_cache.get(vi, 0.0) for vi in nodes])  # W(v) = 0 for v >= 1
         return rk_circle_mean(k, r * v, a_tol) * profile
 
     val, _ = integrate_to_end(f_dist, 1.0, q)

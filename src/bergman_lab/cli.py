@@ -271,8 +271,13 @@ def run(config: RunConfig) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # to main's error: line; status 2 means INCONCLUSIVE
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergman-lab",
         description="Weighted Bergman kernel, projection, and Bloch diagnostics")
     parser.add_argument("command", choices=COMMANDS)
@@ -295,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = RunConfig(
             command=args.command, weight_path=args.weight, n=args.n,
             tolerance=args.tol, grid_k_max=args.kmax, d_max=args.dmax,

@@ -403,23 +403,33 @@ def _grow_or_raise(k: KernelCoeffs, table: _Table, abs_t: float, tol: float,
         partial_sum=partial, degree_used=size - 1, tail_bound=tail_bound)
 
 
+def _certified_growing(k: KernelCoeffs, abs_t: list, m: int, tol: float, work: dict):
+    """Yield (table, rows) for each block of _certified over the rows |t| =
+    abs_t in order; where a snapshot stops short of a row, the rows before
+    it having gone first as alone, grow k past it or raise for it."""
+    log_t, log_tol = np.array([math.log(x) for x in abs_t]), _log_tol(tol)
+    done = 0
+    while done < len(abs_t):
+        table = k._table  # one snapshot: another thread may publish a longer table
+        for rows in _certified(table, log_t[done:], m, log_tol, work):
+            yield table, rows
+            done += len(rows)
+        if done < len(abs_t):
+            _grow_or_raise(k, table, abs_t[done], tol, m)
+
+
 def _terms(k: KernelCoeffs, amax: float, tol: float, m: int):
     """Certified term table of sum_d d^m c_d t^d for every |t| <= amax.
 
     Returns (D, scale, gamma, tail_rel): the truncation degree, the rescaled
     terms gamma_d = d^m c_d amax^d / e^scale for d <= D (the largest is 1),
-    and the certified relative tail bound at |t| = amax.  The row goes
-    through the array passes of _certified as a single row; the table grows
-    through its sizes until one certifies amax, else TruncationError.
+    and the certified relative tail bound at |t| = amax, a single row of
+    _certified_growing (TruncationError where d_max cannot certify it).
     """
-    log_t, log_tol = np.array([math.log(amax)]), _log_tol(tol)
-    while True:
-        table = k._table  # one snapshot: another thread may publish a longer table
-        for rows in _certified(table, log_t, m, log_tol, {}):
-            D, scale, gamma = rows[0]
-            sum_log = scale + math.log(np.add.reduce(gamma))
-            return D, scale, gamma, math.exp(_tail(table, log_t[0], m, D) - sum_log)
-        _grow_or_raise(k, table, amax, tol, m)
+    for table, rows in _certified_growing(k, [amax], m, tol, {}):
+        D, scale, gamma = rows[0]
+        sum_log = scale + math.log(np.add.reduce(gamma))
+        return D, scale, gamma, math.exp(_tail(table, math.log(amax), m, D) - sum_log)
 
 
 def _unscale(value, scale: float, what: str):
@@ -749,22 +759,16 @@ def rk_circle_mean(k: KernelCoeffs, xi, tol: float = 1.0e-8,
         raise ValueError("start_nodes must be a power of two >= 2")
     if max_nodes is None:
         max_nodes = max(1 << 20, 2 * k.d_max)
-    log_tol = _log_tol(tol)
     flat = xs.ravel()
     out = np.zeros(flat.size)
     todo = np.flatnonzero(flat)
-    log_t = np.array([math.log(x) for x in flat[todo].tolist()])
     work, done = {}, 0  # work: every block's terms and FFT levels
-    while done < todo.size:
-        table = k._table  # one snapshot: another thread may publish a longer table
-        for rows in _certified(table, log_t[done:], 1, log_tol, work):
-            first = [_first_level(row[0], start_nodes, max_nodes) for row in rows]
-            means, prev = _fft_levels([row[2] for row in rows], first, tol, max_nodes, work)
-            for i, row, mean, last in zip(todo[done:].tolist(), rows, means, prev):
-                if mean is None:  # the first radius in order that fails raises
-                    raise QuadratureError("circle mean did not stabilize", partial_value=last)
-                out[i] = _unscale(mean, row[1], "circle mean")
-            done += len(rows)
-        if done < todo.size:  # the radii before this one went first, as alone
-            _grow_or_raise(k, table, float(flat[todo[done]]), tol, 1)
+    for _, rows in _certified_growing(k, flat[todo].tolist(), 1, tol, work):
+        first = [_first_level(row[0], start_nodes, max_nodes) for row in rows]
+        means, prev = _fft_levels([row[2] for row in rows], first, tol, max_nodes, work)
+        for i, row, mean, last in zip(todo[done:].tolist(), rows, means, prev):
+            if mean is None:  # the first radius in order that fails raises
+                raise QuadratureError("circle mean did not stabilize", partial_value=last)
+            out[i] = _unscale(mean, row[1], "circle mean")
+        done += len(rows)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -142,11 +142,8 @@ def _initial_mesh(length, spec: QuadSpec):
 
 def _segment_estimates(fs, s_lo, s_hi):
     """K15 value and raw error estimate |K15 - G7| of the segments
-    (s_lo, s_hi), from one call of fs on the 15 Kronrod nodes.
-
-    The bounds may be arrays; fs then receives the nodes of every segment at
-    once, along a new trailing axis.
-    """
+    (s_lo, s_hi), from one call of fs on the 15 Kronrod nodes of each,
+    along a new trailing axis."""
     half = 0.5 * (np.asarray(s_hi) - s_lo)
     mid = 0.5 * (np.asarray(s_lo) + s_hi)
     f = np.asarray(fs(mid[..., None] + half[..., None] * _KRONROD_X))
@@ -225,6 +222,38 @@ def _bisect(fs, segs, vals, raws, spec: QuadSpec, s_floor: float):
     return total, err_total
 
 
+def _integrate(fs, lengths: np.ndarray, spec: QuadSpec, s_floor: float, params=None):
+    """int_0^L fs(s) ds for every L in the 1-d array lengths; returns arrays
+    (value, error_estimate).  One call of fs takes the initial meshes of all
+    lengths, length by length (a length's breakpoints that coincide, the
+    finest ones of a short enough length, are merged); then each length
+    that missed max(tolerance, rel_tolerance * |value|) is bisected alone.
+    With params (a float per length), fs(s, p) gets each node's parameter
+    in the first call and the length's float in its bisection."""
+    pts = _initial_mesh(lengths, spec)
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    kept = hi > lo
+    counts = kept.sum(axis=1)
+    args = () if params is None else (np.repeat(params, _KRONROD_X.size * counts),)
+    flat_vals, flat_raws = _segment_estimates(
+        lambda s: np.asarray(fs(s.ravel(), *args)).reshape(s.shape), lo[kept], hi[kept])
+    # a length's segments lead its row: zero padding adds nothing to the sums,
+    # and a lone segment keeps its raw error (_end_segment_error against 0)
+    slots = np.arange(kept.shape[1]) < counts[:, None]
+    vals, raws = np.zeros(slots.shape, flat_vals.dtype), np.zeros(slots.shape)
+    vals[slots], raws[slots] = flat_vals, flat_raws
+    _, total, err_total = _initial_sums(vals, raws)
+    # a superset of the misses (NaN counts as one): _bisect applies the
+    # exact stop rule
+    budget = np.maximum(spec.tolerance, spec.rel_tolerance * np.abs(total))
+    for j in np.flatnonzero(~(err_total <= budget)).tolist():
+        segs = list(zip(lo[j, kept[j]].tolist(), hi[j, kept[j]].tolist()))
+        fs_j = fs if params is None else (lambda s, p=float(np.ravel(params)[j]): fs(s, p))
+        total[j], err_total[j] = _bisect(fs_j, segs, vals[j, :counts[j]],
+                                         raws[j, :counts[j]], spec, s_floor)
+    return total, err_total
+
+
 def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
                      b: float = 1.0, *, f_dist=None):
     """Adaptive integral over (a, b) with nodes kept strictly interior.
@@ -237,7 +266,8 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     K15 gives a segment's value, and its difference from the 7-node Gauss
     rule on the embedded nodes the raw error estimate.  Segments are then
     bisected worst first, one call per half, until the summed error
-    estimate drops below max(tolerance, rel_tolerance * |value|).
+    estimate drops below max(tolerance, rel_tolerance * |value|).  This is
+    the one-length case of integrate_to_end.
 
     Integrands are supplied either as f(t) in the original coordinate or as
     f_dist(s) in the distance coordinate; the latter keeps full floating
@@ -253,57 +283,28 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
         raise ValueError("empty integration range")
     if f is None and f_dist is None:
         raise ValueError("need f or f_dist")
-
-    if f_dist is not None:
-        fs = f_dist
-    else:
-        def fs(s):
-            return f(b - s)
-
-    pts = sorted(set(_initial_mesh(b - a, spec).tolist()))
+    fs = f_dist if f_dist is not None else (lambda s: f(b - s))
     # below this scale, b - s is no longer distinguishable from b
     s_floor = 0.0 if f_dist is not None else 8.0 * np.finfo(float).eps * max(abs(b), 1.0)
-    segs = list(zip(pts[:-1], pts[1:]))
-    vals, raws = _segment_estimates(lambda s: np.asarray(fs(s.ravel())).reshape(s.shape),
-                                    np.array(pts[:-1]), np.array(pts[1:]))
-    return _bisect(fs, segs, vals, raws, spec, s_floor)
+    value, error = _integrate(fs, np.array([b - a], dtype=float), spec, s_floor)
+    return value[0], error[0]
 
 
-def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None):
+def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None, params=None):
     """int_0^L f_dist(s) ds for every L in an array of lengths, graded toward
-    s = 0.  Each L gives, bit for bit, what integrate_radial(f_dist=f_dist,
-    spec=spec, a=a, b=b) gives for b - a == L, but the initial meshes of
-    all lengths are evaluated in one pass.
-
-    f_dist must be elementwise: it receives every initial-mesh node at once,
-    in one array of shape (lengths, segments, 15), the K15 nodes of each
-    segment last.  Only lengths whose initial estimate misses
-    max(tolerance, rel_tolerance * |value|) go on to integrate_radial's
-    bisection, one at a time.  Returns arrays (value, error_estimate)
-    shaped like lengths.
+    s = 0; returns arrays (value, error_estimate) shaped like lengths.  Each
+    L gives, bit for bit, what integrate_radial(f_dist=f_dist, spec=spec,
+    a=a, b=b) gives for b - a == L, but one integrand call, on a flat 1-d
+    array, takes the initial meshes of all lengths.  params, if given,
+    holds a float per length (shaped like lengths), and the integrand is
+    f_dist(s, p) with p each node's parameter (see _integrate).
     """
     spec = spec or DEFAULT_SPEC
     lengths = np.asarray(lengths, dtype=float)
     if not np.all(lengths > 0.0):
         raise ValueError("empty integration range")
-    value, error = np.empty(lengths.shape), np.empty(lengths.shape)
-    pts = _initial_mesh(lengths, spec)
-    # a mesh whose breakpoints coincide would lose segments to
-    # integrate_radial's deduplication: those lengths go there whole
-    distinct = np.all(np.diff(pts, axis=-1) > 0.0, axis=-1)
-    for i in map(tuple, np.argwhere(~distinct)):
-        value[i], error[i] = integrate_radial(spec=spec, b=lengths[i], f_dist=f_dist)
-    pts = pts[distinct]
-    vals, raws = _segment_estimates(f_dist, pts[:, :-1], pts[:, 1:])
-    _, total, err_total = _initial_sums(vals, raws)
-    # a superset of the misses (NaN counts as one): _bisect applies the
-    # exact stop rule
-    budget = np.maximum(spec.tolerance, spec.rel_tolerance * np.abs(total))
-    for j in np.flatnonzero(~(err_total <= budget)):
-        segs = list(zip(pts[j, :-1], pts[j, 1:]))
-        total[j], err_total[j] = _bisect(f_dist, segs, vals[j], raws[j], spec, 0.0)
-    value[distinct], error[distinct] = total, err_total
-    return value, error
+    value, error = _integrate(f_dist, lengths.ravel(), spec, 0.0, params)
+    return value.reshape(lengths.shape), error.reshape(lengths.shape)
 
 
 def as_vectorized(f):

@@ -29,7 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import WeightDomainError
-from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_radial, integrate_to_end
+from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_to_end
+from .quadrature import integrate_radial  # noqa: F401  (a module attribute that tracing patches)
 from .utils import (DIVERGENCE_THRESHOLD, SLOPE_TOLERANCE, dyadic_radii,
                     last_quartile_log_slope)
 
@@ -250,10 +251,10 @@ def eval_weight(w: RadialWeight, r: float) -> float:
 def tail(w: RadialWeight, r, spec: QuadSpec | None = None):
     """Tail integral rhohat(r) = int_r^1 rho, by adaptive graded quadrature.
 
-    r is a radius or an array of radii.  A float gives a float; an array
-    gives an array of the same shape, whose initial meshes are evaluated in
-    one pass (quadrature.integrate_to_end), bit for bit the values of one
-    call per radius.
+    r is a radius or an array of radii: one quadrature.integrate_to_end
+    over the lengths 1 - r, so every radius gives, bit for bit, what it
+    gives alone.  A float gives a float; an array gives an array of the
+    same shape.
 
     Nonincreasing in r.  May underflow to exactly 0.0 for weights that decay
     faster than any power near the boundary; callers treat that as a flagged
@@ -263,11 +264,8 @@ def tail(w: RadialWeight, r, spec: QuadSpec | None = None):
     radii = np.asarray(r, dtype=float)
     if not np.all((0.0 <= radii) & (radii < 1.0)):
         raise WeightDomainError("radius outside [0, 1)")
-    if radii.ndim == 0:
-        value, _ = integrate_radial(spec=spec, a=r, b=1.0, f_dist=w.eval_at_one_minus)
-        return max(float(value), 0.0)
-    values, _ = integrate_to_end(w.eval_at_one_minus, 1.0 - radii, spec)
-    return np.maximum(values, 0.0)
+    values = np.maximum(integrate_to_end(w.eval_at_one_minus, 1.0 - radii, spec)[0], 0.0)
+    return float(values) if radii.ndim == 0 else values
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from bergman_lab import (AnalysisConfig, BallPoint, MomentTable, QuadratureError
                          rk_circle_mean, sphere_slice_average, tail,
                          theorem_check)
 from bergman_lab import analysis
-from bergman_lab.analysis import PROFILE_SPEC, _slice_weight_profile
+from bergman_lab.analysis import PROFILE_SPEC, _slice_integrand, _slice_weight_profiles
+from bergman_lab.quadrature import _KRONROD_X, _initial_mesh
 from bergman_lab.kernel import _values_many
 from bergman_lab.utils import dyadic_radii, last_quartile_log_slope
 from scipy.integrate import quad
@@ -142,7 +143,16 @@ class TestBoundednessFunctional:
         assert_allclose(a, slice_route, rtol=1e-6)
 
 
-def _per_node_functional(k, w, r, profile=_slice_weight_profile):
+def _per_node_profile(w, n, v, q):
+    """W(v) by one integrate_radial on the slice integrand at this v alone."""
+    if v >= 1.0:
+        return 0.0
+    integrand = _slice_integrand(w, n)
+    val, _ = integrate_radial(spec=q, a=v, b=1.0, f_dist=lambda u: integrand(u, v))
+    return v * val
+
+
+def _per_node_functional(k, w, r, profile=_per_node_profile):
     """The functional as one float circle mean per integrand node."""
     q = PROFILE_SPEC
     if k.n == 1:
@@ -165,6 +175,29 @@ def _per_node_functional(k, w, r, profile=_slice_weight_profile):
     return 4.0 * k.n * (k.n - 1) * (1.0 - r * r) * integrate_radial(f, q)[0]
 
 
+def _initial_nodes(spec):
+    """v = 1 - u at the K15 nodes of spec's initial mesh of (0, 1) in u."""
+    pts = _initial_mesh(1.0, spec)
+    mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * (pts[1:] - pts[:-1])
+    return (1.0 - (mid[:, None] + half[:, None] * _KRONROD_X)).ravel().tolist()
+
+
+class TestSliceWeightProfiles:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("key", ["std0", "std-0.9", "exp11"])
+    def test_batch_matches_one_quadrature_per_node(self, key, n):
+        """One W(v) batch gives, bit for bit, one integrate_radial per node
+        on the nodes of the functional's initial mesh."""
+        w = {"std0": RadialWeight.standard(0.0), "std-0.9": RadialWeight.standard(-0.9),
+             "exp11": RadialWeight.exponential(1.0, 1.0)}[key]
+        vs = _initial_nodes(PROFILE_SPEC)
+        assert len(vs) == 195
+        got = _slice_weight_profiles(w, n, vs, PROFILE_SPEC)
+        expected = [_per_node_profile(w, n, v, PROFILE_SPEC) for v in vs]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert max(got) > 0.0
+
+
 class TestFunctionalPerNode:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("key", ["std0", "exp11"])
@@ -181,32 +214,38 @@ class TestFunctionalPerNode:
     def test_failing_profile_after_earlier_means(self, weights, tables, monkeypatch):
         """W(v) failing at the sixth node raises its error after the circle
         means of the five nodes before it, which grow the table, as node by
-        node.  At n = 2 every missing W(v) is first tried in one batch; made
-        to fail too, it leaves the failure to the per-node route."""
-        def failing_at(count):
-            calls = []
-
-            def profile(*args):
-                calls.append(args)
-                if len(calls) == count:
-                    raise QuadratureError("W fails here")
-                return _slice_weight_profile(*args)
-            return profile
-
+        node, at n = 2 and 3.  The one W(v) batch holds that node and fails
+        too, which leaves the failure to W(v) node by node."""
+        batch = analysis._slice_weight_profiles
         r = 1.0 - 2.0 ** -10
-        outcomes = []
-        for run in ("loop", "array"):
-            k = build_coeffs(tables["std0"], 2, d_max=1 << 19)
-            if run == "loop":
-                call = lambda: _per_node_functional(k, weights["std0"], r, failing_at(6))
-            else:
-                monkeypatch.setattr(analysis, "_slice_weight_profile", failing_at(6))
-                monkeypatch.setattr(analysis, "_slice_weight_profiles_n2", failing_at(1))
-                call = lambda: boundedness_functional(k, weights["std0"], r)
-            with pytest.raises(QuadratureError, match="W fails here"):
-                call()
-            outcomes.append(k.built)
-        assert outcomes[0] == outcomes[1] > 257
+        for n in (2, 3):
+            seen, sizes = [], []
+
+            def failing_sixth(*args):
+                seen.append(args[2])
+                if len(seen) == 6:
+                    raise QuadratureError("W fails here")
+                return _per_node_profile(*args)
+
+            def failing_batch(w, n, vs, q):
+                sizes.append(len(vs))
+                if seen[5] in vs:
+                    raise QuadratureError("W fails here")
+                return batch(w, n, vs, q)
+
+            outcomes = []
+            for run in ("loop", "array"):
+                k = build_coeffs(tables["std0"], n, d_max=1 << 19)
+                if run == "loop":
+                    call = lambda: _per_node_functional(k, weights["std0"], r, failing_sixth)
+                else:
+                    monkeypatch.setattr(analysis, "_slice_weight_profiles", failing_batch)
+                    call = lambda: boundedness_functional(k, weights["std0"], r)
+                with pytest.raises(QuadratureError, match="W fails here"):
+                    call()
+                outcomes.append(k.built)
+            assert outcomes[0] == outcomes[1] > 257, n
+            assert sizes == [195] + [1] * 6, n
 
     @pytest.mark.parametrize("s", [0.5, 0.99])
     @pytest.mark.parametrize("key", ["std0", "exp11"])

@@ -137,16 +137,42 @@ class TestOneCallPerSegment:
         assert max(bisected) > 0
 
     def test_integrate_to_end(self):
-        """One call on every initial segment of every length, then one per
-        bisected half, as many as integrate_radial makes past its mesh."""
+        """One flat call on every initial segment of every length, length by
+        length, then one (15,) call per bisected half, as many as the
+        per-segment loop makes past its mesh."""
         segments = self.SPEC.initial_levels + 1
         fs, calls = _recording(self.f_dist)
         integrate_to_end(fs, self.LENGTHS, self.SPEC)
-        assert calls[0].shape == (self.LENGTHS.size, segments, 15)
+        assert calls[0].shape == (self.LENGTHS.size * segments * 15,)
         assert all(c.shape == (15,) for c in calls[1:])
-        assert len(set(_call_segments(calls[0]))) == self.LENGTHS.size * segments
-        bisected = sum(len(self._radial_calls(float(b))) - 1 for b in self.LENGTHS)
+        first = _call_segments(calls[0])
+        assert len(set(first)) == self.LENGTHS.size * segments
+        for i, length in enumerate(self.LENGTHS):  # length by length
+            block = first[i * segments:(i + 1) * segments]
+            assert math.isclose(sum(2.0 * half for _, half in block), length, rel_tol=1e-12)
+        bisected = 0
+        for length in self.LENGTHS:
+            loop, loop_calls = _recording(self.f_dist)
+            _per_segment_radial(f_dist=loop, spec=self.SPEC, b=float(length))
+            bisected += len(loop_calls) - segments
         assert len(calls) - 1 == bisected > 0
+
+    def test_integrate_to_end_params(self):
+        """With params the first call carries each node's parameter beside
+        it, and each bisected half its length's float."""
+        lengths, params = self.LENGTHS, np.array([3.0, 5.0, 7.0])
+        calls = []
+
+        def f(s, p):
+            calls.append((np.array(s), p if isinstance(p, float) else np.array(p)))
+            return p * (1.0 + np.cos(40.0 * s))
+
+        integrate_to_end(f, lengths, self.SPEC, params)
+        s0, p0 = calls[0]
+        assert p0.shape == s0.shape == (lengths.size * (self.SPEC.initial_levels + 1) * 15,)
+        assert np.array_equal(p0, np.repeat(params, p0.size // lengths.size))
+        assert len(calls) > 1
+        assert all(s.shape == (15,) and type(p) is float and p in params for s, p in calls[1:])
 
 
 def _per_segment_radial(f=None, spec=None, a=0.0, b=1.0, f_dist=None):
@@ -210,8 +236,10 @@ class TestOneCallInitialPass:
 
 class TestIntegrateToEnd:
     def test_matches_integrate_radial_per_length(self):
-        """Each length gives integrate_radial's (value, error) bit for bit,
-        in the shape of the lengths, whether or not bisection runs."""
+        """Each length gives the (value, error) of the per-segment loop
+        (the integrate_radial of one integrand call per initial segment) bit
+        for bit, in the shape of the lengths, whether or not bisection runs;
+        so does integrate_radial, the one-length case."""
         spec = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
         # the two short lengths meet the budget on the initial mesh, the
         # other four are bisected
@@ -220,10 +248,34 @@ class TestIntegrateToEnd:
         value, err = integrate_to_end(f_dist, lengths, spec)
         assert value.shape == err.shape == lengths.shape
         for i in np.ndindex(lengths.shape):
-            v, e = integrate_radial(f_dist=f_dist, spec=spec, b=float(lengths[i]))
+            v, e = _per_segment_radial(f_dist=f_dist, spec=spec, b=float(lengths[i]))
             assert (value[i], err[i]) == (v, e)
-        v, e = integrate_radial(f_dist=f_dist, spec=spec, b=0.5)
+            assert integrate_radial(f_dist=f_dist, spec=spec, b=float(lengths[i])) == (v, e)
+        v, e = _per_segment_radial(f_dist=f_dist, spec=spec, b=0.5)
         assert integrate_to_end(f_dist, 0.5, spec) == (v, e)
+
+    def test_params_match_per_length(self):
+        """A parameter per length gives what that length gives alone with
+        the parameter bound in."""
+        spec = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
+        f = lambda s, p: (1.0 - (p / (1.0 - s)) ** 2) ** 2 * np.cos(9.0 * s)
+        params = np.array([0.1, 0.5, 0.9, 0.99])
+        value, err = integrate_to_end(f, 1.0 - params, spec, params)
+        for i, p in enumerate(params.tolist()):
+            got = _per_segment_radial(f_dist=lambda s: f(s, p), spec=spec, b=1.0 - p)
+            assert (value[i], err[i]) == got
+
+    def test_coinciding_breakpoints_merge_per_length(self):
+        """A grading of 2^100 sends the finest breakpoints below the double
+        range, more of them the shorter the length; each length merges its
+        own and matches the per-segment loop, which merges them too."""
+        spec = QuadSpec(grading=2.0 ** 100, initial_levels=11)
+        f_dist = lambda s: s ** -0.5
+        lengths = np.array([1.0, 2.0 ** -100, 2.0 ** -300, 1e-3])
+        value, err = integrate_to_end(f_dist, lengths, spec)
+        for i, length in enumerate(lengths.tolist()):
+            assert (value[i], err[i]) == _per_segment_radial(f_dist=f_dist, spec=spec, b=length)
+        assert np.all(np.isfinite(value))
 
     def test_empty_range(self):
         with pytest.raises(ValueError):

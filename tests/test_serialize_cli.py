@@ -402,9 +402,11 @@ class TestCliBadInput:
         (["hl-check", "--trials", "-3"], None),
         (["pr-check", "--n", "1"], None),
         (["project", "--n", "2", "--dmax", "4"], {"kind": "monomial", "multi_index": [3, 3]}),
+        (["theorem", "--n", "abc"], None),
+        (["theorem", "--format", "xml"], None),
     ], ids=["multi-index-length", "negative-multi-index", "dmax-zero", "threads-zero",
             "tol-nan", "tol-inf", "seed-negative", "trials-negative", "pr-check-n-one",
-            "degree-past-dmax"])
+            "degree-past-dmax", "n-not-an-int", "format-xml"])
     def test_error_line_and_exit_one(self, weight_file, tmp_path, extra, symbol):
         args = [*extra, "--weight", str(weight_file), "--kmax", "2"]
         if symbol is not None:
@@ -415,6 +417,18 @@ class TestCliBadInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_missing_weight(self, tmp_path):
+        """argparse's own errors take the same route: one error: line, exit
+        status 1 (2 is INCONCLUSIVE), no usage block."""
+        proc = _run_cli(["theorem", "--kmax", "2"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: the following arguments are required: --weight\n"
+
+    def test_help_exits_zero(self, tmp_path):
+        proc = _run_cli(["--help"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: bergman-lab") and proc.stderr == ""
 
     @pytest.mark.parametrize("descriptor", [
         '{"kind": "standard", "alpha": NaN}',

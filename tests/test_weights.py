@@ -265,8 +265,8 @@ class TestTailArray:
 
     def test_coinciding_breakpoints_fall_back(self):
         """A grading of 2^100 sends the finest breakpoint below the double
-        range, where it coincides with 0; integrate_radial drops it, so those
-        radii take the per-point route whole (a zero-length segment would
+        range, where it coincides with 0; each radius merges it within the
+        batched pass, as one radius alone does (a zero-length segment would
         evaluate the singular weight at s = 0 and give NaN)."""
         w = RadialWeight.standard(-0.5)
         spec = QuadSpec(grading=2.0 ** 100, initial_levels=11)

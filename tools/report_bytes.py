@@ -6,8 +6,9 @@ Runs a fixed set of reports in both checkouts, each as
 `PYTHONPATH=<checkout>/src python3 -m bergman_lab.cli ... --out FILE`, from
 weight and symbol descriptors it writes to a temporary directory:
 
-    theorem   std0 and exp11 at --threads 1 and 2, std0 at --n 3, and exp11
-              and standard(-0.9) at --kmax 8 --dmax 4096
+    theorem   std0 and exp11 at --threads 1 and 2, std0 at --n 3, exp11
+              and standard(-0.9) at --kmax 8 --dmax 4096, and at those
+              flags exp11 at --n 3 and std2 at --n 4
     pr-check  std0 and exp11
     kernel    std0, exp11 and standard(-0.9), and exp11 with no label, whose
               report carries the default label exponential(c=1,beta=1)
@@ -75,6 +76,10 @@ REPORTS = [
     *[(f"theorem {w} --threads {t}", w, None, ["theorem", "--threads", str(t)])
       for w in ("std0", "exp11") for t in (1, 2)],
     ("theorem std0 --n 3", "std0", None, ["theorem", "--n", "3"]),
+    ("theorem exp11 --n 3 --kmax 8 --dmax 4096", "exp11", None,
+     ["theorem", "--n", "3", "--kmax", "8", "--dmax", "4096"]),
+    ("theorem std2 --n 4 --kmax 8 --dmax 4096", "std2", None,
+     ["theorem", "--n", "4", "--kmax", "8", "--dmax", "4096"]),
     *[(f"theorem {w} --kmax 8 --dmax 4096", w, None,
        ["theorem", "--kmax", "8", "--dmax", "4096"]) for w in ("exp11", "std-0.9")],
     *[(f"{c} {w}", w, None, [c]) for c in ("pr-check", "kernel") for w in ("std0", "exp11")],
