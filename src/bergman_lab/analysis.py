@@ -19,9 +19,9 @@ sit below M, so a divergent Cesaro profile witnesses unboundedness, and
 bounded Cesaro means force the moment-doubling ratios rho_{4N}/rho_{6N} to
 stay bounded.
 
-Divergence is always judged by last-quartile log-slopes on the natural
-scale of each quantity (log 1/(1-r) for radial profiles, sqrt(N) for Cesaro
-means), never by absolute thresholds alone.
+Divergence is always judged by utils.series_trend on the natural scale of
+each quantity (log 1/(1-r) for radial profiles, sqrt(N) for Cesaro means),
+never by absolute thresholds alone.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .errors import NumericRangeError, QuadratureError, TruncationError
 from .kernel import KernelCoeffs, build_coeffs, rk_circle_mean
 from .quadrature import (QuadSpec, DEFAULT_SPEC, angular_mean, integrate_radial,
                          integrate_to_end)
-from .utils import (SLOPE_TOLERANCE, dyadic_radii, geometric_ints,
-                    last_quartile_log_slope)
+from .utils import Trend, dyadic_radii, geometric_ints, series_trend
 from .weights import (DiagnosticsReport, MomentTable, RadialWeight,
                       VERDICT_IN, VERDICT_OUT, is_dhat_moments, is_dhat_tail,
                       tail)
@@ -457,6 +456,34 @@ def _sweep(fn, params, notes, label, threads=1):
             if v is not None]
 
 
+def _conclusion(verdicts: tuple[str, str], func: Trend, ces: Trend):
+    """(conclusion, note or None) from the tail-halving and moment-doubling
+    verdicts and the trends of the functional and Cesaro profiles."""
+    if VERDICT_IN in verdicts and VERDICT_OUT in verdicts:
+        return INCONSISTENT, "tail-halving and moment-doubling verdicts disagree"
+    if verdicts == (VERDICT_IN, VERDICT_IN):
+        if func.trend == "short":
+            return INCONCLUSIVE, "class weight but functional profile too short"
+        if func.trend in ("flat", "falling"):
+            return CONSISTENT_BOUNDED, None
+        if func.slope > FUNCTIONAL_CONTRADICTION_SLOPE:
+            return INCONSISTENT, "class weight but functional profile diverges"
+        # class-weight profiles still rise at shallow grid depths (slopes up
+        # to ~1.3 at k <= 4); only far larger slopes are evidence against
+        # boundedness rather than of truncation
+        return INCONCLUSIVE, ("functional profile still rising at this depth; "
+                              "deepen the radial grid")
+    if verdicts == (VERDICT_OUT, VERDICT_OUT):
+        if ces.trend == "short":
+            return INCONCLUSIVE, "non-class weight but Cesaro profile too short"
+        if ces.trend == "rising":
+            return CONSISTENT_UNBOUNDED, None
+        if ces.trend == "undefined":
+            return INCONCLUSIVE, "non-class weight but Cesaro profile overflowed"
+        return INCONSISTENT, "non-class weight but Cesaro profile stays bounded"
+    return INCONCLUSIVE, None
+
+
 def theorem_check(w: RadialWeight, n: int, config: AnalysisConfig | None = None,
                   table: MomentTable | None = None) -> TheoremReport:
     """Run the full two-sided diagnostic for one weight in dimension n.
@@ -484,51 +511,15 @@ def theorem_check(w: RadialWeight, n: int, config: AnalysisConfig | None = None,
                  radii, notes, "majorant", config.threads)
     cesaro = _cesaro_profile(table, n, geometric_ints(*config.cesaro_exponents))
 
-    aux: dict = {}
-    func_slope = None
-    if len(functional) >= 3:
-        rs = np.array([p for p, _ in functional])
-        ms = np.array([v for _, v in functional])
-        func_slope = last_quartile_log_slope(np.log(1.0 / (1.0 - rs)), ms)
-        aux["functional_slope"] = func_slope
-    ces_slope = None
-    if len(cesaro) >= 3:
-        ns_arr = np.array([p for p, _ in cesaro], dtype=float)
-        cs = np.array([v for _, v in cesaro])
-        ces_slope = last_quartile_log_slope(np.sqrt(ns_arr), cs)
-        aux["cesaro_slope"] = ces_slope
-
-    verdicts = (dhat_tail_rep.verdict, dhat_mom_rep.verdict)
-    if VERDICT_IN in verdicts and VERDICT_OUT in verdicts:
-        conclusion = INCONSISTENT
-        notes.append("tail-halving and moment-doubling verdicts disagree")
-    elif verdicts == (VERDICT_IN, VERDICT_IN):
-        if func_slope is None:
-            conclusion = INCONCLUSIVE
-            notes.append("class weight but functional profile too short")
-        elif func_slope <= SLOPE_TOLERANCE:
-            conclusion = CONSISTENT_BOUNDED
-        elif func_slope > FUNCTIONAL_CONTRADICTION_SLOPE:
-            conclusion = INCONSISTENT
-            notes.append("class weight but functional profile diverges")
-        else:
-            # class-weight profiles still rise at shallow grid depths
-            # (slopes up to ~1.3 at k <= 4); only far larger slopes are
-            # evidence against boundedness rather than of truncation
-            conclusion = INCONCLUSIVE
-            notes.append("functional profile still rising at this depth; "
-                         "deepen the radial grid")
-    elif verdicts == (VERDICT_OUT, VERDICT_OUT):
-        if ces_slope is None:
-            conclusion = INCONCLUSIVE
-            notes.append("non-class weight but Cesaro profile too short")
-        elif ces_slope > SLOPE_TOLERANCE:
-            conclusion = CONSISTENT_UNBOUNDED
-        else:
-            conclusion = INCONSISTENT
-            notes.append("non-class weight but Cesaro profile stays bounded")
-    else:
-        conclusion = INCONCLUSIVE
+    rs, ms = np.array(functional, dtype=float).reshape(-1, 2).T
+    func = series_trend(np.log(1.0 / (1.0 - rs)), ms)
+    ns_arr, cs = np.array(cesaro, dtype=float).reshape(-1, 2).T
+    ces = series_trend(np.sqrt(ns_arr), cs)
+    aux = {name: t.slope for name, t in (("functional_slope", func), ("cesaro_slope", ces))
+           if t.trend != "short"}
+    conclusion, note = _conclusion((dhat_tail_rep.verdict, dhat_mom_rep.verdict), func, ces)
+    if note:
+        notes.append(note)
 
     return TheoremReport(
         weight_label=w.label,

@@ -1,11 +1,13 @@
-"""Grid construction and slope diagnostics shared by weights and analysis."""
+"""Grid construction and the trend classifier shared by weights and analysis."""
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-#: |log-slope| below which a ratio sequence counts as bounded, above which
-#: (over the last quartile of a geometric grid) it counts as divergent.
+#: Half-width of the "flat" band of last-quartile log-slopes (series_trend).
 SLOPE_TOLERANCE = 0.05
 
 #: Default cap on evidence ratios for a bounded verdict.
@@ -29,8 +31,8 @@ def last_quartile_slice(m: int) -> slice:
     return slice(max(0, m - q), m)
 
 
-def log_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log(y) against x over all points.
+def last_quartile_log_slope(x, y) -> float:
+    """Least-squares slope of log(y) against x over the last quartile of the grid.
 
     y must be strictly positive; x is already on the scale of interest
     (log(1/(1-r)), log n, or sqrt(N) depending on the diagnostic).  An
@@ -38,19 +40,34 @@ def log_slope(x: np.ndarray, y: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two points for a slope")
-    ly = np.log(y)
-    xm = x - x.mean()
+    if x.size < 3:
+        raise ValueError("need at least three points for a quartile slope")
+    sl = last_quartile_slice(x.size)
+    ly = np.log(y[sl])
+    xm = x[sl] - x[sl].mean()
     with np.errstate(invalid="ignore"):  # y = inf: inf - inf, a NaN slope
         return float(np.dot(xm, ly - ly.mean()) / np.dot(xm, xm))
 
 
-def last_quartile_log_slope(x, y) -> float:
-    """log_slope restricted to the last quartile of the grid."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise ValueError("need at least three points for a quartile slope")
-    sl = last_quartile_slice(x.size)
-    return log_slope(x[sl], y[sl])
+class Trend(NamedTuple):
+    """A series' last-quartile log-slope (NaN when short) and its trend."""
+
+    slope: float
+    trend: str  # short, undefined, falling, flat or rising
+
+
+def series_trend(scale, values) -> Trend:
+    """The trend of values against scale, by their last-quartile log-slope.
+
+    short: fewer than 3 points; undefined: a NaN slope (an infinite value);
+    falling, flat or rising: a slope below, within (edges included) or
+    above +-SLOPE_TOLERANCE.  Every verdict on an evidence series reads it.
+    """
+    if np.size(values) < 3:
+        return Trend(math.nan, "short")
+    slope = last_quartile_log_slope(scale, values)
+    if math.isnan(slope):
+        return Trend(slope, "undefined")
+    if slope < -SLOPE_TOLERANCE:
+        return Trend(slope, "falling")
+    return Trend(slope, "rising" if slope > SLOPE_TOLERANCE else "flat")

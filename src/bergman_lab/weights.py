@@ -12,10 +12,9 @@ power-envelope beta condition, moment-vs-tail comparability, and moment
 doubling rho_n <= C rho_{2n}), plus the stricter regularity condition
 rhohat(r) comparable to (1-r) rho(r).
 
-Verdicts are never decided from a single threshold: a ratio sequence counts
-as divergent only when its last-quartile log-slope on the natural geometric
-scale exceeds SLOPE_TOLERANCE, and as bounded when the slope is small and
-the ratios stay under the divergence threshold.  Everything else is
+Verdicts are never decided from a single threshold: each ratio sequence
+is classified by utils.series_trend on its natural geometric scale, and a
+verdict needs both that trend and the ratios' cap.  Everything else is
 INCONCLUSIVE.
 """
 
@@ -31,8 +30,7 @@ import numpy as np
 from .errors import WeightDomainError
 from .quadrature import QuadSpec, DEFAULT_SPEC, integrate_to_end
 from .quadrature import integrate_radial  # noqa: F401  (a module attribute that tracing patches)
-from .utils import (DIVERGENCE_THRESHOLD, SLOPE_TOLERANCE, dyadic_radii,
-                    last_quartile_log_slope)
+from .utils import DIVERGENCE_THRESHOLD, dyadic_radii, series_trend
 
 __all__ = [
     "RadialWeight",
@@ -564,35 +562,45 @@ class DiagnosticsReport:
         }
 
 
-def _ratio_verdict(params, ratios, scale, threshold, criterion_id, notes, aux=None):
-    """Shared bounded/divergent/inconclusive logic for ratio sequences.
-
-    scale is the abscissa the log-slope is measured against (log(1/(1-r)),
-    log n, ...).  Bounded needs a small last-quartile slope and ratios under
-    the threshold; divergent needs a clearly positive slope and ratios
-    beyond the threshold.
-    """
-    params = np.asarray(params, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
+def _ratio_verdict(params, ratios, scale, criterion_id, notes, rule, bound, aux=None):
+    """Report on the float arrays params and ratios, whose trend is taken
+    against scale (log(1/(1-r)), log n, ...).  Fewer than 3 points are
+    INCONCLUSIVE; otherwise rule(trend, ratios, bound, aux) gives the
+    verdict and a note for INCONCLUSIVE, and may add fields to aux."""
     evidence = list(zip(params.tolist(), ratios.tolist()))
-    if ratios.size < 3:
+    trend = series_trend(scale, ratios)
+    if trend.trend == "short":
         notes.append("fewer than 3 valid evidence points")
         return DiagnosticsReport(VERDICT_UNDECIDED, math.nan, evidence,
                                  criterion_id, notes, aux or {})
-    slope = last_quartile_log_slope(scale, ratios)
-    max_ratio = float(ratios.max())
-    aux = dict(aux or {})
-    aux["last_quartile_slope"] = slope
-    if slope <= SLOPE_TOLERANCE and max_ratio < threshold:
-        return DiagnosticsReport(VERDICT_IN, max_ratio, evidence,
-                                 criterion_id, notes, aux)
-    if slope > SLOPE_TOLERANCE and max_ratio >= threshold:
-        return DiagnosticsReport(VERDICT_OUT, max_ratio, evidence,
-                                 criterion_id, notes, aux)
-    notes.append(f"slope {slope:.3g} and max ratio {max_ratio:.3g} do not "
-                 "jointly certify either verdict")
-    return DiagnosticsReport(VERDICT_UNDECIDED, max_ratio, evidence,
+    aux = {**(aux or {}), "last_quartile_slope": trend.slope}
+    verdict, note = rule(trend, ratios, bound, aux)
+    if note:
+        notes.append(note)
+    return DiagnosticsReport(verdict, float(ratios.max()), evidence,
                              criterion_id, notes, aux)
+
+
+def _doubling_rule(trend, ratios, threshold, aux):
+    """IN: flat or falling, every ratio under threshold.  OUT: rising, the
+    largest ratio at or past it."""
+    top = float(ratios.max())
+    if trend.trend in ("flat", "falling") and top < threshold:
+        return VERDICT_IN, None
+    if trend.trend == "rising" and top >= threshold:
+        return VERDICT_OUT, None
+    return VERDICT_UNDECIDED, (f"slope {trend.slope:.3g} and max ratio {top:.3g} "
+                               "do not jointly certify either verdict")
+
+
+def _regular_rule(trend, ratios, window_bound, aux):
+    """IN: flat, max/min spread under window_bound.  OUT: rising or falling."""
+    aux["spread"] = spread = float(ratios.max() / ratios.min())
+    if trend.trend == "flat" and spread < window_bound:
+        return VERDICT_IN, None
+    if trend.trend in ("rising", "falling"):
+        return VERDICT_OUT, None
+    return VERDICT_UNDECIDED, "bounded slope but spread beyond window"
 
 
 def _extrapolation_note(w: RadialWeight, notes: list[str]):
@@ -616,8 +624,8 @@ def is_dhat_tail(w: RadialWeight, radii=None, threshold: float = DIVERGENCE_THRE
     notes = [f"r={r:.10g}: halved tail underflowed, point excluded" for r in radii[~ok]]
     _extrapolation_note(w, notes)
     scale = np.log(1.0 / (1.0 - radii[ok]))
-    return _ratio_verdict(radii[ok], ratios[ok], scale, threshold, "dhat-tail-halving",
-                          notes)
+    return _ratio_verdict(radii[ok], ratios[ok], scale, "dhat-tail-halving", notes,
+                          _doubling_rule, threshold)
 
 
 def is_dhat_moments(t: MomentTable, n_max: int = 4096,
@@ -646,8 +654,9 @@ def is_dhat_moments(t: MomentTable, n_max: int = 4096,
     if c0 is None:
         notes.append("head ratio: tail at 1/2 underflowed, reported as null")
     _extrapolation_note(t.weight, notes)
-    return _ratio_verdict(ns[finite], ratios[finite], np.log(ns[finite]), threshold,
-                          "dhat-moment-doubling", notes, {"c0_head_ratio": c0})
+    return _ratio_verdict(ns[finite], ratios[finite], np.log(ns[finite]),
+                          "dhat-moment-doubling", notes, _doubling_rule, threshold,
+                          {"c0_head_ratio": c0})
 
 
 def dhat_beta_estimate(w: RadialWeight, radii=None, beta_grid=None,
@@ -704,24 +713,5 @@ def is_regular(w: RadialWeight, radii=None,
     ok = (den > 0.0) & (num > 0.0)
     notes = [f"r={r:.10g}: underflow, point excluded" for r in radii[~ok]]
     _extrapolation_note(w, notes)
-    params = radii[ok].tolist()
-    ratios = (num[ok] / den[ok]).tolist()
-    evidence = list(zip(params, ratios))
-    if len(ratios) < 3:
-        notes.append("fewer than 3 valid evidence points")
-        return DiagnosticsReport(VERDICT_UNDECIDED, math.nan, evidence,
-                                 "regular-tail-density", notes)
-    arr = np.asarray(ratios)
-    scale = np.log(1.0 / (1.0 - np.asarray(params)))
-    slope = last_quartile_log_slope(scale, arr)
-    spread = float(arr.max() / arr.min())
-    aux = {"last_quartile_slope": slope, "spread": spread}
-    if abs(slope) <= SLOPE_TOLERANCE and spread < window_bound:
-        return DiagnosticsReport(VERDICT_IN, float(arr.max()), evidence,
-                                 "regular-tail-density", notes, aux)
-    if abs(slope) > SLOPE_TOLERANCE:
-        return DiagnosticsReport(VERDICT_OUT, float(arr.max()), evidence,
-                                 "regular-tail-density", notes, aux)
-    notes.append("bounded slope but spread beyond window")
-    return DiagnosticsReport(VERDICT_UNDECIDED, float(arr.max()), evidence,
-                             "regular-tail-density", notes, aux)
+    return _ratio_verdict(radii[ok], num[ok] / den[ok], np.log(1.0 / (1.0 - radii[ok])),
+                          "regular-tail-density", notes, _regular_rule, window_bound)

@@ -8,12 +8,17 @@ weight and symbol descriptors it writes to a temporary directory:
 
     theorem   std0 and exp11 at --threads 1 and 2, std0 at --n 3, exp11
               and standard(-0.9) at --kmax 8 --dmax 4096, and at those
-              flags exp11 at --n 3 and std2 at --n 4
+              flags exp11 at --n 3, std2 at --n 4, exp(c=1000, beta=1)
+              (a short tail-halving series, an overflowed Cesaro profile)
+              and exp(c=1, beta=0.5) (NOT_IN_CLASS beside INCONCLUSIVE)
     pr-check  std0 and exp11
     kernel    std0, exp11 and standard(-0.9), and exp11 with no label, whose
               report carries the default label exponential(c=1,beta=1)
-    diagnose  std0, std2, log0, exp11, a tabulated 1 - r^2 and standard(-0.9),
-              which keeps more than half of its rho_1 past the moment grid's end
+    diagnose  std0, std2, log0, exp11, a tabulated 1 - r^2, standard(-0.9),
+              which keeps more than half of its rho_1 past the moment grid's
+              end, exp(c=1000, beta=1) (short tail-halving and regularity
+              series) and exp(c=1, beta=0.5) (undecided moment doubling,
+              regularity OUT on a falling slope)
     project   the monomial w1^2 w2, and a 9 x 9 x 16 polar-grid symbol of
               1 + Re(lam)/2 at --kmax 4
 
@@ -50,6 +55,8 @@ WEIGHTS = {
     "log0": {"kind": "logarithmic", "gamma": 0.0, "label": "log0"},
     "exp11": {"kind": "exponential", "c": 1.0, "beta": 1.0, "label": "exp11"},
     "exp11-unlabelled": {"kind": "exponential", "c": 1.0, "beta": 1.0},
+    "exp1000": {"kind": "exponential", "c": 1000.0, "beta": 1.0, "label": "exp1000"},
+    "exp1-0.5": {"kind": "exponential", "c": 1.0, "beta": 0.5, "label": "exp1-0.5"},
     "tab": {"kind": "tabulated", "label": "tabulated 1 - r^2",
             "samples": [[r, 1.0 - r * r] for r in _TABULATED_R]},
 }
@@ -81,12 +88,13 @@ REPORTS = [
     ("theorem std2 --n 4 --kmax 8 --dmax 4096", "std2", None,
      ["theorem", "--n", "4", "--kmax", "8", "--dmax", "4096"]),
     *[(f"theorem {w} --kmax 8 --dmax 4096", w, None,
-       ["theorem", "--kmax", "8", "--dmax", "4096"]) for w in ("exp11", "std-0.9")],
+       ["theorem", "--kmax", "8", "--dmax", "4096"])
+      for w in ("exp11", "std-0.9", "exp1000", "exp1-0.5")],
     *[(f"{c} {w}", w, None, [c]) for c in ("pr-check", "kernel") for w in ("std0", "exp11")],
     ("kernel std-0.9", "std-0.9", None, ["kernel"]),
     ("kernel exp11 unlabelled", "exp11-unlabelled", None, ["kernel"]),
     *[(f"diagnose {w}", w, None, ["diagnose"])
-      for w in ("std0", "std2", "log0", "exp11", "tab", "std-0.9")],
+      for w in ("std0", "std2", "log0", "exp11", "tab", "std-0.9", "exp1000", "exp1-0.5")],
     ("project monomial w1^2 w2", "std0", "monomial", ["project"]),
     ("project polar grid --kmax 4", "std0", "grid", ["project", "--kmax", "4"]),
 ]
