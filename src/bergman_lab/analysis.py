@@ -73,6 +73,10 @@ PROFILE_SPEC = QuadSpec(tolerance=1.0e-8, rel_tolerance=1.0e-6)
 #: 25, unsaturated class weights below ~1.3 even at shallow depths).
 FUNCTIONAL_CONTRADICTION_SLOPE = 2.0
 
+#: Relative tolerance of the circle means of |R K| in the functional M(r)
+#: and the disk estimate
+CIRCLE_MEAN_TOL = 1.0e-7
+
 #: v -> W(v) shared by the radii of one functional sweep (same weight, n and
 #: rule); unset, each boundedness_functional call fills a dict of its own
 _SLICE_PROFILES: ContextVar[dict | None] = ContextVar("slice_profiles", default=None)
@@ -153,14 +157,13 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     if r == 0.0:
         return 0.0
     n = k.n
-    a_tol = 1.0e-7
 
     # integrands in the distance u = 1 - s (or 1 - v) from the rim, so each
     # call takes every node of the initial mesh in one rk_circle_mean call
     if n == 1:
         def f_dist(u):
             s = 1.0 - u
-            return 2.0 * s * w.eval_at_one_minus(u) * rk_circle_mean(k, r * s, a_tol)
+            return 2.0 * s * w.eval_at_one_minus(u) * rk_circle_mean(k, r * s, CIRCLE_MEAN_TOL)
 
         val, _ = integrate_to_end(f_dist, 1.0, q)
         return (1.0 - r * r) * val[()]
@@ -181,11 +184,11 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
                 try:
                     w_cache[vi], = _slice_weight_profiles(w, n, [vi], q)
                 except Exception:
-                    rk_circle_mean(k, r * v[:nodes.index(vi)], a_tol)
+                    rk_circle_mean(k, r * v[:nodes.index(vi)], CIRCLE_MEAN_TOL)
                     raise
             raise
         profile = np.array([w_cache.get(vi, 0.0) for vi in nodes])  # W(v) = 0 for v >= 1
-        return rk_circle_mean(k, r * v, a_tol) * profile
+        return rk_circle_mean(k, r * v, CIRCLE_MEAN_TOL) * profile
 
     val, _ = integrate_to_end(f_dist, 1.0, q)
     return 4.0 * n * (n - 1) * (1.0 - r * r) * val[()]
@@ -255,7 +258,7 @@ def pr_estimate_check(k: KernelCoeffs, w: RadialWeight, s: float,
         # at u = 1 - dist
         u = 1.0 - dist
         xi = s * u
-        mean_g = np.divide(gfac * rk_circle_mean(k, xi, 1.0e-7), xi,
+        mean_g = np.divide(gfac * rk_circle_mean(k, xi, CIRCLE_MEAN_TOL), xi,
                            out=np.zeros(xi.shape), where=xi > 0)
         return u * (1.0 - u * u) ** (n - 2) * mean_g
 

@@ -36,13 +36,15 @@ not depend on how far the table has grown.  Each published table
 carries its steps, and a table whose steps rise anywhere is refused.
 
 Rows (one |t| each) are certified together, one snapshot of the table
-for all, by array passes that also yield their terms: numpy searches over
-all rows at once find where each ratio first falls below e^_DECAY and a
-degree D_hi that certifies against a lower bound on S_D; each block of
-rows forms its terms through D_hi in one buffer, and D is where the tail
-bound crosses tol times their sum (S_D lies within the tail bound of
-it), confirmed against the exact partial sum, in math wherever numpy's
-rounding could decide.  One |t| is a block of one row.
+for all, by numpy array passes that also yield their terms: searches over
+all rows at once find d0, where each ratio first falls below e^_DECAY,
+and a degree D_hi where the rule holds against a lower bound on S_D with
+room for the rounding of the sums; each block of rows forms its terms
+through D_hi in one buffer, scaled by the largest through d0, and D is
+the first degree, from where the tail bound crosses tol times their sum
+(S_D lies within the tail bound of it), at which the rule holds against
+the partial sum S_D.  A row with D_hi below the last degree therefore
+always certifies.  One |t| is a block of one row.
 
 One point and arrays of points alike take their powers by the recursion
 x^d = x^{d-1} x (one point's terms are summed exactly rounded, by
@@ -237,11 +239,10 @@ def _log_term(table: _Table, log_t, m: int, D):
     return value + table.log_d[D] if m else value
 
 
-def _tail(table: _Table, log_t, m: int, D, log=math.log, expm1=math.expm1):
-    """log(term_D q_D / (1 - q_D)), q_D = e^rho_D, the tail bound past D, in
-    math, or with numpy's log and expm1 (which may differ by an ulp)."""
+def _tail(table: _Table, log_t, m: int, D):
+    """log(term_D q_D / (1 - q_D)), q_D = e^rho_D, the tail bound past D."""
     r = _rho(table, log_t, m, D)
-    return _log_term(table, log_t, m, D) + r - log(-expm1(r))
+    return _log_term(table, log_t, m, D) + r - np.log(-np.expm1(r))
 
 
 def _first_true(pred, lo: np.ndarray, hi: np.ndarray, budget: int = _SEARCH_ELEMENTS):
@@ -263,31 +264,34 @@ def _first_true(pred, lo: np.ndarray, hi: np.ndarray, budget: int = _SEARCH_ELEM
 
 def _bracket(table: _Table, log_t: np.ndarray, m: int, log_tol: float):
     """(d0, hi) for the rows log_t (log|t| per row), stopping before the
-    first row that the table surely cannot certify.  d0 is
-    the first degree whose ratio is below e^_DECAY: + and < round alike in
-    numpy and math, so d0 is exact.  hi is the first degree where the rule
-    surely holds, else the last degree with a step.  Past d0 the ratios up
-    to D are at least q_D, so S_D >= term_d0 (1 - q_D^(D-d0+1)) / (1 - q_D).
-    No term before d0 exceeds term_d0 e^(1e-12 d0), so S_last <= (last + 1)
-    term_d0 e^(1e-12 last), with slack for rounding.  hi only bounds the
-    terms a pass forms: D never depends on it (see _pass)."""
+    first row that the table surely cannot certify.  d0 is the first degree
+    whose ratio is below e^_DECAY, past which the terms fall: + and < round
+    alike in numpy and math, so d0 is exact.  hi is the first degree where
+    the rule surely holds, else the last degree with a step.  Past d0 the
+    ratios up to D are at least q_D, so S_D >= term_d0 (1 - q_D^(D-d0+1)) /
+    (1 - q_D); "surely" leaves 1e-9 (1 + |line|), line = log tol + log
+    term_d0, of room for the rounding of the sums that _pass forms, so
+    _pass certifies every row with hi < last.  No term before d0 exceeds term_d0 e^(1e-12 d0), so S_last <=
+    (last + 1) term_d0 e^(1e-12 last), with slack for rounding.  hi only
+    bounds the terms a pass forms: D never depends on it (see _pass)."""
     last = table.log_c.size - 2
     log_t = log_t[:np.append(_rho(table, log_t, m, last) < _DECAY, False).argmin()]
     t, n = log_t[:, None], log_t.size
     d0 = _first_true(lambda D: _rho(table, t, m, D) < _DECAY, np.full(n, m - 1),
                      np.full(n, last))
     line = log_tol + _log_term(table, log_t, m, d0)
+    sure_line = (line - 1.0e-9 * (1.0 + np.abs(line)))[:, None]
 
     def sure(D):
         r = _rho(table, t, m, D)
         return (_log_term(table, t, m, D) + r
-                <= line[:, None] + np.log(-np.expm1((D - d0[:, None] + 1) * r)))
+                <= sure_line + np.log(-np.expm1((D - d0[:, None] + 1) * r)))
 
     at_last = sure(np.full((n, 1), last))[:, 0]
     hi = _first_true(sure, np.where(at_last, d0 - 1, last - 1), np.full(n, last))
     if not at_last.all():  # stop at the first row no degree can certify
-        n = np.append(at_last | (_tail(table, log_t, m, last, np.log, np.expm1) <= line
-                                 + math.log(last + 1) + 1.0e-12 * last + 1.0e-9), False).argmin()
+        n = np.append(at_last | (_tail(table, log_t, m, last) <= line + math.log(last + 1)
+                                 + 1.0e-12 * last + 1.0e-9), False).argmin()
     return d0[:n], hi[:n]
 
 
@@ -295,54 +299,44 @@ def _pass(table: _Table, log_t: np.ndarray, m: int, log_tol: float, d0: np.ndarr
           hi: np.ndarray, terms: np.ndarray) -> list:
     """The row rule for each row from its terms through hi, formed back to
     back in the flat buffer terms: per row (D, scale, gamma), or None where
-    no degree through hi passes.  gamma = exp(log term - scale) for d <= D
-    is a view of terms, scale the largest log term through D.
+    no degree through hi passes.  scale is the largest log term through d0,
+    past which the terms fall, and gamma = exp(log term - scale) for d <= D
+    is a view of terms.
 
     A search finds D', the first degree where the tail bound is at most
     line = log tol + log S_hi.  As S_hi - S_D is at most the tail bound at
     D, the rule holds at D' or just past it; D is the first degree from D'
-    where it holds against the exact partial sum S_D = np.add.reduce(gamma),
-    so D does not depend on hi.  The rule is read in numpy where it holds
-    or fails by more than 1e-9 (1 + |line|), else in math with the exact
-    sum: numpy's logs and segment sums differ from those by a few ulps."""
+    where it holds against the partial sum S_D of gamma, so D does not
+    depend on hi."""
     ends = np.cumsum(hi + 1)
     starts, flat = ends - hi - 1, terms[:ends[-1]]
-    scale, top = np.empty(hi.size), np.empty(hi.size, dtype=int)
+    scale = np.empty(hi.size)
     degrees = np.arange(hi.max() + 1, dtype=float)
-    for i, (lt, s, e) in enumerate(zip(log_t.tolist(), starts.tolist(), ends.tolist())):
+    for i, (lt, s, e, d) in enumerate(zip(log_t.tolist(), starts.tolist(), ends.tolist(),
+                                          d0.tolist())):
         row = np.multiply(degrees[:e - s], lt, out=terms[s:e])
         row += table.log_c[:e - s]
         if m:
             row += table.log_d[:e - s]
-        top[i] = row.argmax()
-        scale[i] = row[top[i]]
+        scale[i] = row[:d + 1].max()
         row -= scale[i]
     gamma = np.exp(flat, out=flat)
     line = log_tol + scale + np.log(np.add.reduceat(gamma, starts))
-    t, live = log_t[:, None], _tail(table, log_t, m, hi, np.log, np.expm1) <= line
-    D = _first_true(lambda D: _tail(table, t, m, D, np.log, np.expm1) <= line[:, None],
+    t, live = log_t[:, None], _tail(table, log_t, m, hi) <= line
+    D = _first_true(lambda D: _tail(table, t, m, D) <= line[:, None],
                     np.where(live, d0 - 1, hi - 1), hi, _SEARCH_ELEMENTS // 4)
     # S_D per row: the even segments of reduceat, the last running to the end
     cuts = np.column_stack([starts, starts + D + 1]).ravel()
     S = np.add.reduceat(gamma, cuts[:-1] if cuts[-1] == gamma.size else cuts)[::2]
     found = np.zeros(hi.size, dtype=bool)
     while live.any():
-        gap = log_tol + scale + np.log(S) - _tail(table, log_t, m, D, np.log, np.expm1)
-        holds = gap >= 0.0
-        for i in np.flatnonzero(live & (np.abs(gap) <= 1.0e-9 * (1.0 + np.abs(line)))):
-            total = float(np.add.reduce(gamma[starts[i]:starts[i] + D[i] + 1]))
-            sum_log = float(scale[i]) + math.log(total) if total > 0.0 else -math.inf
-            holds[i] = _tail(table, float(log_t[i]), m, int(D[i])) <= log_tol + sum_log
+        holds = _tail(table, log_t, m, D) <= log_tol + scale + np.log(S)
         found |= live & holds
         live &= ~holds & (D < hi)
         D[live] += 1
         S[live] += gamma[starts[live] + D[live]]
-    out = [(d, sc, gamma[s:s + d + 1]) if ok else None for sc, s, d, ok in zip(
+    return [(d, sc, gamma[s:s + d + 1]) if ok else None for sc, s, d, ok in zip(
         scale.tolist(), starts.tolist(), D.tolist(), found.tolist())]
-    for i in np.flatnonzero(found & (top > D)):  # the largest term lies past D by rounding
-        out[i] = _pass(table, log_t[i:i + 1], m, log_tol, d0[i:i + 1], D[i:i + 1],
-                       terms[starts[i]:starts[i] + D[i] + 1])[0]
-    return out
 
 
 def _certified(table: _Table, log_t: np.ndarray, m: int, log_tol: float, work: dict):
@@ -350,10 +344,10 @@ def _certified(table: _Table, log_t: np.ndarray, m: int, log_tol: float, work: d
     whose terms through hi fill at most _BLOCK_ELEMENTS of the working set
     work (a single row may exceed it).  Yields each block's list of _pass
     tuples, to be used before the next is asked for; stops before the first
-    row the table cannot certify.  Where rounding fails a surely certified
-    hi, that row's pass runs to the end."""
+    row the table cannot certify: one past _bracket's rows, or one that
+    _pass refuses, which it does only at hi = last."""
     d0, hi = _bracket(table, log_t, m, log_tol)
-    last, i = table.log_c.size - 2, 0
+    i = 0
     while i < d0.size:
         j, used = i + 1, hi[i] + 1
         while j < d0.size and used + hi[j] + 1 <= _BLOCK_ELEMENTS:
@@ -361,11 +355,8 @@ def _certified(table: _Table, log_t: np.ndarray, m: int, log_tol: float, work: d
             j += 1
         rows = _pass(table, log_t[i:j], m, log_tol, d0[i:j], hi[i:j],
                      _scratch(work, "terms", (used,)))
-        for r in range(len(rows)):
-            if rows[r] is None and hi[i + r] < last:
-                rows[r] = _pass(table, log_t[i + r:i + r + 1], m, log_tol, d0[i + r:i + r + 1],
-                                np.array([last]), np.empty(last + 1))[0]
-            if rows[r] is None:
+        for r, row in enumerate(rows):
+            if row is None:
                 if r:
                     yield rows[:r]
                 return

@@ -15,7 +15,7 @@ from bergman_lab import (BallPoint, MomentTable, NumericRangeError, RadialWeight
                          kernel_norm_sq, rk_circle_mean, sphere_slice_average)
 from bergman_lab import kernel
 from bergman_lab.kernel import (_BLOCK_ELEMENTS, _DECAY, _series_at, _terms,
-                                 _values_many, kernel_values_many)
+                                 _values_many, g_values_many, kernel_values_many)
 
 
 def _pair(t, n=2):
@@ -567,6 +567,33 @@ class TestValuesManyRange:
         assert abs(refs[1]) < 1e-11 * abs(refs[0])
         assert abs(vals[1] - refs[1]) <= 1e-12 * abs(refs[0])
 
+    @pytest.mark.parametrize("shape", [(1,), (2, 3)])
+    def test_all_zero_arguments(self, tables, shape):
+        """std0, n = 2, K = (1 - t)^-3: at t = 0 everywhere K is c_0 = 1 and
+        g is 2 Gamma(3) c_1 = 12, as the one-point evaluators give."""
+        k = build_coeffs(tables["std0"], 2)
+        zeros = np.zeros(shape, dtype=complex)
+        head = complex(eval_kernel(k, BallPoint.radial(0.4, 2),
+                                   BallPoint(np.zeros(2, dtype=complex))))
+        for values, one_point, closed in ((kernel_values_many(k, zeros), head, 1.0),
+                                          (g_values_many(k, zeros), eval_g(k, 0.0), 12.0)):
+            assert values.shape == shape and values.dtype == complex
+            assert np.all(values == one_point)
+            assert one_point == pytest.approx(closed, rel=1e-11)
+
+    def test_values_past_double_range_raise(self):
+        """exponential(c=1000, beta=1), n = 2: log c_0 is about 1024, so at
+        |t| = 0.3 the circle mean and the series values exceed double
+        range, though their terms, rescaled, do not."""
+        k = build_coeffs(MomentTable(RadialWeight.exponential(1000.0, 1.0)), 2, d_max=4096)
+        assert k.log_coeffs[0] > 709.0
+        calls = [(lambda: rk_circle_mean(k, 0.3), "circle mean"),
+                 (lambda: kernel_values_many(k, np.array([0.3, 0.1j])), "series value"),
+                 (lambda: eval_rk(k, *_pair(0.3)), "series value")]
+        for call, what in calls:
+            with pytest.raises(NumericRangeError, match=f"^{what} exceeds double range$"):
+                call()
+
 
 def _oracle_power_sums(k, flat, tol, m):
     """The many-point series one degree at a time: one power, one term and
@@ -1074,6 +1101,33 @@ def _old_rule_degree(log_c, n, abs_t, log_tol, m):
     return None
 
 
+def _watch_passes(monkeypatch):
+    """Wrap kernel._pass; the list returned gets, per row of every pass,
+    (hi < last, certified, scale equal to the largest log term through D
+    or not certified)."""
+    seen, real = [], kernel._pass
+
+    def spy(table, log_t, m, log_tol, d0, hi, terms):
+        rows = real(table, log_t, m, log_tol, d0, hi, terms)
+        for lt, h, row in zip(log_t.tolist(), hi.tolist(), rows):
+            scaled = row is None or (
+                row[1] == kernel._log_term(table, lt, m, np.arange(row[0] + 1)).max())
+            seen.append((h < table.log_c.size - 2, row is not None, scaled))
+        return rows
+
+    monkeypatch.setattr(kernel, "_pass", spy)
+    return seen
+
+
+def _assert_pass_invariants(seen):
+    """_pass certifies every row that _bracket gives with hi below the last
+    degree, and scales each by its largest log term through D."""
+    assert any(below for below, _, _ in seen)
+    for below, certified, scaled in seen:
+        assert certified or not below
+        assert scaled
+
+
 class TestRowRuleSweep:
     """std0, exp11 and std-0.5 at n = 2, d_max = 2^19, tol 1e-10, 301 |t|
     from 0.05 to 0.999, m = 0 and 1."""
@@ -1081,12 +1135,15 @@ class TestRowRuleSweep:
     TS = np.linspace(0.05, 0.999, 301).tolist()
 
     @pytest.mark.parametrize("key", ["std0", "exp11", "std-0.5"])
-    def test_against_oracles(self, key):
+    def test_against_oracles(self, key, monkeypatch):
         """Each row gets the log-space oracle's D, tail bound and partial
         sum, or fails where it fails.  The full 2^19-degree sum confirms
         every certified tail: sum_{d>D} term_d <= tol S_D.  No certified D
         is larger than the previous rule's, which took the largest ratio
-        over the 16 degrees before D, or the moment envelope."""
+        over the 16 degrees before D, or the moment envelope.  Every row
+        with hi below the last degree certifies, scaled by its largest log
+        term through D."""
+        seen = _watch_passes(monkeypatch)
         k = build_coeffs(MomentTable(ORACLE_WEIGHTS[key]()), 2, d_max=1 << 19,
                          initial=1 << 19)
         log_c, log_tol = k.log_coeffs, math.log(1e-10)
@@ -1111,6 +1168,7 @@ class TestRowRuleSweep:
                     terms = np.exp(lt)
                 assert np.sum(terms[D + 1:]) <= 1e-10 * np.sum(terms[:D + 1])
         assert certified > 500
+        _assert_pass_invariants(seen)
 
 
 class _FakeMoments:
@@ -1234,20 +1292,23 @@ class TestArrayCertification:
     row at a time (D, tail bound, partial sum), give the scale and term
     bytes of one _terms call per row, grow the table alike, and raise at
     the first row, in order, that d_max cannot certify what a one-row call
-    raises there."""
+    raises there.  Every row with hi below the last degree certifies,
+    scaled by its largest log term through D."""
 
     TS = [0.3, 0.97, 0.05, 0.99, 1e-3, 0.9, 0.999, 0.6, 1.0 - 2.0 ** -12]
 
     @pytest.mark.parametrize("d_max", [4096, 1 << 17])
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("key", ["std0", "exp11", "std-0.5"])
-    def test_against_oracle_and_single_rows(self, key, m, d_max):
+    def test_against_oracle_and_single_rows(self, key, m, d_max, monkeypatch):
+        seen = _watch_passes(monkeypatch)
         moments = _MemoMoments(MomentTable(ORACLE_WEIGHTS[key]()))
         tables = [build_coeffs(moments, 2, d_max=d_max) for _ in range(2)]
         got = _certified(lambda: _array_certify(tables[0], self.TS, 1e-10, m))
         expected = _certified(lambda: _oracle_certify(tables[1], self.TS, 1e-10, m))
         _assert_same_certification(got[:3], expected)
         assert tables[0].built == tables[1].built
+        _assert_pass_invariants(seen)
         if isinstance(got[0], str):
             # the error names the first row in order that d_max cannot certify
             failing = next(t for t in self.TS if got[0].endswith(f"|t|={t:.6g}"))
@@ -1258,6 +1319,33 @@ class TestArrayCertification:
         for t, scale_bytes in zip(self.TS, got[3]):
             D, scale, gamma, _ = _terms(build_coeffs(moments, 2, d_max=d_max), t, 1e-10, m)
             assert (scale, gamma.tobytes()) == scale_bytes, t
+
+
+def test_refusal_inside_a_block(tables, monkeypatch):
+    """std0, n = 2, d_max = 4096, 99 radii from 0.01 to 0.99: on the
+    514-degree table, _pass refuses |t| = 0.95 at hi = last after four
+    certified rows of its block.  The array hands those four on (each
+    radius is certified once), grows the table and goes on from 0.95,
+    giving bit for bit the values and table growth of one call per
+    radius."""
+    radii = np.linspace(0.01, 0.99, 99)
+    loop_k = build_coeffs(tables["std0"], 2, d_max=4096)
+    expected = np.array([rk_circle_mean(loop_k, float(x)) for x in radii])
+    refused, certified, real = [], [], kernel._pass
+
+    def spy(table, log_t, *args):
+        rows = real(table, log_t, *args)
+        certified.extend(row is not None for row in rows)
+        if None in rows:
+            r = rows.index(None)
+            refused.append((table.log_c.size, r, round(math.exp(log_t[r]), 12)))
+        return rows
+
+    monkeypatch.setattr(kernel, "_pass", spy)
+    k = build_coeffs(tables["std0"], 2, d_max=4096)
+    got = rk_circle_mean(k, radii)
+    assert refused == [(514, 4, 0.95)] and sum(certified) == radii.size
+    assert got.tobytes() == expected.tobytes() and k.built == loop_k.built
 
 
 def test_threads_certify_on_a_growing_table(tables):

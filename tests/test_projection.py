@@ -139,6 +139,24 @@ class TestSymbolConstruction:
                                                       5.0).slice_fn
             assert_allclose(fn(r, lam), expected, rtol=1e-13, atol=1e-13)
 
+    def test_polar_grid_one_radius_node(self, rng):
+        """An axis of one node is constant: a grid with one radius node gives
+        the values and exact modes of the same plane on two radius nodes, at
+        radii inside and outside the two-node grid."""
+        m_nodes, a_nodes = np.array([0.0, 0.4, 1.0]), np.sort(rng.uniform(-1.0, 4.0, 6))
+        plane = rng.standard_normal((1, 3, 6)) + 1j * rng.standard_normal((1, 3, 6))
+        one, two = (BoundedSymbol.custom_from_polar_grid(r_nodes, m_nodes, a_nodes, vals,
+                                                         5.0).slice_fn
+                    for r_nodes, vals in (([0.5], plane),
+                                          ([0.2, 0.7], np.concatenate([plane, plane]))))
+        r = rng.uniform(-0.3, 1.3, 300)
+        lam = rng.uniform(0.0, 1.4, 300) * np.exp(1j * rng.uniform(-7.0, 7.0, 300))
+        assert_allclose(one(r, lam), two(r, lam), rtol=1e-13, atol=1e-13)
+        mods = np.array([0.1, 0.45, 0.8])
+        for x in (0.0, 0.5, 1.2):
+            assert_allclose(one.modes(x, mods, 40), two.modes(x, mods, 40),
+                            rtol=1e-13, atol=1e-13)
+
     def test_polar_grid_unordered_nodes_rejected(self):
         with pytest.raises(ValueError, match="strictly ascending"):
             BoundedSymbol.custom_from_polar_grid([0.0, 0.7, 0.3], [0.0, 1.0], [0.0, 1.0],
