@@ -30,7 +30,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -128,6 +128,25 @@ def _slice_weight_profiles(w: RadialWeight, n: int, vs: list, spec: QuadSpec) ->
     return (v * vals).tolist()
 
 
+def _outer_spec(q: QuadSpec, r: float) -> QuadSpec:
+    """q with its initial mesh graded toward the rim only down to the
+    kernel's scale 1 - r, for the functional's outer integral at r.
+
+    A(r (1 - u)) changes on the scale 1 - r, so segments below u ~ 1 - r
+    all sit at the same kernel depth.  The finest breakpoint is the largest
+    grading^-L <= (1 - r)/2, with L capped at q.initial_levels; L comes from
+    the same powers _initial_mesh takes, with no floating log.  A grading-1
+    spec, or one whose cap is reached, comes back as it is.
+    """
+    if q.grading == 1.0:
+        return q
+    half = 0.5 * (1.0 - r)
+    levels = 0
+    while levels < q.initial_levels and q.grading ** (-levels) > half:
+        levels += 1
+    return q if levels == q.initial_levels else replace(q, initial_levels=levels)
+
+
 def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
                            q: QuadSpec | None = None) -> float:
     """M(r) = (1 - r^2) int_{B_n} |R K(r e_1, w)| rho(w) dv(w).
@@ -142,10 +161,13 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
 
     where A is the angular mean of |R K| on a circle (rk_circle_mean, i.e.
     the slice average's trapezoid rule evaluated by FFT) and W folds the
-    weighted radial factors.  Each integrand call takes A at all its nodes
-    in one array and, at every n >= 2, W at the nodes it lacks in one
-    batch (_slice_weight_profiles).  The nested form is checked against
-    this one in the tests.
+    weighted radial factors.  The outer integral's initial mesh is graded
+    toward the rim only down to the kernel's scale 1 - r (_outer_spec);
+    bisection refines past it where the integrand asks.  Each integrand
+    call takes A at all its nodes in one array and, at every n >= 2, W at
+    the nodes it lacks in one batch (_slice_weight_profiles), always under
+    q itself, so W(v) does not depend on r.  The nested form is checked
+    against this one in the tests.
 
     Raises TruncationError or NumericRangeError when the kernel series at
     r cannot be certified within the table's d_max or leaves double range;
@@ -157,6 +179,7 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     if r == 0.0:
         return 0.0
     n = k.n
+    outer = _outer_spec(q, r)
 
     # integrands in the distance u = 1 - s (or 1 - v) from the rim, so each
     # call takes every node of the initial mesh in one rk_circle_mean call
@@ -165,7 +188,7 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
             s = 1.0 - u
             return 2.0 * s * w.eval_at_one_minus(u) * rk_circle_mean(k, r * s, CIRCLE_MEAN_TOL)
 
-        val, _ = integrate_to_end(f_dist, 1.0, q)
+        val, _ = integrate_to_end(f_dist, 1.0, outer)
         return (1.0 - r * r) * val[()]
 
     w_cache = _SLICE_PROFILES.get()
@@ -190,7 +213,7 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
         profile = np.array([w_cache.get(vi, 0.0) for vi in nodes])  # W(v) = 0 for v >= 1
         return rk_circle_mean(k, r * v, CIRCLE_MEAN_TOL) * profile
 
-    val, _ = integrate_to_end(f_dist, 1.0, q)
+    val, _ = integrate_to_end(f_dist, 1.0, outer)
     return 4.0 * n * (n - 1) * (1.0 - r * r) * val[()]
 
 

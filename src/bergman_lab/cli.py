@@ -5,6 +5,7 @@
                 [--format json|csv] [--seed <int>] [--threads <int>]
 
 Commands: diagnose, kernel, project, theorem, hl-check, pr-check.
+Only diagnose, kernel and project read --tol; the others ignore it.
 Reports are deterministic JSON (schema_version field, fixed float format);
 profile tables are additionally emitted as CSV when --format csv.  Exit
 status 0 on success, 2 when any verdict is INCONCLUSIVE, 1 on errors.
@@ -283,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--weight", required=True, help="weight descriptor JSON")
     parser.add_argument("--n", type=int, default=2, help="complex dimension")
-    parser.add_argument("--tol", type=float, default=1.0e-8)
+    parser.add_argument("--tol", type=float, default=1.0e-8,
+                        help="tolerance (diagnose, kernel, project; ignored by the others)")
     parser.add_argument("--kmax", type=int, default=12,
                         help="deepest dyadic grid level (r = 1 - 2^-k)")
     parser.add_argument("--dmax", type=int, default=1 << 19,

@@ -14,7 +14,7 @@ from bergman_lab import (AnalysisConfig, BallPoint, MomentTable, QuadratureError
                          integrate_radial, lower_bound_series, majorant,
                          moment_doubling_chain, pr_estimate_check,
                          rk_circle_mean, sphere_slice_average, tail,
-                         theorem_check)
+                         theorem_check, TruncationError)
 from bergman_lab import analysis
 from bergman_lab.analysis import PROFILE_SPEC, _slice_integrand, _slice_weight_profiles
 from bergman_lab.quadrature import _KRONROD_X, _initial_mesh
@@ -153,8 +153,9 @@ def _per_node_profile(w, n, v, q):
 
 
 def _per_node_functional(k, w, r, profile=_per_node_profile):
-    """The functional as one float circle mean per integrand node."""
-    q = PROFILE_SPEC
+    """The functional as one float circle mean per integrand node: the outer
+    integral on the mesh _outer_spec gives at r, W(v) under PROFILE_SPEC."""
+    q, outer = PROFILE_SPEC, analysis._outer_spec(PROFILE_SPEC, r)
     if k.n == 1:
         def f_dist(u):
             u = np.atleast_1d(u)
@@ -162,7 +163,7 @@ def _per_node_functional(k, w, r, profile=_per_node_profile):
             means = np.array([rk_circle_mean(k, float(r * si), 1e-7) for si in s])
             return 2.0 * s * w.eval_at_one_minus(u) * means
 
-        return (1.0 - r * r) * integrate_radial(f_dist=f_dist, spec=q)[0]
+        return (1.0 - r * r) * integrate_radial(f_dist=f_dist, spec=outer)[0]
 
     def f(v):
         v = np.atleast_1d(v)
@@ -172,7 +173,7 @@ def _per_node_functional(k, w, r, profile=_per_node_profile):
             out.append(rk_circle_mean(k, r * float(vi), 1e-7) * wv)
         return np.array(out)
 
-    return 4.0 * k.n * (k.n - 1) * (1.0 - r * r) * integrate_radial(f, q)[0]
+    return 4.0 * k.n * (k.n - 1) * (1.0 - r * r) * integrate_radial(f, outer)[0]
 
 
 def _initial_nodes(spec):
@@ -245,7 +246,7 @@ class TestFunctionalPerNode:
                     call()
                 outcomes.append(k.built)
             assert outcomes[0] == outcomes[1] > 257, n
-            assert sizes == [195] + [1] * 6, n
+            assert sizes == [180] + [1] * 6, n  # 12 segments at r = 1 - 2^-10
 
     @pytest.mark.parametrize("s", [0.5, 0.99])
     @pytest.mark.parametrize("key", ["std0", "exp11"])
@@ -262,6 +263,80 @@ class TestFunctionalPerNode:
         expected = s ** 2 * integrate_radial(f_lhs, PROFILE_SPEC)[0]
         fresh = build_coeffs(tables[key], 2, d_max=1 << 19)
         assert pr_estimate_check(fresh, weights[key], s)[0] == expected
+
+
+def _finest_breakpoint(spec):
+    return _initial_mesh(1.0, spec)[1]
+
+
+class TestOuterMesh:
+    """The functional's outer mesh is graded only down to the kernel's
+    scale 1 - r; W(v) keeps the caller's rule."""
+
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_finest_breakpoint_at_dyadic_radii(self, k):
+        spec = analysis._outer_spec(PROFILE_SPEC, 1.0 - 2.0 ** -k)
+        assert _finest_breakpoint(spec) == 2.0 ** -min(k + 1, 12)
+        assert (spec is PROFILE_SPEC) == (k >= 11)
+
+    @pytest.mark.parametrize("r", [0.001, 0.3, 0.9, 0.999])
+    def test_finest_breakpoint_within_kernel_scale(self, r):
+        finest = _finest_breakpoint(analysis._outer_spec(PROFILE_SPEC, r))
+        assert (1.0 - r) / 4 < finest <= (1.0 - r) / 2
+
+    @pytest.mark.parametrize("spec", [QuadSpec(grading=1.0), QuadSpec(initial_levels=6)],
+                             ids=["grading1", "six_levels"])
+    def test_specs_kept_as_they_are(self, spec):
+        assert analysis._outer_spec(spec, 1.0 - 2.0 ** -10) is spec
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("key", ["std0", "std2", "exp11", "std-0.9"])
+    def test_agrees_with_full_mesh(self, weights, key, n, monkeypatch):
+        """Against the outer integral on the full 12-level mesh, to the
+        profile rule's relative tolerance; W(v) is the same on both.  exp11's
+        series is not certified within 2^19 degrees at r = 1 - 2^-10, and
+        both meshes raise the same error there."""
+        w = weights[key] if key in weights else RadialWeight.standard(-0.9)
+        k = build_coeffs(MomentTable(w), n, d_max=1 << 19)
+        profiles = {}
+        radii = (0.5, 0.9375, 1.0 - 2.0 ** -8, 1.0 - 2.0 ** -10)
+
+        def outcomes():
+            out = {}
+            for r in radii:
+                try:
+                    out[r] = analysis._functional_sharing_profiles(profiles, k, w, r, None)
+                except TruncationError:
+                    out[r] = None
+            return out
+
+        graded = outcomes()
+        monkeypatch.setattr(analysis, "_outer_spec", lambda q, r: q)
+        full = outcomes()
+        failed = [r for r in radii if full[r] is None]
+        assert [r for r in radii if graded[r] is None] == failed
+        assert failed == ([radii[-1]] if key == "exp11" else [])
+        kept = [r for r in radii if r not in failed]
+        assert_allclose([graded[r] for r in kept], [full[r] for r in kept],
+                        rtol=PROFILE_SPEC.rel_tolerance, atol=0.0)
+
+    def test_profiles_keep_the_callers_spec(self, weights, monkeypatch):
+        """Over a theorem_check sweep every W(v) batch gets config.quad
+        itself, never a per-radius mesh, so the shared W(v) dict holds one
+        rule's values whichever radius fills it first."""
+        batch = analysis._slice_weight_profiles
+        seen = []
+
+        def recording(w, n, vs, spec):
+            seen.append(spec)
+            return batch(w, n, vs, spec)
+
+        monkeypatch.setattr(analysis, "_slice_weight_profiles", recording)
+        cfg = AnalysisConfig(k_max=6, d_max=1 << 15, threads=2,
+                             quad=QuadSpec(tolerance=1.0e-8, rel_tolerance=1.0e-6))
+        theorem_check(weights["std0"], 2, cfg)
+        assert seen and all(spec is cfg.quad for spec in seen)
+        assert analysis._outer_spec(cfg.quad, 0.5) != cfg.quad
 
 
 class TestMajorant:

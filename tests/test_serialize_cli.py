@@ -358,6 +358,18 @@ class TestCli:
         if descriptor["kind"] == "exponential":
             assert b"TruncationError" in outs[0]
 
+    def test_theorem_reads_no_tol(self, weight_file, tmp_path):
+        """Only diagnose, kernel and project read --tol; theorem's rules are
+        fixed, so the flag leaves its report's bytes as they are."""
+        outs = []
+        for extra in ([], ["--tol", "1e-3"]):
+            out = tmp_path / f"t{len(extra)}.json"
+            status = main(["theorem", "--weight", str(weight_file), "--n", "2",
+                           "--kmax", "4", "--dmax", "4096", *extra, "--out", str(out)])
+            assert status in (0, 2)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("c, beta", [(1000.0, 1.0), (1.0, 20.0)],
                              ids=["exp(1000,1)", "exp(1,20)"])
     def test_theorem_steep_weight_writes_no_warning(self, tmp_path, c, beta):
