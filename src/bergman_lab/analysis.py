@@ -30,15 +30,15 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericRangeError, QuadratureError, TruncationError
 from .kernel import KernelCoeffs, build_coeffs, rk_circle_mean
-from .quadrature import (QuadSpec, DEFAULT_SPEC, angular_mean, integrate_radial,
-                         integrate_to_end)
+from .quadrature import (QuadSpec, DEFAULT_SPEC, _outer_spec, angular_mean,
+                         integrate_radial, integrate_to_end)
 from .utils import Trend, dyadic_radii, geometric_ints, series_trend
 from .weights import (DiagnosticsReport, MomentTable, RadialWeight,
                       VERDICT_IN, VERDICT_OUT, is_dhat_moments, is_dhat_tail,
@@ -128,25 +128,6 @@ def _slice_weight_profiles(w: RadialWeight, n: int, vs: list, spec: QuadSpec) ->
     return (v * vals).tolist()
 
 
-def _outer_spec(q: QuadSpec, r: float) -> QuadSpec:
-    """q with its initial mesh graded toward the rim only down to the
-    kernel's scale 1 - r, for the functional's outer integral at r.
-
-    A(r (1 - u)) changes on the scale 1 - r, so segments below u ~ 1 - r
-    all sit at the same kernel depth.  The finest breakpoint is the largest
-    grading^-L <= (1 - r)/2, with L capped at q.initial_levels; L comes from
-    the same powers _initial_mesh takes, with no floating log.  A grading-1
-    spec, or one whose cap is reached, comes back as it is.
-    """
-    if q.grading == 1.0:
-        return q
-    half = 0.5 * (1.0 - r)
-    levels = 0
-    while levels < q.initial_levels and q.grading ** (-levels) > half:
-        levels += 1
-    return q if levels == q.initial_levels else replace(q, initial_levels=levels)
-
-
 def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
                            q: QuadSpec | None = None) -> float:
     """M(r) = (1 - r^2) int_{B_n} |R K(r e_1, w)| rho(w) dv(w).
@@ -162,11 +143,13 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     where A is the angular mean of |R K| on a circle (rk_circle_mean, i.e.
     the slice average's trapezoid rule evaluated by FFT) and W folds the
     weighted radial factors.  The outer integral's initial mesh is graded
-    toward the rim only down to the kernel's scale 1 - r (_outer_spec);
-    bisection refines past it where the integrand asks.  Each integrand
-    call takes A at all its nodes in one array and, at every n >= 2, W at
-    the nodes it lacks in one batch (_slice_weight_profiles), always under
-    q itself, so W(v) does not depend on r.  The nested form is checked
+    toward the rim only down to the kernel's scale 1 - r, by the rule
+    quadrature._outer_spec that the pr-check left-hand side and custom
+    projections share; bisection refines past it where the integrand
+    asks.  Each integrand call takes A at all its nodes in one array and,
+    at every n >= 2, W at the nodes it lacks in one batch
+    (_slice_weight_profiles), always under q itself, so W(v) does not
+    depend on r.  The nested form is checked
     against this one in the tests.
 
     Raises TruncationError or NumericRangeError when the kernel series at
@@ -266,7 +249,9 @@ def pr_estimate_check(k: KernelCoeffs, w: RadialWeight, s: float,
     Returns (lhs, rhs, ratio).  The left side uses the identity
     d^n/dz^n K1(z, w) = g(z conj w) conj(w)^n / 2 and the angular-mean
     reduction mean|g|(xi) = 2 Gamma(n+1) A(xi) / xi, leaving a single radial
-    quadrature; the literal nested quadrature agrees (tested at moderate s).
+    quadrature in the rim distance, on the functional's mesh graded only
+    down to the kernel's scale 1 - s (quadrature._outer_spec); the literal
+    nested quadrature agrees (tested at moderate s).
     """
     q = q or PROFILE_SPEC
     n = k.n
@@ -285,7 +270,7 @@ def pr_estimate_check(k: KernelCoeffs, w: RadialWeight, s: float,
                            out=np.zeros(xi.shape), where=xi > 0)
         return u * (1.0 - u * u) ** (n - 2) * mean_g
 
-    lhs_int, _ = integrate_to_end(f_lhs, 1.0, q)
+    lhs_int, _ = integrate_to_end(f_lhs, 1.0, _outer_spec(q, s))
     lhs = s ** n * lhs_int[()]
 
     def f_rhs(t):

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SymbolFormError
-from .kernel import KernelCoeffs, _terms, _unscale
-from .quadrature import (BallPoint, QuadSpec, DEFAULT_SPEC, _slice_rule,
-                         integrate_radial)
+from .kernel import _BLOCK_ELEMENTS, KernelCoeffs, _terms, _unscale
+from .quadrature import (BallPoint, QuadSpec, DEFAULT_SPEC, _outer_spec, _slice_rule,
+                         integrate_radial, integrate_to_end)
 from .weights import RadialWeight
 
 __all__ = [
@@ -305,6 +305,29 @@ def _slice_values(slice_fn, s: float, lam: np.ndarray) -> np.ndarray:
     return values
 
 
+def _angle_level(levels: dict, n_theta: int, rows: int):
+    """(circle nodes, lam, spectrum) of n_theta angles, from levels, the
+    calling projection's working set.  lam and spectrum are (block rows,
+    n_theta) views of the two halves of one buffer, levels["buffer"], that
+    every angle count shares; the block holds rows slice nodes, or fewer so
+    that each half stays within _BLOCK_ELEMENTS (one row at least).  A level
+    is made at the first radius that reaches it and reused at every later
+    one; a level the buffer cannot hold (one row of more than
+    _BLOCK_ELEMENTS angles) replaces the buffer and drops the levels made
+    on the old one.
+    """
+    if n_theta not in levels:
+        block = min(rows, max(1, _BLOCK_ELEMENTS // n_theta)) * n_theta
+        buffer = levels.get("buffer")
+        if buffer is None or buffer.shape[1] < block:
+            levels.clear()
+            buffer = levels["buffer"] = np.empty((2, max(block, _BLOCK_ELEMENTS)),
+                                                 dtype=complex)
+        levels[n_theta] = (np.exp(2j * np.pi * np.arange(n_theta) / n_theta),
+                           *buffer[:, :block].reshape(2, -1, n_theta))
+    return levels[n_theta]
+
+
 def _fft_sphere_mean(slice_fn, s: float, mods: np.ndarray, terms: np.ndarray,
                      scale: float, spec: QuadSpec, levels: dict):
     """(sphere mean, N) of a callable symbol at radius s: the terms
@@ -312,31 +335,32 @@ def _fft_sphere_mean(slice_fn, s: float, mods: np.ndarray, terms: np.ndarray,
     samples on N angles, N doubled from the least power of two >=
     max(256, 4(D+1)) until the N- and N/2-angle means agree.
 
-    levels is the calling projection's working set, N -> (circle nodes,
-    sample points lam, spectrum), filled at the first radius that reaches
-    N and overwritten in place at every later one.  lam and the spectrum
-    are the two halves of one block: held as two arrays, the symbol's own
-    temporaries still faulted (171,000 minor faults in the measurement of
-    _project_custom, against 3,907).  The unnormalised FFT is read by
-    slices, without a gather: mode -d is column 0, then columns N-1 down
-    to N-D; mode N/2-d, which the N/2-angle DFT folds onto mode -d, is
-    columns N/2 down to N/2-D.  N >= 4(D+1), so neither slice wraps.
+    The slice nodes go through the symbol and the FFT in blocks of at most
+    _BLOCK_ELEMENTS samples (_angle_level), so the working set is one
+    buffer of two such blocks whatever N the means climb to (a single row
+    may exceed it).  lam and the spectrum are the two halves of that
+    buffer: held as two arrays, the symbol's own temporaries still faulted
+    (171,000 minor faults in the measurement of _project_custom, against
+    3,907).  The unnormalised FFT is read by slices, without a gather: mode
+    -d is column 0, then columns N-1 down to N-D; mode N/2-d, which the
+    N/2-angle DFT folds onto mode -d, is columns N/2 down to N/2-D.  N >=
+    4(D+1), so neither slice wraps.
     """
     D = terms.shape[1] - 1
     n_theta = 2 << max(7, (2 * D + 1).bit_length())
     cur = None
     while n_theta <= spec.max_angular_nodes:
-        if n_theta not in levels:
-            levels[n_theta] = (np.exp(2j * np.pi * np.arange(n_theta) / n_theta),
-                               *np.empty((2, mods.size, n_theta), dtype=complex))
-        circle, lam, spectrum = levels[n_theta]
-        np.multiply(mods[:, None], circle, out=lam)
-        np.fft.fft(_slice_values(slice_fn, s, lam), axis=-1, out=spectrum)
-        half = n_theta // 2
-        low = (_mode_sum(terms[:, :1], spectrum[:, :1], n_theta)
-               + _mode_sum(terms[:, 1:], spectrum[:, n_theta - 1:n_theta - 1 - D:-1],
-                           n_theta))
-        high = _mode_sum(terms, spectrum[:, half:half - D - 1:-1], n_theta)
+        circle, lam, spectrum = _angle_level(levels, n_theta, mods.size)
+        half, rows = n_theta // 2, lam.shape[0]
+        low = high = 0.0
+        for i in range(0, mods.size, rows):
+            t = terms[i:i + rows]
+            block, out = lam[:len(t)], spectrum[:len(t)]
+            np.multiply(mods[i:i + rows, None], circle, out=block)
+            np.fft.fft(_slice_values(slice_fn, s, block), axis=-1, out=out)
+            low += (_mode_sum(t[:, :1], out[:, :1], n_theta)
+                    + _mode_sum(t[:, 1:], out[:, n_theta - 1:n_theta - 1 - D:-1], n_theta))
+            high += _mode_sum(t, out[:, half:half - D - 1:-1], n_theta)
         cur = _unscale(low, scale, "series value")
         # the DFT of the even angles (one level down) folds mode N/2 - d onto -d
         coarse = _unscale(low + high, scale, "series value")
@@ -358,13 +382,20 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
     _fft_sphere_mean.  degree_weight m = 1 swaps K for its radial
     derivative.
 
-    The call holds one working set per angle count for all of its ~200
-    radial nodes (_fft_sphere_mean).  With fresh arrays of 150 x N complex
-    values at every node, the allocator mapped and unmapped pages node by
-    node: three in-process rounds of the project-slice benchmark
-    operations (seed 57, 2-vCPU host) took 1.24 million minor page faults
-    and 2.25 s of system time, 29% of their wall time, against 3,907
-    faults and under 0.02 s with the working set.
+    The integral runs in the rim distance 1 - s, reading the weight by
+    eval_at_one_minus, so bisection toward a singular rim (alpha < 0) never
+    meets a radius that rounds to 1.  Its initial mesh is the functional's
+    (quadrature._outer_spec at |z|): the kernel at modulus |z| s changes on
+    the scale 1 - |z|, so the mesh is graded only down to (1 - |z|)/2, and
+    a call at |z| = 0.45 starts from 45 radial nodes instead of 195.
+
+    The call holds one working set for all of its radial nodes
+    (_fft_sphere_mean).  With fresh arrays of 150 x N complex values at
+    every node, the allocator mapped and unmapped pages node by node: three
+    in-process rounds of the project-slice benchmark operations (seed 57,
+    2-vCPU host) took 1.24 million minor page faults and 2.25 s of system
+    time, 29% of their wall time, against 3,907 faults and under 0.02 s
+    with the working set.
     """
     n = k.n
     a = z.norm
@@ -386,10 +417,13 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
                             "series value")
         return _fft_sphere_mean(slice_fn, s, mods, terms, scale, spec, levels)[0]
 
-    def f(r):
-        return 2.0 * n * r ** (2 * n - 1) * w(r) * np.array([sphere_mean(s) for s in r])
+    def f_dist(dist):
+        s = 1.0 - dist
+        return (2.0 * n * s ** (2 * n - 1) * w.eval_at_one_minus(dist)
+                * np.array([sphere_mean(si) for si in s.tolist()]))
 
-    return complex(integrate_radial(f, spec)[0])
+    value, _ = integrate_to_end(f_dist, 1.0, _outer_spec(spec, a))
+    return complex(value[()])
 
 
 def project(k: KernelCoeffs, w_weight: RadialWeight, phi: BoundedSymbol,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -305,6 +305,29 @@ def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None, params=None)
         raise ValueError("empty integration range")
     value, error = _integrate(f_dist, lengths.ravel(), spec, 0.0, params)
     return value.reshape(lengths.shape), error.reshape(lengths.shape)
+
+
+def _outer_spec(q: QuadSpec, r: float) -> QuadSpec:
+    """q with its initial mesh graded toward the rim only down to the
+    kernel's scale 1 - r: the rule of every outer radial integral, in the
+    rim distance u, whose integrand follows a kernel at modulus r (the
+    functional M(r), the pr-check left-hand side at s = r, and the
+    projection of a custom symbol at |z| = r).
+
+    A kernel at modulus r (1 - u) changes on the scale 1 - r, so segments
+    below u ~ 1 - r all sit at the same kernel depth.  The finest breakpoint
+    is the largest grading^-L <= (1 - r)/2, with L capped at
+    q.initial_levels; L comes from the same powers _initial_mesh takes,
+    with no floating log.  A grading-1 spec, or one whose cap is reached,
+    comes back as it is.
+    """
+    if q.grading == 1.0:
+        return q
+    half = 0.5 * (1.0 - r)
+    levels = 0
+    while levels < q.initial_levels and q.grading ** (-levels) > half:
+        levels += 1
+    return q if levels == q.initial_levels else replace(q, initial_levels=levels)
 
 
 def as_vectorized(f):

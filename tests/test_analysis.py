@@ -17,7 +17,7 @@ from bergman_lab import (AnalysisConfig, BallPoint, MomentTable, QuadratureError
                          theorem_check, TruncationError)
 from bergman_lab import analysis
 from bergman_lab.analysis import PROFILE_SPEC, _slice_integrand, _slice_weight_profiles
-from bergman_lab.quadrature import _KRONROD_X, _initial_mesh
+from bergman_lab.quadrature import _KRONROD_X, _initial_mesh, _outer_spec
 from bergman_lab.kernel import _values_many
 from bergman_lab.utils import dyadic_radii, last_quartile_log_slope
 from scipy.integrate import quad
@@ -155,7 +155,7 @@ def _per_node_profile(w, n, v, q):
 def _per_node_functional(k, w, r, profile=_per_node_profile):
     """The functional as one float circle mean per integrand node: the outer
     integral on the mesh _outer_spec gives at r, W(v) under PROFILE_SPEC."""
-    q, outer = PROFILE_SPEC, analysis._outer_spec(PROFILE_SPEC, r)
+    q, outer = PROFILE_SPEC, _outer_spec(PROFILE_SPEC, r)
     if k.n == 1:
         def f_dist(u):
             u = np.atleast_1d(u)
@@ -260,7 +260,7 @@ class TestFunctionalPerNode:
                             for ui in u])
             return u * (1.0 - u * u) ** 0 * out
 
-        expected = s ** 2 * integrate_radial(f_lhs, PROFILE_SPEC)[0]
+        expected = s ** 2 * integrate_radial(f_lhs, _outer_spec(PROFILE_SPEC, s))[0]
         fresh = build_coeffs(tables[key], 2, d_max=1 << 19)
         assert pr_estimate_check(fresh, weights[key], s)[0] == expected
 
@@ -270,24 +270,27 @@ def _finest_breakpoint(spec):
 
 
 class TestOuterMesh:
-    """The functional's outer mesh is graded only down to the kernel's
-    scale 1 - r; W(v) keeps the caller's rule."""
+    """The rim mesh rule quadrature._outer_spec grades an outer integral's
+    mesh only down to the kernel's scale 1 - r; the functional takes it,
+    and W(v) keeps the caller's rule.  The projection's use is tested in
+    test_projection.py, the pr-check left-hand side's in
+    TestFunctionalPerNode."""
 
     @pytest.mark.parametrize("k", range(1, 25))
     def test_finest_breakpoint_at_dyadic_radii(self, k):
-        spec = analysis._outer_spec(PROFILE_SPEC, 1.0 - 2.0 ** -k)
+        spec = _outer_spec(PROFILE_SPEC, 1.0 - 2.0 ** -k)
         assert _finest_breakpoint(spec) == 2.0 ** -min(k + 1, 12)
         assert (spec is PROFILE_SPEC) == (k >= 11)
 
     @pytest.mark.parametrize("r", [0.001, 0.3, 0.9, 0.999])
     def test_finest_breakpoint_within_kernel_scale(self, r):
-        finest = _finest_breakpoint(analysis._outer_spec(PROFILE_SPEC, r))
+        finest = _finest_breakpoint(_outer_spec(PROFILE_SPEC, r))
         assert (1.0 - r) / 4 < finest <= (1.0 - r) / 2
 
     @pytest.mark.parametrize("spec", [QuadSpec(grading=1.0), QuadSpec(initial_levels=6)],
                              ids=["grading1", "six_levels"])
     def test_specs_kept_as_they_are(self, spec):
-        assert analysis._outer_spec(spec, 1.0 - 2.0 ** -10) is spec
+        assert _outer_spec(spec, 1.0 - 2.0 ** -10) is spec
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("key", ["std0", "std2", "exp11", "std-0.9"])
@@ -336,7 +339,7 @@ class TestOuterMesh:
                              quad=QuadSpec(tolerance=1.0e-8, rel_tolerance=1.0e-6))
         theorem_check(weights["std0"], 2, cfg)
         assert seen and all(spec is cfg.quad for spec in seen)
-        assert analysis._outer_spec(cfg.quad, 0.5) != cfg.quad
+        assert _outer_spec(cfg.quad, 0.5) != cfg.quad
 
 
 class TestMajorant:

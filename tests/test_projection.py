@@ -1,14 +1,17 @@
 """Projection of bounded symbols and the reproducing-identity verifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bergman_lab import (BallPoint, BoundedSymbol, QuadSpec, SymbolFormError,
+from bergman_lab import (BallPoint, BoundedSymbol, MomentTable, QuadSpec, RadialWeight,
+                         SymbolFormError,
                          boundedness_functional, build_coeffs, project,
                          project_bloch_image, verify_star)
+from bergman_lab import projection
 from bergman_lab.errors import QuadratureError
 from bergman_lab.kernel import _terms, _unscale
 from bergman_lab.projection import _fft_sphere_mean
@@ -301,6 +304,50 @@ class TestProjectCustom:
         assert_allclose(complex(a), complex(b), atol=1e-4)
 
 
+def _plane_grid():
+    """1 + Re(lam)/2 on one radius node, 9 moduli and 16 angles."""
+    mods, args = np.linspace(0.0, 1.0, 9), 2 * np.pi * np.arange(16) / 16
+    plane = 1.0 + 0.5 * mods[:, None] * np.cos(args)
+    return BoundedSymbol.custom_from_polar_grid([0.0], mods, args, plane[None], 1.5)
+
+
+class TestRimMesh:
+    """The radial integral of a custom projection runs in the rim distance
+    on the functional's mesh, graded only down to (1 - |z|)/2
+    (quadrature._outer_spec)."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.45, 0.9])
+    @pytest.mark.parametrize("key", ["std0", "std2", "exp11"])
+    def test_agrees_with_full_mesh(self, tables, weights, key, a, monkeypatch):
+        """P phi and its Bloch density against the full 12-level mesh, to
+        the spec's tolerance.  A callable's angle means for exp11 at |z| =
+        0.9 never settle, so there the symbol is a polar grid, whose modes
+        are exact."""
+        k = build_coeffs(tables[key], 2, d_max=1 << 19)
+        phi = (_plane_grid() if (key, a) == ("exp11", 0.9)
+               else BoundedSymbol.custom(lambda r, lam: _unit(lam), 1.0))
+        spec = DEFAULT_SPEC
+
+        def values():
+            return (project(k, weights[key], phi, BallPoint.radial(a, 2), spec),
+                    project_bloch_image(k, weights[key], phi, [a], spec)[0][1])
+
+        graded = values()
+        monkeypatch.setattr(projection, "_outer_spec", lambda q, r: q)
+        for got, want in zip(graded, values()):
+            assert abs(got - want) <= max(spec.tolerance, spec.rel_tolerance * abs(want))
+
+    def test_singular_weight(self):
+        """On (1 - r^2)^-0.5 bisection toward the rim reaches distances
+        below the spacing of the doubles at 1; w1 = conj(lam) still
+        projects to z1."""
+        w = RadialWeight.standard(-0.5)
+        k = build_coeffs(MomentTable(w), 2, d_max=1 << 19)
+        val = project(k, w, BoundedSymbol.custom(lambda r, lam: np.conj(lam), 1.0),
+                      BallPoint.radial(0.3, 2))
+        assert abs(val - 0.3) <= 1e-9
+
+
 class TestVerifyStar:
     def test_degree_zero_constants_cancel(self, coeffs_std0_n2, weights):
         lhs, rhs, gap = verify_star(coeffs_std0_n2, weights["std0"], (0, 0),
@@ -381,19 +428,38 @@ class TestSphereMeanWorkingSet:
             assert 512 in settled  # R K has no degree-0 term, so m = 1 misses -128
 
     def test_one_buffer_per_angle_count(self, coeffs_std0_n2, weights):
-        """Every radial node of a call is handed the same lam array at a
-        given angle count."""
+        """Every radial node of a call is handed the same memory as lam at
+        a given angle count, and every angle count a view of one buffer."""
         seen = []
 
         def fn(r, lam):
-            seen.append(lam)
+            seen.append((r, lam))
             return _unit(lam) + 0.3 * _unit(lam) ** 133
 
         project(coeffs_std0_n2, weights["std0"], BoundedSymbol.custom(fn, 1.3),
                 BallPoint.radial(0.45, 2))
-        shapes = {lam.shape for lam in seen}
-        assert len(seen) > 100 and len(shapes) == 2
-        assert len({id(lam) for lam in seen}) == len(shapes)
+        shapes = {lam.shape for _, lam in seen}
+        # the rim mesh at |z| = 0.45 starts from 3 segments, 45 nodes
+        assert len({r for r, _ in seen}) >= 45 and len(shapes) == 2
+        assert len({(lam.shape, lam.ctypes.data) for _, lam in seen}) == len(shapes)
+        assert len({id(lam.base) for _, lam in seen}) == 1
+
+    def test_working_set_bounded_when_angles_do_not_settle(self, tables, weights):
+        """exp11's angle means at |z| = 0.9 never settle: the projection
+        climbs to the node cap and raises, on slice blocks of at most
+        _BLOCK_ELEMENTS samples, where 150 x N arrays would take over 700 MB
+        at N = 2^16."""
+        k = build_coeffs(tables["exp11"], 2, d_max=1 << 19)
+        phi = BoundedSymbol.custom(lambda r, lam: _unit(lam), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="did not stabilize in angle"):
+                project(k, weights["exp11"], phi, BallPoint.radial(0.9, 2),
+                        QuadSpec(max_angular_nodes=1 << 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
 
     def test_projection_of_in_place_symbol(self, coeffs_std0_n2, weights):
         """A symbol that overwrites lam with conj(lam) and returns it

@@ -20,7 +20,8 @@ weight and symbol descriptors it writes to a temporary directory:
               series) and exp(c=1, beta=0.5) (undecided moment doubling,
               regularity OUT on a falling slope)
     project   the monomial w1^2 w2, and a 9 x 9 x 16 polar-grid symbol of
-              1 + Re(lam)/2 at --kmax 4
+              1 + Re(lam)/2 at --kmax 4, and on standard(-0.5) at --kmax 2
+              (a singular rim, which the radial integral must not reach)
 
 Each runs at --n 2 unless its arguments name another --n.
 The two sides of a report run at the same time.  It prints one line per
@@ -52,6 +53,7 @@ WEIGHTS = {
     "std0": {"kind": "standard", "alpha": 0.0, "label": "std0"},
     "std2": {"kind": "standard", "alpha": 2.0, "label": "std2"},
     "std-0.9": {"kind": "standard", "alpha": -0.9, "label": "std-0.9"},
+    "std-0.5": {"kind": "standard", "alpha": -0.5, "label": "std-0.5"},
     "log0": {"kind": "logarithmic", "gamma": 0.0, "label": "log0"},
     "exp11": {"kind": "exponential", "c": 1.0, "beta": 1.0, "label": "exp11"},
     "exp11-unlabelled": {"kind": "exponential", "c": 1.0, "beta": 1.0},
@@ -97,6 +99,7 @@ REPORTS = [
       for w in ("std0", "std2", "log0", "exp11", "tab", "std-0.9", "exp1000", "exp1-0.5")],
     ("project monomial w1^2 w2", "std0", "monomial", ["project"]),
     ("project polar grid --kmax 4", "std0", "grid", ["project", "--kmax", "4"]),
+    ("project std-0.5 polar grid --kmax 2", "std-0.5", "grid", ["project", "--kmax", "2"]),
 ]
 
 
