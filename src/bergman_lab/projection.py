@@ -35,6 +35,9 @@ __all__ = [
     "project_bloch_image",
 ]
 
+#: the largest radius below 1
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
 
 @dataclass(frozen=True)
 class BoundedSymbol:
@@ -90,7 +93,10 @@ class BoundedSymbol:
         an array of lam's shape; the projection raises SymbolFormError
         otherwise.  lam is valid only during the call: the projection
         reuses its buffer for the next radius, so keep no reference to it
-        (a copy is fine).  Symbols given any other way (for example raw
+        (a copy is fine).  Each projection first calls slice_fn once with a
+        stand-in r that raises TypeError on any use: a slice_fn that does
+        not read r gets the radial mesh the kernel needs, one that does the
+        finer full mesh.  Symbols given any other way (for example raw
         coordinate samples) are not in slice form and are rejected.
         """
         if not callable(slice_fn):
@@ -146,6 +152,12 @@ class _PolarGridSlice:
                 nodes, values = nodes[::-1], np.flip(values, axis=i)
             axes.append(nodes)
         self.axes, self.values = axes, values
+        # the interpolant is linear in r between r nodes; it kinks where the slope changes
+        r = axes[0]
+        slopes = np.diff(values, axis=0) / np.diff(r)[:, None, None]
+        kinks = r[1:-1][np.any(slopes[1:] != slopes[:-1], axis=(1, 2))]
+        #: rim distances 1 - r of the kinks inside the ball
+        self.rim_breaks = tuple((1.0 - kinks[(kinks > 0.0) & (kinks < 1.0)]).tolist())
 
     def __call__(self, r, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -305,40 +317,46 @@ def _slice_values(slice_fn, s: float, lam: np.ndarray) -> np.ndarray:
     return values
 
 
-def _angle_level(levels: dict, n_theta: int, rows: int):
-    """(circle nodes, lam, spectrum) of n_theta angles, from levels, the
-    calling projection's working set.  lam and spectrum are (block rows,
-    n_theta) views of the two halves of one buffer, levels["buffer"], that
-    every angle count shares; the block holds rows slice nodes, or fewer so
-    that each half stays within _BLOCK_ELEMENTS (one row at least).  A level
-    is made at the first radius that reaches it and reused at every later
-    one; a level the buffer cannot hold (one row of more than
-    _BLOCK_ELEMENTS angles) replaces the buffer and drops the levels made
-    on the old one.
+class _Workspace:
+    """One custom projection's working set: a buffer whose two halves hold
+    the slice samples lam and their spectrum, and for each angle count N
+    met, the circle nodes and (block rows, N) views of the two halves.
+
+    A block holds as many slice rows as fit in _BLOCK_ELEMENTS samples, one
+    row at least.  The views of N are made at the first radius that reaches
+    N and reused at every later one.  A row longer than the buffer replaces
+    it with one of that row's length, and the views on the old one are
+    dropped.
     """
-    if n_theta not in levels:
-        block = min(rows, max(1, _BLOCK_ELEMENTS // n_theta)) * n_theta
-        buffer = levels.get("buffer")
-        if buffer is None or buffer.shape[1] < block:
-            levels.clear()
-            buffer = levels["buffer"] = np.empty((2, max(block, _BLOCK_ELEMENTS)),
-                                                 dtype=complex)
-        levels[n_theta] = (np.exp(2j * np.pi * np.arange(n_theta) / n_theta),
-                           *buffer[:, :block].reshape(2, -1, n_theta))
-    return levels[n_theta]
+
+    def __init__(self):
+        self.buffer = np.empty((2, _BLOCK_ELEMENTS), dtype=complex)
+        self.levels = {}
+
+    def level(self, n_theta: int, rows: int):
+        """(circle nodes, lam, spectrum) of n_theta angles, for at most rows
+        slice nodes."""
+        if n_theta not in self.levels:
+            if n_theta > self.buffer.shape[1]:
+                self.buffer = np.empty((2, n_theta), dtype=complex)
+                self.levels.clear()
+            block = min(rows, self.buffer.shape[1] // n_theta) * n_theta
+            self.levels[n_theta] = (np.exp(2j * np.pi * np.arange(n_theta) / n_theta),
+                                    *self.buffer[:, :block].reshape(2, -1, n_theta))
+        return self.levels[n_theta]
 
 
 def _fft_sphere_mean(slice_fn, s: float, mods: np.ndarray, terms: np.ndarray,
-                     scale: float, spec: QuadSpec, levels: dict):
+                     scale: float, spec: QuadSpec, work: _Workspace):
     """(sphere mean, N) of a callable symbol at radius s: the terms
     terms[i, d] paired with the modes f_{-d}(s, mods[i]) from an FFT of
     samples on N angles, N doubled from the least power of two >=
     max(256, 4(D+1)) until the N- and N/2-angle means agree.
 
     The slice nodes go through the symbol and the FFT in blocks of at most
-    _BLOCK_ELEMENTS samples (_angle_level), so the working set is one
-    buffer of two such blocks whatever N the means climb to (a single row
-    may exceed it).  lam and the spectrum are the two halves of that
+    _BLOCK_ELEMENTS samples (work, the calling projection's _Workspace), so
+    the working set is one buffer of two such blocks whatever N the means
+    climb to (a single row may exceed it).  lam and the spectrum are the two halves of that
     buffer: held as two arrays, the symbol's own temporaries still faulted
     (171,000 minor faults in the measurement of _project_custom, against
     3,907).  The unnormalised FFT is read by slices, without a gather: mode
@@ -350,7 +368,7 @@ def _fft_sphere_mean(slice_fn, s: float, mods: np.ndarray, terms: np.ndarray,
     n_theta = 2 << max(7, (2 * D + 1).bit_length())
     cur = None
     while n_theta <= spec.max_angular_nodes:
-        circle, lam, spectrum = _angle_level(levels, n_theta, mods.size)
+        circle, lam, spectrum = work.level(n_theta, mods.size)
         half, rows = n_theta // 2, lam.shape[0]
         low = high = 0.0
         for i in range(0, mods.size, rows):
@@ -371,6 +389,44 @@ def _fft_sphere_mean(slice_fn, s: float, mods: np.ndarray, terms: np.ndarray,
                           partial_value=cur)
 
 
+class _Unread:
+    """A stand-in radius for probing a slice function: comparing, testing,
+    hashing or converting it, arithmetic with it and numpy ufuncs on it all
+    raise TypeError."""
+
+    __array_ufunc__ = None
+    __hash__ = None
+
+    def __eq__(self, other):
+        raise TypeError("the probe radius has no value")
+
+    __ne__ = __eq__
+
+    def __bool__(self):
+        raise TypeError("the probe radius has no value")
+
+
+def _radial_breaks(slice_fn, u: np.ndarray):
+    """The rim distances where phi = slice_fn may change in r other than
+    smoothly, or None where that is not known.
+
+    A polar grid is linear in r between its r nodes, so its breaks are the
+    nodes where the slope changes (rim_breaks).  A callable is called once
+    with a stand-in radius that raises on any use (_Unread), at lam on the
+    slice moduli u and 8 angles: if it returns values that convert to
+    complex, it did not read r and has no breaks; otherwise its radial
+    structure is unknown.
+    """
+    if isinstance(slice_fn, _PolarGridSlice):
+        return slice_fn.rim_breaks
+    lam = u[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)
+    try:
+        np.asarray(slice_fn(_Unread(), lam), dtype=complex)
+    except Exception:
+        return None
+    return ()
+
+
 def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
                     z: BallPoint, spec: QuadSpec, degree_weight: int = 0) -> complex:
     """Radial quadrature of the sphere means, at radius s,
@@ -384,10 +440,15 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
 
     The integral runs in the rim distance 1 - s, reading the weight by
     eval_at_one_minus, so bisection toward a singular rim (alpha < 0) never
-    meets a radius that rounds to 1.  Its initial mesh is the functional's
-    (quadrature._outer_spec at |z|): the kernel at modulus |z| s changes on
-    the scale 1 - |z|, so the mesh is graded only down to (1 - |z|)/2, and
-    a call at |z| = 0.45 starts from 45 radial nodes instead of 195.
+    meets a radius that rounds to 1; where 1 - s rounds to 1 the symbol is
+    read just below it.  Where the symbol's radial structure is known
+    (_radial_breaks), the initial mesh is the functional's
+    (quadrature._outer_spec at |z|) with the symbol's breaks added: the
+    kernel at modulus |z| s changes on the scale 1 - |z|, so the mesh is
+    graded only down to (1 - |z|)/2, and a call at |z| = 0.45 on a symbol
+    that does not read r starts from 45 radial nodes instead of 195.  A
+    callable that reads r keeps the spec's full mesh, which resolves
+    structure down to grading^-initial_levels of the rim.
 
     The call holds one working set for all of its radial nodes
     (_fft_sphere_mean).  With fresh arrays of 150 x N complex values at
@@ -407,7 +468,7 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
     u, u_weights = _slice_rule(n)
     degrees = np.arange(D + 1)
     slice_fn = phi.slice_fn
-    levels = {}
+    work = _Workspace()
 
     def sphere_mean(s: float) -> complex:
         mods = s * u
@@ -415,14 +476,16 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
         if isinstance(slice_fn, _PolarGridSlice):
             return _unscale(np.sum(terms * slice_fn.modes(s, mods, D)), scale,
                             "series value")
-        return _fft_sphere_mean(slice_fn, s, mods, terms, scale, spec, levels)[0]
+        return _fft_sphere_mean(slice_fn, s, mods, terms, scale, spec, work)[0]
 
     def f_dist(dist):
-        s = 1.0 - dist
+        s = np.minimum(1.0 - dist, _BELOW_ONE)
         return (2.0 * n * s ** (2 * n - 1) * w.eval_at_one_minus(dist)
                 * np.array([sphere_mean(si) for si in s.tolist()]))
 
-    value, _ = integrate_to_end(f_dist, 1.0, _outer_spec(spec, a))
+    breaks = _radial_breaks(slice_fn, u)
+    mesh = spec if breaks is None else _outer_spec(spec, a)
+    value, _ = integrate_to_end(f_dist, 1.0, mesh, breaks=breaks or ())
     return complex(value[()])
 
 

@@ -14,7 +14,7 @@ from bergman_lab import (BallPoint, BoundedSymbol, MomentTable, QuadSpec, Radial
 from bergman_lab import projection
 from bergman_lab.errors import QuadratureError
 from bergman_lab.kernel import _terms, _unscale
-from bergman_lab.projection import _fft_sphere_mean
+from bergman_lab.projection import _Workspace, _fft_sphere_mean, _radial_breaks
 from bergman_lab.quadrature import DEFAULT_SPEC, _slice_rule
 
 TIGHT = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
@@ -312,9 +312,11 @@ def _plane_grid():
 
 
 class TestRimMesh:
-    """The radial integral of a custom projection runs in the rim distance
-    on the functional's mesh, graded only down to (1 - |z|)/2
-    (quadrature._outer_spec)."""
+    """The radial integral of a custom projection runs in the rim distance.
+    A symbol whose radial structure is known (one that does not read r, or
+    a polar grid with its kinks as breaks) takes the functional's mesh,
+    graded only down to (1 - |z|)/2 (quadrature._outer_spec); a callable
+    that reads r keeps the full mesh."""
 
     @pytest.mark.parametrize("a", [0.0, 0.45, 0.9])
     @pytest.mark.parametrize("key", ["std0", "std2", "exp11"])
@@ -337,15 +339,78 @@ class TestRimMesh:
         for got, want in zip(graded, values()):
             assert abs(got - want) <= max(spec.tolerance, spec.rel_tolerance * abs(want))
 
-    def test_singular_weight(self):
+    @pytest.mark.parametrize("fn", [
+        lambda r, lam: np.conj(lam),
+        lambda r, lam: np.conj(lam) * (1.0 if r < 1.0 else np.nan)],
+        ids=["conj", "conj_undefined_at_1"])
+    def test_singular_weight(self, fn):
         """On (1 - r^2)^-0.5 bisection toward the rim reaches distances
         below the spacing of the doubles at 1; w1 = conj(lam) still
-        projects to z1."""
+        projects to z1, and a symbol is never read at r = 1."""
         w = RadialWeight.standard(-0.5)
         k = build_coeffs(MomentTable(w), 2, d_max=1 << 19)
-        val = project(k, w, BoundedSymbol.custom(lambda r, lam: np.conj(lam), 1.0),
-                      BallPoint.radial(0.3, 2))
+        val = project(k, w, BoundedSymbol.custom(fn, 1.0), BallPoint.radial(0.3, 2))
         assert abs(val - 0.3) <= 1e-9
+
+    @pytest.mark.parametrize("a", [0.0, 0.45])
+    def test_rim_localized_radial_symbols(self, coeffs_std0_n2, weights, a):
+        """A radial symbol projects to its mean over the ball, whatever z.
+        A step at r = 0.9995 (a callable that reads r) and a ramp on the
+        thin last cell of the radii 0, 0.999, 1 (a polar grid) sit inside
+        the first segment of the rim mesh at these |z|, where every node
+        would read 0."""
+        z = BallPoint.radial(a, 2)
+        step = BoundedSymbol.custom(
+            lambda r, lam: np.full(lam.shape, float(r > 0.9995)), 1.0)
+        assert abs(project(coeffs_std0_n2, weights["std0"], step, z)
+                   - (1.0 - 0.9995 ** 4)) <= 1e-9
+        c = 0.999
+        ramp = BoundedSymbol.custom_from_polar_grid(
+            [0.0, c, 1.0], [0.0, 1.0], [0.0, np.pi],
+            np.array([0.0, 0.0, 1.0])[:, None, None] * np.ones((3, 2, 2)), 1.0)
+        assert ramp.slice_fn.rim_breaks == pytest.approx((1.0 - c,))
+        # int_c^1 4 r^3 (r - c) / (1 - c) dr
+        want = (0.8 * (1.0 - c ** 5) - c * (1.0 - c ** 4)) / (1.0 - c)
+        assert abs(project(coeffs_std0_n2, weights["std0"], ramp, z) - want) <= 1e-9
+
+
+class TestRadialBreaks:
+    """_radial_breaks: a callable has no radial breaks when its probe call,
+    with a radius that raises on any use, returns; a polar grid's are the
+    r nodes where its r-slope changes."""
+
+    U = _slice_rule(2)[0]
+
+    @pytest.mark.parametrize("fn", [
+        SLICE_SYMBOLS["phase"], SLICE_SYMBOLS["poly"], _conj_in_place,
+        lambda r, lam: np.ones(lam.shape)])
+    def test_callables_that_do_not_read_r(self, fn):
+        assert _radial_breaks(fn, self.U) == ()
+
+    @pytest.mark.parametrize("fn", [
+        lambda r, lam: np.full(lam.shape, float(r > 0.9995)),
+        lambda r, lam: r * lam,
+        lambda r, lam: lam * r,
+        lambda r, lam: np.full(lam.shape, r),
+        lambda r, lam: np.where(np.abs(lam) > 0.5, r, 1.0),
+        lambda r, lam: np.exp(1j * np.log(1.0 - r)) * lam,
+        lambda r, lam: lam if r == 1.0 else np.conj(lam),
+        lambda r, lam: lam if r else np.conj(lam),
+        lambda r, lam: np.conj(lam) * math.sqrt(r)])
+    def test_callables_that_read_r(self, fn):
+        assert _radial_breaks(fn, self.U) is None
+
+    def test_polar_grid_kinks(self):
+        r_nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
+        profile = np.array([1.0, 1.0, 2.0, 3.0, 3.0])  # kinks at 0.25 and 0.75
+        values = profile[:, None, None] * np.ones((5, 2, 3))
+        grid = BoundedSymbol.custom_from_polar_grid(
+            r_nodes, [0.0, 1.0], [0.0, 2.0, 4.0], values, 3.0)
+        assert grid.slice_fn.rim_breaks == (0.75, 0.25)
+        flat = BoundedSymbol.custom_from_polar_grid(
+            r_nodes, [0.0, 1.0], [0.0, 2.0, 4.0], np.ones((5, 2, 3)), 1.0)
+        assert flat.slice_fn.rim_breaks == ()
+        assert _plane_grid().slice_fn.rim_breaks == ()
 
 
 class TestVerifyStar:
@@ -411,12 +476,12 @@ class TestSphereMeanWorkingSet:
         D, scale, gamma, _ = _terms(coeffs_std0_n2, a,
                                     max(spec.rel_tolerance * 10, 1.0e-11), m)
         u, u_weights = _slice_rule(2)
-        levels, settled = {}, set()
+        work, settled = _Workspace(), set()
         for s in SPHERE_RADII:
             mods = s * u
             terms = u_weights[:, None] * mods[:, None] ** np.arange(D + 1) * gamma
             want, n_want = _oracle_sphere_mean(fn, s, mods, terms, scale, spec)
-            got, n_got = _fft_sphere_mean(fn, s, mods, terms, scale, spec, levels)
+            got, n_got = _fft_sphere_mean(fn, s, mods, terms, scale, spec, work)
             assert n_got == n_want
             if name == "returns-lam":
                 # lam has no mode -d with d >= 0: both sides are round-off
@@ -433,7 +498,8 @@ class TestSphereMeanWorkingSet:
         seen = []
 
         def fn(r, lam):
-            seen.append((r, lam))
+            if isinstance(r, float):  # not the probe call of _radial_breaks
+                seen.append((r, lam))
             return _unit(lam) + 0.3 * _unit(lam) ** 133
 
         project(coeffs_std0_n2, weights["std0"], BoundedSymbol.custom(fn, 1.3),
