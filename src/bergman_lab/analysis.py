@@ -144,13 +144,13 @@ def boundedness_functional(k: KernelCoeffs, w: RadialWeight, r: float,
     the slice average's trapezoid rule evaluated by FFT) and W folds the
     weighted radial factors.  The outer integral's initial mesh is graded
     toward the rim only down to the kernel's scale 1 - r, by the rule
-    quadrature._outer_spec that the pr-check left-hand side and custom
-    projections share; bisection refines past it where the integrand
-    asks.  Each integrand call takes A at all its nodes in one array and,
-    at every n >= 2, W at the nodes it lacks in one batch
-    (_slice_weight_profiles), always under q itself, so W(v) does not
-    depend on r.  The nested form is checked
-    against this one in the tests.
+    quadrature._outer_spec, which the pr-check left-hand side shares;
+    bisection refines past it where the integrand asks.  Each integrand
+    call takes A at all its nodes in one array and, at every n >= 2, W at
+    the nodes it lacks in one batch (_slice_weight_profiles), always under
+    q itself, so W(v) does not depend on r.  Custom projections of symbols
+    of the slice variable alone integrate against the same W.  The nested
+    form is checked against this one in the tests.
 
     Raises TruncationError or NumericRangeError when the kernel series at
     r cannot be certified within the table's d_max or leaves double range;

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SymbolFormError
+from .analysis import _slice_weight_profiles
 from .kernel import _BLOCK_ELEMENTS, KernelCoeffs, _terms, _unscale
-from .quadrature import (BallPoint, QuadSpec, DEFAULT_SPEC, _outer_spec, _slice_rule,
-                         integrate_radial, integrate_to_end)
+from .quadrature import (BallPoint, QuadSpec, DEFAULT_SPEC, _slice_rule, integrate_radial,
+                         integrate_to_end)
 from .weights import RadialWeight
 
 __all__ = [
@@ -94,10 +95,11 @@ class BoundedSymbol:
         otherwise.  lam is valid only during the call: the projection
         reuses its buffer for the next radius, so keep no reference to it
         (a copy is fine).  Each projection first calls slice_fn once with a
-        stand-in r that raises TypeError on any use: a slice_fn that does
-        not read r gets the radial mesh the kernel needs, one that does the
-        finer full mesh.  Symbols given any other way (for example raw
-        coordinate samples) are not in slice form and are rejected.
+        stand-in r that raises TypeError on any use.  If that call returns,
+        phi depends on lam alone, and at n >= 2 the projection integrates
+        over lam only, calling slice_fn with that stand-in throughout.
+        Symbols given any other way (for example raw coordinate samples)
+        are not in slice form and are rejected.
         """
         if not callable(slice_fn):
             raise SymbolFormError(
@@ -152,12 +154,7 @@ class _PolarGridSlice:
                 nodes, values = nodes[::-1], np.flip(values, axis=i)
             axes.append(nodes)
         self.axes, self.values = axes, values
-        # the interpolant is linear in r between r nodes; it kinks where the slope changes
-        r = axes[0]
-        slopes = np.diff(values, axis=0) / np.diff(r)[:, None, None]
-        kinks = r[1:-1][np.any(slopes[1:] != slopes[:-1], axis=(1, 2))]
-        #: rim distances 1 - r of the kinks inside the ball
-        self.rim_breaks = tuple((1.0 - kinks[(kinks > 0.0) & (kinks < 1.0)]).tolist())
+        self.varies_in_r = bool(np.any(values != values[:1]))
 
     def __call__(self, r, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -299,12 +296,12 @@ def surviving_degree(phi: BoundedSymbol) -> int:
     return 0
 
 
-def _mode_sum(terms: np.ndarray, modes: np.ndarray, n_theta: int) -> complex:
-    """sum(terms * modes) / n_theta for real terms: the real and imaginary
-    parts of the modes are paired apart, so the terms are never promoted to
-    complex, and n_theta, a power of two, divides exactly."""
-    return complex(np.sum(terms * modes.real) / n_theta,
-                   np.sum(terms * modes.imag) / n_theta)
+def _mode_sums(terms: np.ndarray, modes: np.ndarray, n_theta: int) -> np.ndarray:
+    """sum(terms * modes, axis=-1) / n_theta for real terms: the real and
+    imaginary parts of the modes are paired apart, so the terms are never
+    promoted to complex, and n_theta, a power of two, divides exactly."""
+    return (np.sum(terms * modes.real, axis=-1)
+            + 1j * np.sum(terms * modes.imag, axis=-1)) / n_theta
 
 
 def _slice_values(slice_fn, s: float, lam: np.ndarray) -> np.ndarray:
@@ -346,43 +343,55 @@ class _Workspace:
         return self.levels[n_theta]
 
 
-def _fft_sphere_mean(slice_fn, s: float, mods: np.ndarray, terms: np.ndarray,
-                     scale: float, spec: QuadSpec, work: _Workspace):
-    """(sphere mean, N) of a callable symbol at radius s: the terms
-    terms[i, d] paired with the modes f_{-d}(s, mods[i]) from an FFT of
-    samples on N angles, N doubled from the least power of two >=
-    max(256, 4(D+1)) until the N- and N/2-angle means agree.
+def _first_angle_count(D: int) -> int:
+    """The least power of two >= max(256, 4(D+1)): the angle count a mean
+    over modes up to D starts from."""
+    return 2 << max(7, (2 * D + 1).bit_length())
+
+
+def _fft_sphere_mean(slice_fn, s, mods: np.ndarray, terms: np.ndarray, scale: float,
+                     spec: QuadSpec, work: _Workspace, per_row: bool = False):
+    """(sphere mean, N) of a callable symbol at radius s (the r handed to
+    slice_fn): the terms terms[i, d] paired with the modes f_{-d}(s,
+    mods[i]) from an FFT of samples on N angles, N doubled from
+    _first_angle_count(D) until the N- and N/2-angle means agree.  With
+    per_row the mean is the array of each node i's pairings, and each of
+    them must agree.
 
     The slice nodes go through the symbol and the FFT in blocks of at most
     _BLOCK_ELEMENTS samples (work, the calling projection's _Workspace), so
     the working set is one buffer of two such blocks whatever N the means
-    climb to (a single row may exceed it).  lam and the spectrum are the two halves of that
-    buffer: held as two arrays, the symbol's own temporaries still faulted
-    (171,000 minor faults in the measurement of _project_custom, against
-    3,907).  The unnormalised FFT is read by slices, without a gather: mode
-    -d is column 0, then columns N-1 down to N-D; mode N/2-d, which the
-    N/2-angle DFT folds onto mode -d, is columns N/2 down to N/2-D.  N >=
-    4(D+1), so neither slice wraps.
+    climb to (a single row may exceed it).  lam and the spectrum are the
+    two halves of that buffer: held as two arrays, the symbol's own
+    temporaries still faulted (171,000 minor faults in the measurement of
+    _project_custom, against 3,907).  The unnormalised FFT is read by
+    slices, without a gather: mode -d is column 0, then columns N-1 down to
+    N-D; mode N/2-d, which the N/2-angle DFT folds onto mode -d, is columns
+    N/2 down to N/2-D.  N >= 4(D+1), so neither slice wraps.
     """
     D = terms.shape[1] - 1
-    n_theta = 2 << max(7, (2 * D + 1).bit_length())
+    n_theta = _first_angle_count(D)
     cur = None
     while n_theta <= spec.max_angular_nodes:
         circle, lam, spectrum = work.level(n_theta, mods.size)
         half, rows = n_theta // 2, lam.shape[0]
-        low = high = 0.0
+        low, high = np.empty(mods.size, dtype=complex), np.empty(mods.size, dtype=complex)
         for i in range(0, mods.size, rows):
             t = terms[i:i + rows]
             block, out = lam[:len(t)], spectrum[:len(t)]
             np.multiply(mods[i:i + rows, None], circle, out=block)
             np.fft.fft(_slice_values(slice_fn, s, block), axis=-1, out=out)
-            low += (_mode_sum(t[:, :1], out[:, :1], n_theta)
-                    + _mode_sum(t[:, 1:], out[:, n_theta - 1:n_theta - 1 - D:-1], n_theta))
-            high += _mode_sum(t, out[:, half:half - D - 1:-1], n_theta)
+            low[i:i + rows] = (_mode_sums(t[:, :1], out[:, :1], n_theta)
+                               + _mode_sums(t[:, 1:], out[:, n_theta - 1:n_theta - 1 - D:-1],
+                                            n_theta))
+            high[i:i + rows] = _mode_sums(t, out[:, half:half - D - 1:-1], n_theta)
+        if not per_row:
+            low, high = complex(np.sum(low)), complex(np.sum(high))
         cur = _unscale(low, scale, "series value")
         # the DFT of the even angles (one level down) folds mode N/2 - d onto -d
         coarse = _unscale(low + high, scale, "series value")
-        if abs(cur - coarse) <= max(spec.tolerance, 10 * spec.rel_tolerance * abs(cur)):
+        if np.all(np.abs(cur - coarse)
+                  <= np.maximum(spec.tolerance, 10 * spec.rel_tolerance * np.abs(cur))):
             return cur, n_theta
         n_theta *= 2
     raise QuadratureError("custom-symbol projection did not stabilize in angle",
@@ -406,49 +415,55 @@ class _Unread:
         raise TypeError("the probe radius has no value")
 
 
-def _radial_breaks(slice_fn, u: np.ndarray):
-    """The rim distances where phi = slice_fn may change in r other than
-    smoothly, or None where that is not known.
+def _reads_radius(slice_fn, u: np.ndarray, n_theta: int, work: _Workspace) -> bool:
+    """Whether phi = slice_fn may depend on r, not on lam alone.
 
-    A polar grid is linear in r between its r nodes, so its breaks are the
-    nodes where the slope changes (rim_breaks).  A callable is called once
-    with a stand-in radius that raises on any use (_Unread), at lam on the
-    slice moduli u and 8 angles: if it returns values that convert to
-    complex, it did not read r and has no breaks; otherwise its radial
-    structure is unknown.
+    A polar grid does where its values change along the radius axis.  A
+    callable is called once, with a stand-in radius that raises on any use
+    (_Unread), on the first block of the sample points of a sphere mean
+    at radius 1 on n_theta angles; if it returns values that convert to
+    complex, it did not read r.  A result not of lam's shape raises
+    SymbolFormError, as in a sphere mean.
     """
     if isinstance(slice_fn, _PolarGridSlice):
-        return slice_fn.rim_breaks
-    lam = u[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)
+        return slice_fn.varies_in_r
+    circle, lam, _ = work.level(n_theta, u.size)
+    np.multiply(u[:lam.shape[0], None], circle, out=lam)
     try:
-        np.asarray(slice_fn(_Unread(), lam), dtype=complex)
+        np.asarray(_slice_values(slice_fn, _Unread(), lam), dtype=complex)
+    except SymbolFormError:
+        raise
     except Exception:
-        return None
-    return ()
+        return True
+    return False
 
 
 def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
                     z: BallPoint, spec: QuadSpec, degree_weight: int = 0) -> complex:
     """Radial quadrature of the sphere means, at radius s,
 
-        sum_i w_i sum_{d <= D} d^m c_d (|z| s u_i)^d f_{-d}(s, s u_i),
+        sum_i w_i M(s, s u_i),  M(s, t) = sum_{d <= D} d^m c_d (|z| t)^d f_{-d}(s, t),
 
     with one certified term table at |z|, which bounds every modulus met.
     Polar-grid symbols give exact modes f_{-d}; a callable's come from
     _fft_sphere_mean.  degree_weight m = 1 swaps K for its radial
     derivative.
 
-    The integral runs in the rim distance 1 - s, reading the weight by
-    eval_at_one_minus, so bisection toward a singular rim (alpha < 0) never
-    meets a radius that rounds to 1; where 1 - s rounds to 1 the symbol is
-    read just below it.  Where the symbol's radial structure is known
-    (_radial_breaks), the initial mesh is the functional's
-    (quadrature._outer_spec at |z|) with the symbol's breaks added: the
-    kernel at modulus |z| s changes on the scale 1 - |z|, so the mesh is
-    graded only down to (1 - |z|)/2, and a call at |z| = 0.45 on a symbol
-    that does not read r starts from 45 radial nodes instead of 195.  A
-    callable that reads r keeps the spec's full mesh, which resolves
-    structure down to grading^-initial_levels of the rim.
+    At n >= 2 a symbol that does not depend on r (_reads_radius) has
+    M(s, t) = M(t), and swapping the integrals over s and t = s u leaves
+
+        P phi(z) = 4n(n-1) int_0^1 M(t) W(t) dt,
+
+    with W the functional's slice-weight profile
+    (analysis._slice_weight_profiles): one circle of lam per radial node
+    instead of the slice rule's 150.  Structure of the symbol in |lam| near
+    1 is then met by the integral's own mesh, not only by the fixed slice
+    rule.  A symbol that depends on r takes the sphere means at every node.
+
+    Both integrals run in the rim distance on the spec's full mesh, reading
+    the weight by eval_at_one_minus, so bisection toward a singular rim
+    (alpha < 0) never meets a radius that rounds to 1; where 1 - s rounds
+    to 1 the symbol is read at the largest double below 1.
 
     The call holds one working set for all of its radial nodes
     (_fft_sphere_mean).  With fresh arrays of 150 x N complex values at
@@ -468,24 +483,34 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
     u, u_weights = _slice_rule(n)
     degrees = np.arange(D + 1)
     slice_fn = phi.slice_fn
+    grid = isinstance(slice_fn, _PolarGridSlice)
     work = _Workspace()
 
-    def sphere_mean(s: float) -> complex:
-        mods = s * u
-        terms = u_weights[:, None] * mods[:, None] ** degrees * gamma
-        if isinstance(slice_fn, _PolarGridSlice):
-            return _unscale(np.sum(terms * slice_fn.modes(s, mods, D)), scale,
+    def means(s, mods, weights, per_row):
+        """sum_d of weights * mods^d * gamma_d with the modes at radius s,
+        unscaled, summed over the rows or per row."""
+        terms = weights * mods[:, None] ** degrees * gamma
+        if grid:
+            pairs = terms * slice_fn.modes(s, mods, D)
+            return _unscale(np.sum(pairs, axis=-1) if per_row else np.sum(pairs), scale,
                             "series value")
-        return _fft_sphere_mean(slice_fn, s, mods, terms, scale, spec, work)[0]
+        return _fft_sphere_mean(slice_fn, s, mods, terms, scale, spec, work, per_row)[0]
 
-    def f_dist(dist):
-        s = np.minimum(1.0 - dist, _BELOW_ONE)
-        return (2.0 * n * s ** (2 * n - 1) * w.eval_at_one_minus(dist)
-                * np.array([sphere_mean(si) for si in s.tolist()]))
+    if n >= 2 and not _reads_radius(slice_fn, u, _first_angle_count(D), work):
+        r_any = slice_fn.axes[0][0] if grid else _Unread()
 
-    breaks = _radial_breaks(slice_fn, u)
-    mesh = spec if breaks is None else _outer_spec(spec, a)
-    value, _ = integrate_to_end(f_dist, 1.0, mesh, breaks=breaks or ())
+        def f_dist(dist):
+            t = np.minimum(1.0 - dist, _BELOW_ONE)
+            profile = np.array(_slice_weight_profiles(w, n, t.tolist(), spec))
+            return 4.0 * n * (n - 1) * profile * means(r_any, t, 1.0, True)
+    else:
+        def f_dist(dist):
+            s = np.minimum(1.0 - dist, _BELOW_ONE)
+            return (2.0 * n * s ** (2 * n - 1) * w.eval_at_one_minus(dist)
+                    * np.array([means(si, si * u, u_weights[:, None], False)
+                                for si in s.tolist()]))
+
+    value, _ = integrate_to_end(f_dist, 1.0, spec)
     return complex(value[()])
 
 

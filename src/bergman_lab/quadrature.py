@@ -127,24 +127,17 @@ _KRONROD_W = np.concatenate([_WK_HALF, _WK_HALF[-2::-1]])
 _GAUSS_W = np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 
 
-def _initial_mesh(length, spec: QuadSpec, breaks=()):
+def _initial_mesh(length, spec: QuadSpec):
     """Breakpoints of the initial mesh on (0, length) in the distance
     coordinate s: geometric toward s = 0, or 8 equal segments when grading
-    is 1, merged with the distances breaks (each > 0) in order.  An array
-    of lengths adds a leading axis, one mesh per length; a break past a
-    length lands on its end, a segment of length 0."""
+    is 1.  An array of lengths adds a leading axis, one mesh per length."""
     if spec.grading == 1.0:
         unit = np.linspace(0.0, 1.0, 9)
     else:
         unit = np.array([0.0]
                         + [spec.grading ** (-j) for j in range(spec.initial_levels, 0, -1)]
                         + [1.0])
-    pts = np.multiply.outer(length, unit)
-    if len(breaks):
-        pts = np.sort(np.concatenate(
-            [pts, np.minimum.outer(length, np.asarray(breaks, dtype=float))], axis=-1),
-            axis=-1)
-    return pts
+    return np.multiply.outer(length, unit)
 
 
 def _segment_estimates(fs, s_lo, s_hi):
@@ -229,17 +222,15 @@ def _bisect(fs, segs, vals, raws, spec: QuadSpec, s_floor: float):
     return total, err_total
 
 
-def _integrate(fs, lengths: np.ndarray, spec: QuadSpec, s_floor: float, params=None,
-               breaks=()):
+def _integrate(fs, lengths: np.ndarray, spec: QuadSpec, s_floor: float, params=None):
     """int_0^L fs(s) ds for every L in the 1-d array lengths; returns arrays
     (value, error_estimate).  One call of fs takes the initial meshes of all
     lengths, length by length (a length's breakpoints that coincide, the
     finest ones of a short enough length, are merged); then each length
     that missed max(tolerance, rel_tolerance * |value|) is bisected alone.
     With params (a float per length), fs(s, p) gets each node's parameter
-    in the first call and the length's float in its bisection.  breaks
-    joins the initial meshes (_initial_mesh)."""
-    pts = _initial_mesh(lengths, spec, breaks)
+    in the first call and the length's float in its bisection."""
+    pts = _initial_mesh(lengths, spec)
     lo, hi = pts[:, :-1], pts[:, 1:]
     kept = hi > lo
     counts = kept.sum(axis=1)
@@ -299,25 +290,20 @@ def integrate_radial(f=None, spec: QuadSpec | None = None, a: float = 0.0,
     return value[0], error[0]
 
 
-def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None, params=None,
-                     breaks=()):
+def integrate_to_end(f_dist, lengths, spec: QuadSpec | None = None, params=None):
     """int_0^L f_dist(s) ds for every L in an array of lengths, graded toward
     s = 0; returns arrays (value, error_estimate) shaped like lengths.  Each
     L gives, bit for bit, what integrate_radial(f_dist=f_dist, spec=spec,
     a=a, b=b) gives for b - a == L, but one integrand call, on a flat 1-d
     array, takes the initial meshes of all lengths.  params, if given,
     holds a float per length (shaped like lengths), and the integrand is
-    f_dist(s, p) with p each node's parameter (see _integrate).  breaks,
-    distances in (0, inf), are added to every initial mesh: where the
-    integrand has a kink or jump it knows of, no segment straddles it.
+    f_dist(s, p) with p each node's parameter (see _integrate).
     """
     spec = spec or DEFAULT_SPEC
     lengths = np.asarray(lengths, dtype=float)
     if not np.all(lengths > 0.0):
         raise ValueError("empty integration range")
-    if not all(x > 0.0 for x in breaks):
-        raise ValueError("breaks must be positive distances")
-    value, error = _integrate(f_dist, lengths.ravel(), spec, 0.0, params, breaks)
+    value, error = _integrate(f_dist, lengths.ravel(), spec, 0.0, params)
     return value.reshape(lengths.shape), error.reshape(lengths.shape)
 
 
@@ -325,9 +311,10 @@ def _outer_spec(q: QuadSpec, r: float) -> QuadSpec:
     """q with its initial mesh graded toward the rim only down to the
     kernel's scale 1 - r: the rule of every outer radial integral, in the
     rim distance u, whose integrand follows a kernel at modulus r and
-    otherwise only the weight (the functional M(r), the pr-check left-hand
-    side at s = r, and the projection at |z| = r of a custom symbol whose
-    radial structure is known, its kinks passed as breaks).
+    otherwise only the weight (the functional M(r) and the pr-check
+    left-hand side at s = r).  A projection's integrand also follows its
+    symbol, which may change anywhere near the rim, so projections keep
+    the full mesh.
 
     A kernel at modulus r (1 - u) changes on the scale 1 - r, so segments
     below u ~ 1 - r all sit at the same kernel depth.  The finest breakpoint

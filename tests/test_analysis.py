@@ -272,9 +272,8 @@ def _finest_breakpoint(spec):
 class TestOuterMesh:
     """The rim mesh rule quadrature._outer_spec grades an outer integral's
     mesh only down to the kernel's scale 1 - r; the functional takes it,
-    and W(v) keeps the caller's rule.  The projection's use is tested in
-    test_projection.py, the pr-check left-hand side's in
-    TestFunctionalPerNode."""
+    and W(v) keeps the caller's rule.  The pr-check left-hand side's use
+    is tested in TestFunctionalPerNode."""
 
     @pytest.mark.parametrize("k", range(1, 25))
     def test_finest_breakpoint_at_dyadic_radii(self, k):

@@ -14,7 +14,7 @@ from bergman_lab import (BallPoint, BoundedSymbol, MomentTable, QuadSpec, Radial
 from bergman_lab import projection
 from bergman_lab.errors import QuadratureError
 from bergman_lab.kernel import _terms, _unscale
-from bergman_lab.projection import _Workspace, _fft_sphere_mean, _radial_breaks
+from bergman_lab.projection import _Workspace, _fft_sphere_mean, _reads_radius
 from bergman_lab.quadrature import DEFAULT_SPEC, _slice_rule
 
 TIGHT = QuadSpec(tolerance=1e-12, rel_tolerance=1e-12)
@@ -311,32 +311,32 @@ def _plane_grid():
     return BoundedSymbol.custom_from_polar_grid([0.0], mods, args, plane[None], 1.5)
 
 
-class TestRimMesh:
-    """The radial integral of a custom projection runs in the rim distance.
-    A symbol whose radial structure is known (one that does not read r, or
-    a polar grid with its kinks as breaks) takes the functional's mesh,
-    graded only down to (1 - |z|)/2 (quadrature._outer_spec); a callable
-    that reads r keeps the full mesh."""
+class TestSliceRoute:
+    """At n >= 2 a symbol that does not depend on r is projected over the
+    slice variable alone, 4n(n-1) int M(t) W(t) dt; one that depends on r
+    takes a sphere mean at every radial node.  Both integrals run in the
+    rim distance on the spec's full mesh."""
 
+    @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("a", [0.0, 0.45, 0.9])
     @pytest.mark.parametrize("key", ["std0", "std2", "exp11"])
-    def test_agrees_with_full_mesh(self, tables, weights, key, a, monkeypatch):
-        """P phi and its Bloch density against the full 12-level mesh, to
-        the spec's tolerance.  A callable's angle means for exp11 at |z| =
-        0.9 never settle, so there the symbol is a polar grid, whose modes
-        are exact."""
-        k = build_coeffs(tables[key], 2, d_max=1 << 19)
+    def test_agrees_with_sphere_means(self, tables, weights, key, a, n, monkeypatch):
+        """P phi and its Bloch density against the sphere-mean route, to the
+        spec's tolerance.  A callable's angle means for exp11 at |z| = 0.9
+        never settle, so there the symbol is a polar grid, whose modes are
+        exact."""
+        k = build_coeffs(tables[key], n, d_max=1 << 19)
         phi = (_plane_grid() if (key, a) == ("exp11", 0.9)
                else BoundedSymbol.custom(lambda r, lam: _unit(lam), 1.0))
         spec = DEFAULT_SPEC
 
         def values():
-            return (project(k, weights[key], phi, BallPoint.radial(a, 2), spec),
+            return (project(k, weights[key], phi, BallPoint.radial(a, n), spec),
                     project_bloch_image(k, weights[key], phi, [a], spec)[0][1])
 
-        graded = values()
-        monkeypatch.setattr(projection, "_outer_spec", lambda q, r: q)
-        for got, want in zip(graded, values()):
+        over_slices = values()
+        monkeypatch.setattr(projection, "_reads_radius", lambda *args: True)
+        for got, want in zip(over_slices, values()):
             assert abs(got - want) <= max(spec.tolerance, spec.rel_tolerance * abs(want))
 
     @pytest.mark.parametrize("fn", [
@@ -346,38 +346,42 @@ class TestRimMesh:
     def test_singular_weight(self, fn):
         """On (1 - r^2)^-0.5 bisection toward the rim reaches distances
         below the spacing of the doubles at 1; w1 = conj(lam) still
-        projects to z1, and a symbol is never read at r = 1."""
+        projects to z1 on either route, and a symbol is never read at
+        r = 1."""
         w = RadialWeight.standard(-0.5)
         k = build_coeffs(MomentTable(w), 2, d_max=1 << 19)
         val = project(k, w, BoundedSymbol.custom(fn, 1.0), BallPoint.radial(0.3, 2))
         assert abs(val - 0.3) <= 1e-9
 
     @pytest.mark.parametrize("a", [0.0, 0.45])
-    def test_rim_localized_radial_symbols(self, coeffs_std0_n2, weights, a):
-        """A radial symbol projects to its mean over the ball, whatever z.
-        A step at r = 0.9995 (a callable that reads r) and a ramp on the
-        thin last cell of the radii 0, 0.999, 1 (a polar grid) sit inside
-        the first segment of the rim mesh at these |z|, where every node
-        would read 0."""
+    def test_rim_localized_symbols(self, coeffs_std0_n2, weights, a):
+        """Symbols that change only near the rim, against closed forms:
+        a step in r at 0.9995 and a ramp in r on the last cell of the radii
+        0, 0.999, 1 (a polar grid) project to their mean over the ball,
+        whatever z; a step in |lam| at 0.9995 projects to the volume
+        (1 - 0.9995^2)^2 of its support at z = 0, and so does it at
+        |z| = 0.45, since the symbol is radial in lam."""
         z = BallPoint.radial(a, 2)
-        step = BoundedSymbol.custom(
-            lambda r, lam: np.full(lam.shape, float(r > 0.9995)), 1.0)
-        assert abs(project(coeffs_std0_n2, weights["std0"], step, z)
-                   - (1.0 - 0.9995 ** 4)) <= 1e-9
+        c = 0.9995
+        step_r = BoundedSymbol.custom(lambda r, lam: np.full(lam.shape, float(r > c)), 1.0)
+        assert abs(project(coeffs_std0_n2, weights["std0"], step_r, z)
+                   - (1.0 - c ** 4)) <= 1e-9
+        step_lam = BoundedSymbol.custom(lambda r, lam: (np.abs(lam) > c).astype(float), 1.0)
+        assert abs(project(coeffs_std0_n2, weights["std0"], step_lam, z)
+                   - (1.0 - c * c) ** 2) <= 1e-9
         c = 0.999
         ramp = BoundedSymbol.custom_from_polar_grid(
             [0.0, c, 1.0], [0.0, 1.0], [0.0, np.pi],
             np.array([0.0, 0.0, 1.0])[:, None, None] * np.ones((3, 2, 2)), 1.0)
-        assert ramp.slice_fn.rim_breaks == pytest.approx((1.0 - c,))
         # int_c^1 4 r^3 (r - c) / (1 - c) dr
         want = (0.8 * (1.0 - c ** 5) - c * (1.0 - c ** 4)) / (1.0 - c)
         assert abs(project(coeffs_std0_n2, weights["std0"], ramp, z) - want) <= 1e-9
 
 
-class TestRadialBreaks:
-    """_radial_breaks: a callable has no radial breaks when its probe call,
-    with a radius that raises on any use, returns; a polar grid's are the
-    r nodes where its r-slope changes."""
+class TestReadsRadius:
+    """_reads_radius: a callable does not depend on r when its probe call,
+    with a radius that raises on any use, returns; a polar grid does when
+    its values change along the radius axis."""
 
     U = _slice_rule(2)[0]
 
@@ -385,7 +389,7 @@ class TestRadialBreaks:
         SLICE_SYMBOLS["phase"], SLICE_SYMBOLS["poly"], _conj_in_place,
         lambda r, lam: np.ones(lam.shape)])
     def test_callables_that_do_not_read_r(self, fn):
-        assert _radial_breaks(fn, self.U) == ()
+        assert not _reads_radius(fn, self.U, 256, _Workspace())
 
     @pytest.mark.parametrize("fn", [
         lambda r, lam: np.full(lam.shape, float(r > 0.9995)),
@@ -398,19 +402,17 @@ class TestRadialBreaks:
         lambda r, lam: lam if r else np.conj(lam),
         lambda r, lam: np.conj(lam) * math.sqrt(r)])
     def test_callables_that_read_r(self, fn):
-        assert _radial_breaks(fn, self.U) is None
+        assert _reads_radius(fn, self.U, 256, _Workspace())
 
-    def test_polar_grid_kinks(self):
-        r_nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
-        profile = np.array([1.0, 1.0, 2.0, 3.0, 3.0])  # kinks at 0.25 and 0.75
-        values = profile[:, None, None] * np.ones((5, 2, 3))
-        grid = BoundedSymbol.custom_from_polar_grid(
-            r_nodes, [0.0, 1.0], [0.0, 2.0, 4.0], values, 3.0)
-        assert grid.slice_fn.rim_breaks == (0.75, 0.25)
-        flat = BoundedSymbol.custom_from_polar_grid(
-            r_nodes, [0.0, 1.0], [0.0, 2.0, 4.0], np.ones((5, 2, 3)), 1.0)
-        assert flat.slice_fn.rim_breaks == ()
-        assert _plane_grid().slice_fn.rim_breaks == ()
+    def test_polar_grids(self):
+        r_nodes, mods, args = [0.0, 0.5, 1.0], [0.0, 1.0], [0.0, 2.0, 4.0]
+        ramp = np.array([1.0, 1.0, 2.0])[:, None, None] * np.ones((3, 2, 3))
+        work = _Workspace()
+        assert _reads_radius(BoundedSymbol.custom_from_polar_grid(
+            r_nodes, mods, args, ramp, 2.0).slice_fn, self.U, 256, work)
+        assert not _reads_radius(BoundedSymbol.custom_from_polar_grid(
+            r_nodes, mods, args, np.ones((3, 2, 3)), 1.0).slice_fn, self.U, 256, work)
+        assert not _reads_radius(_plane_grid().slice_fn, self.U, 256, work)
 
 
 class TestVerifyStar:
@@ -498,15 +500,13 @@ class TestSphereMeanWorkingSet:
         seen = []
 
         def fn(r, lam):
-            if isinstance(r, float):  # not the probe call of _radial_breaks
-                seen.append((r, lam))
+            seen.append((float(r), lam))  # reads r: a sphere mean at every node
             return _unit(lam) + 0.3 * _unit(lam) ** 133
 
         project(coeffs_std0_n2, weights["std0"], BoundedSymbol.custom(fn, 1.3),
                 BallPoint.radial(0.45, 2))
         shapes = {lam.shape for _, lam in seen}
-        # the rim mesh at |z| = 0.45 starts from 3 segments, 45 nodes
-        assert len({r for r, _ in seen}) >= 45 and len(shapes) == 2
+        assert len(seen) > 100 and len(shapes) == 2
         assert len({(lam.shape, lam.ctypes.data) for _, lam in seen}) == len(shapes)
         assert len({id(lam.base) for _, lam in seen}) == 1
 

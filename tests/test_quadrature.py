@@ -277,25 +277,9 @@ class TestIntegrateToEnd:
             assert (value[i], err[i]) == _per_segment_radial(f_dist=f_dist, spec=spec, b=length)
         assert np.all(np.isfinite(value))
 
-    def test_breaks_join_the_initial_mesh(self):
-        """A bump on (0.3, 0.3005) lies between two Kronrod nodes of the
-        segment [0.25, 0.5], so the mesh reads 0 at every node; with its
-        ends as breaks it is resolved, and a break past a length lands on
-        its end."""
-        f_dist = lambda s: ((s > 0.3) & (s < 0.3005)).astype(float)
-        assert integrate_to_end(f_dist, 1.0)[0] == 0.0
-        lengths = np.array([1.0, 0.3002])
-        value, err = integrate_to_end(f_dist, lengths, breaks=(0.3, 0.3005))
-        assert_allclose(value, [5e-4, 2e-4], rtol=1e-12)
-        pts = _initial_mesh(lengths, DEFAULT_SPEC, (0.3, 0.3005))
-        assert pts.shape == (2, 16) and 0.3 in pts[0] and 0.3005 in pts[0]
-        assert pts[1, -2] == pts[1, -1] == 0.3002
-
     def test_empty_range(self):
         with pytest.raises(ValueError):
             integrate_to_end(lambda s: s, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            integrate_to_end(lambda s: s, 1.0, breaks=(0.5, 0.0))
 
 
 class TestIntegrateRadial:
