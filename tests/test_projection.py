@@ -344,10 +344,10 @@ class TestSliceRoute:
         lambda r, lam: np.conj(lam) * (1.0 if r < 1.0 else np.nan)],
         ids=["conj", "conj_undefined_at_1"])
     def test_singular_weight(self, fn):
-        """On (1 - r^2)^-0.5 bisection toward the rim reaches distances
-        below the spacing of the doubles at 1; w1 = conj(lam) still
-        projects to z1 on either route, and a symbol is never read at
-        r = 1."""
+        """On (1 - r^2)^-0.5, w1 = conj(lam) projects to z1 over the slice
+        variable and, when the symbol reads r, by sphere means.  Their
+        bisection toward the rim reaches distances below the spacing of
+        the doubles at 1, and the symbol is never read at r = 1."""
         w = RadialWeight.standard(-0.5)
         k = build_coeffs(MomentTable(w), 2, d_max=1 << 19)
         val = project(k, w, BoundedSymbol.custom(fn, 1.0), BallPoint.radial(0.3, 2))
