@@ -319,13 +319,13 @@ class _Workspace:
     slice samples lam and their spectrum, and for each angle count N met,
     the circle nodes and (block rows, N) views of the two blocks.
 
-    A block holds as many slice rows as fit in _BLOCK_ELEMENTS samples, one
-    row at least; the spectrum follows lam in memory (with the two a fixed
-    2 MB apart, a sphere mean of 150 x 256 samples took about 4% longer on
-    a 2-vCPU host).  The
-    views of N are made at the first radius that reaches N and reused at
-    every later one.  A row longer than a block replaces the buffer with
-    one of two such rows, and the views on the old one are dropped.
+    A block holds as many rows as fit in _BLOCK_ELEMENTS samples, one row
+    at least; the spectrum follows lam in memory (with the two a fixed 2 MB
+    apart, a sphere mean of 150 x 256 samples took about 4% longer on a
+    2-vCPU host).  The views of N are made at the first radius that reaches
+    N and reused at every later one.  A row longer than a block replaces
+    the buffer with one of two such rows, and the views on the old one are
+    dropped.
     """
 
     def __init__(self):
@@ -360,11 +360,11 @@ def _fft_sphere_mean(slice_fn, s, mods: np.ndarray, terms: np.ndarray, scale: fl
     per_row the mean is the array of each node i's pairings, and each of
     them must agree.
 
-    The slice nodes go through the symbol and the FFT in blocks of at most
+    The rows go through the symbol and the FFT in blocks of at most
     _BLOCK_ELEMENTS samples (work, the calling projection's _Workspace), so
     the working set is one buffer of two such blocks whatever N the means
     climb to (a single row may exceed it).  lam and the spectrum are the
-    two halves of that buffer: held as two arrays, the symbol's own
+    two blocks of that buffer: held as two arrays, the symbol's own
     temporaries still faulted (171,000 minor faults in the measurement of
     _project_custom, against 3,907).  The unnormalised FFT is read by
     slices, without a gather: mode -d is column 0, then columns N-1 down to
@@ -489,8 +489,8 @@ def _project_custom(k: KernelCoeffs, w: RadialWeight, phi: BoundedSymbol,
     work = _Workspace()
 
     def means(s, mods, weights, per_row):
-        """sum_d of weights * mods^d * gamma_d with the modes at radius s,
-        unscaled, summed over the rows or per row."""
+        """e^scale sum_d weights * mods^d * gamma_d * f_{-d}(s, mods),
+        summed over the rows, or per row."""
         terms = weights * mods[:, None] ** degrees * gamma
         if grid:
             pairs = terms * slice_fn.modes(s, mods, D)
